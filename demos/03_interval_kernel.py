@@ -11,7 +11,7 @@ zero with the (odd) sign vector; this demo shows both grids side by side.
 
 from sdpembed import SolverConfig, build_interval_problem, run_interval_experiment
 
-cfg = SolverConfig(tol_conv=1e-15, max_iters=20000)
+cfg = SolverConfig(tol_conv=1e-13)
 
 print("rank of the certified optimum vs. bandwidth (n = 200):")
 for sigma in (0.1, 0.4, 0.7, 1.0):

@@ -8,19 +8,17 @@ from the first coordinate.
 
 import numpy as np
 
-from sdpembed import SolverConfig, embed_points, gen_swiss_roll, standardize
+from sdpembed import embed_points, gen_swiss_roll, standardize
 
 raw = gen_swiss_roll(500, seed=3)
 angle = np.hypot(raw.points[:, 0], raw.points[:, 2])  # unrolled parameter
 ds = standardize(raw)
 print(f"swiss roll: {ds.n_points} points in R^3, standardized")
 
-result = embed_points(
-    ds.points, sigma=0.3, config=SolverConfig(tol_conv=1e-12, max_iters=30000)
-)
+result = embed_points(ds.points, sigma=0.3)
 emb = result.embedding
 print(f"rank {emb.rank}, certified {result.certificate.is_certified}, "
-      f"{result.factor.iterations} iterations")
+      f"converged {result.factor.converged} after {result.factor.iterations} iterations")
 print("singular values:", np.round(emb.singular_values[:4], 5))
 
 # the first embedding coordinate should track the roll angle monotonically

@@ -1,6 +1,6 @@
 """One-call orchestration: kernel, solve, certificate, embedding."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import certificate, embedding, kernels, solver
 
@@ -24,13 +24,7 @@ def embed_points(points, sigma, config=None, rank_tol=1e-6, tol_slack=1e-8, tol_
     dk = kernels.diffusion_kernel(base)
     n = dk.K.shape[0]
     if cfg.r0 > n:
-        cfg = solver.SolverConfig(
-            r0=max(2, n),
-            max_iters=cfg.max_iters,
-            tol_conv=cfg.tol_conv,
-            seed=cfg.seed,
-            polish_iters=cfg.polish_iters,
-        )
+        cfg = replace(cfg, r0=max(2, n))
     state = solver.solve(solver.build_coupling(dk.K), cfg)
     result = embedding.factor_to_embedding(dk.K, state, rank_tol=rank_tol)
     report = certificate.check_optimality(dk.K, result.H_Xi, tol_slack=tol_slack, tol_eig=tol_eig)

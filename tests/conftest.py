@@ -16,7 +16,7 @@ CLUSTER_SEED = 12345
 
 def tight_config(r0=10, seed=0):
     """Solver settings for certificate-grade accuracy."""
-    return SolverConfig(r0=r0, max_iters=20000, tol_conv=1e-15, seed=seed)
+    return SolverConfig(r0=r0, max_iters=20000, tol_conv=1e-13, seed=seed)
 
 
 @pytest.fixture(scope="session")

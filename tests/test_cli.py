@@ -48,10 +48,10 @@ def test_embed_malformed_csv(tmp_path, capsys):
     assert "row 2" in err and "column 2" in err
 
 
-def test_embed_unconverged_exit_two(two_point_csv, tmp_path):
+def test_embed_unconverged_exit_two(cluster_csv, tmp_path):
     out = tmp_path / "run"
     code = main(
-        ["embed", two_point_csv, "--sigma", "1", "--r0", "2",
+        ["embed", cluster_csv, "--sigma", "1", "--r0", "2",
          "--max-iters", "1", "--tol", "1e-15", "--out", str(out)]
     )
     assert code == 2
@@ -162,7 +162,7 @@ def test_compare_two_points(two_point_csv, tmp_path):
 
 def test_toy_even_grid(tmp_path):
     out = tmp_path / "toy"
-    code = main(["toy", "200", "--sigma", "1", "--tol", "1e-15", "--out", str(out)])
+    code = main(["toy", "200", "--sigma", "1", "--tol", "1e-13", "--out", str(out)])
     assert code == 0
     report = _read_json(out / "toy_report.json")
     assert report["rank"] == 1

@@ -90,12 +90,11 @@ def test_sign_solution_convention():
 
 
 def test_sign_residual_monotone_in_tolerance():
-    # on the even grid, tightening tol_conv cannot increase the residual;
-    # polish is disabled so the stopping rule is what differs
+    # on the even grid, tightening tol_conv cannot increase the residual
     problem = build_interval_problem(100, 1.0)
     residuals = []
     for tol in (1e-4, 1e-8, 1e-12):
-        cfg = SolverConfig(tol_conv=tol, polish_iters=0, seed=0)
+        cfg = SolverConfig(tol_conv=tol, seed=0)
         residuals.append(run_interval_experiment(problem, cfg=cfg).sign_residual)
     assert residuals[1] <= residuals[0] + 1e-12
     assert residuals[2] <= residuals[1] + 1e-12

@@ -5,6 +5,8 @@ from sdpembed import (
     Coupling,
     SolverConfig,
     build_coupling,
+    build_interval_problem,
+    check_optimality,
     diffusion_kernel,
     gaussian_gram,
     init_factor,
@@ -187,11 +189,54 @@ def test_iteration_preserves_feasibility_and_monotonicity():
         energy = new_energy
 
 
-def test_polish_zero_reproduces_bare_stopping_rule():
+def test_solve_replays_the_bare_iteration():
+    # with a tolerance no iterate can reach, solve() is exactly k plain steps
     rng = np.random.default_rng(10)
     dk = diffusion_kernel(gaussian_gram(rng.standard_normal((14, 2)), 1.0))
-    coupling = build_coupling(dk.K)
-    bare = solve(coupling, SolverConfig(seed=1, polish_iters=0))
-    polished = solve(coupling, SolverConfig(seed=1))
-    assert bare.converged and polished.converged
-    assert bare.iterations <= polished.iterations
+    J = build_coupling(dk.K).J
+    for k in (1, 7, 300):
+        cfg = SolverConfig(seed=1, max_iters=k, tol_conv=1e-300)
+        state = solve(J, cfg)
+        assert not state.converged and state.iterations == k
+        step_rng = np.random.default_rng(cfg.seed)
+        H = init_factor(14, cfg, step_rng)
+        for _ in range(k):
+            H = project_rows(J @ H, step_rng)
+        assert np.array_equal(state.H, H)
+        assert state.objective == pytest.approx(objective(J, H), rel=1e-13)
+
+
+def _certified_residual(K, state):
+    H_Xi = np.sqrt(np.diag(K))[:, None] * state.H
+    return check_optimality(K, H_Xi).slackness_residual
+
+
+def _assert_stopped_on_certificate_residual(K, state, reported):
+    scale = np.max(np.diag(K))
+    assert state.converged
+    assert state.slackness_residual <= tight_config().tol_conv * scale
+    # both sit at the rounding floor here, so they agree in absolute terms
+    assert abs(state.slackness_residual - reported) <= 1e-13 * scale
+
+
+def test_cluster_pipeline_stops_on_certificate_residual(cluster_pipeline):
+    _assert_stopped_on_certificate_residual(
+        cluster_pipeline.kernel.K,
+        cluster_pipeline.factor,
+        cluster_pipeline.certificate.slackness_residual,
+    )
+
+
+def test_odd_interval_stops_on_certificate_residual():
+    K = build_interval_problem(201, 1.0).K
+    state = solve(build_coupling(K), tight_config())
+    _assert_stopped_on_certificate_residual(K, state, _certified_residual(K, state))
+    # far from the rounding floor the two formulas agree in relative terms
+    early = solve(build_coupling(K), SolverConfig(max_iters=10))
+    assert not early.converged
+    assert early.slackness_residual == pytest.approx(_certified_residual(K, early), rel=1e-9)
+
+
+def test_cluster_pipeline_stops_without_a_blind_phase(cluster_pipeline):
+    assert cluster_pipeline.factor.converged
+    assert cluster_pipeline.factor.iterations <= 200

@@ -10,7 +10,7 @@ pairs.
 
 import numpy as np
 
-from sdpembed import embed_points, extend_kernel, extend_point, gen_three_clusters
+from sdpembed import embed_points, extend_kernel, extend_points, gen_three_clusters
 
 ds = gen_three_clusters(100, 8, seed=12345)
 rng = np.random.default_rng(0)
@@ -22,17 +22,12 @@ print(f"trained on {len(train_idx)} points: rank {result.embedding.rank}, "
       f"certified {result.certificate.is_certified}")
 
 # sanity: restriction to the training set is exact
-worst = max(
-    float(np.max(np.abs(extend_point(result.kernel, result.embedding, x).coords
-                        - result.embedding.Xi[i])))
-    for i, x in enumerate(ds.points[train_idx])
-)
+copies = extend_points(result.kernel, result.embedding, ds.points[train_idx])
+worst = float(np.max(np.abs(copies.coords - result.embedding.Xi)))
 print(f"restriction to training points, worst deviation: {worst:.2e}")
 
 # extend the held-out points and see where each label family lands
-coords = np.array(
-    [extend_point(result.kernel, result.embedding, x).coords for x in ds.points[test_idx]]
-)
+coords = extend_points(result.kernel, result.embedding, ds.points[test_idx]).coords
 print("\nheld-out points by label (mean extended position):")
 for label in (0, 1, 2, 3):
     mask = ds.labels[test_idx] == label

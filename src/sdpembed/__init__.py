@@ -49,6 +49,7 @@ from .extension import (
     bordered_matrix,
     extend_kernel,
     extend_point,
+    extend_points,
     extended_sdp_certificate,
 )
 from .interval import (
@@ -112,6 +113,7 @@ __all__ = [
     "embed_points",
     "extend_kernel",
     "extend_point",
+    "extend_points",
     "extended_sdp_certificate",
     "extension_row",
     "factor_to_embedding",

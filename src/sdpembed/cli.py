@@ -18,7 +18,7 @@ from . import dataio, diffmaps, interval, kernels, pipeline, solver
 from .certificate import PrimalInfeasibilityError, check_optimality
 from .dataio import CsvFormatError, EmbeddingSchemaError
 from .embedding import EmbeddingResult
-from .extension import extend_point
+from .extension import extend_points
 
 
 def _fail(stage, exc):
@@ -132,23 +132,17 @@ def cmd_extend(args):
         new = _load_points(args.points)
     except (CsvFormatError, OSError) as exc:
         return _fail("new-points parsing", exc)
-    if new.dim != dk.base.points.shape[1]:
-        return _fail(
-            "extension",
-            ValueError(
-                f"new points have dimension {new.dim}, "
-                f"training set has {dk.base.points.shape[1]}"
-            ),
-        )
+    try:
+        ext = extend_points(dk, emb, new.points)
+    except (ValueError, RuntimeError) as exc:
+        return _fail("extension", exc)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    rows = zip(new.ids, ext.coords.tolist(), ext.kappa.tolist(), ext.degenerate.tolist())
     with open(out / "extended.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        for pid, x in zip(new.ids, new.points):
-            p = extend_point(dk, emb, x)
-            writer.writerow(
-                [pid, *[repr(float(c)) for c in p.coords], repr(float(p.kappa)), int(p.degenerate)]
-            )
+        for pid, coords, kappa, flag in rows:
+            writer.writerow([pid, *map(repr, coords), repr(kappa), int(flag)])
     return 0
 
 

@@ -17,21 +17,33 @@ import numpy as np
 from . import kernels
 from .certificate import certificate_matrix
 
-# ||g|| at or below 1e-12 * sqrt(kappa) * ||kvec|| counts as degenerate
+# ||g|| at or below 1e-12 * sqrt(kappa) * ||u|| counts as degenerate, where
+# u = kx / sqrt(dbar d) is the uncentered kernel row (kvec is u minus its
+# projection onto sqrt(d)); g is computed from terms of that size, so below
+# it g is rounding noise
 _DEGENERATE_RTOL = 1e-12
+
+# new points are extended in row blocks whose two working arrays (Gaussian
+# weights and coordinate differences) take about this many bytes together,
+# which keeps them in cache and below the peak memory of training
+_BLOCK_BYTES = 1 << 20
+
+
+def _block_rows(n):
+    """Rows per block of new points against ``n`` training points."""
+    return max(1, _BLOCK_BYTES // (2 * 8 * n))
 
 
 @dataclass
 class ExtendedPoint:
-    """One out-of-sample embedding: coordinates, kernel diagonal value,
-    degeneracy flag, and the bordered-matrix data (b coefficients and the
-    minimal feasible corner value s_min)."""
+    """Out-of-sample embedding: coordinates, kernel diagonal value and
+    degeneracy flag.  From :func:`extend_point` the fields describe one point;
+    from :func:`extend_points` they are arrays with one entry (row) per point.
+    """
 
     coords: np.ndarray
     kappa: float
     degenerate: bool
-    b_coeffs: np.ndarray
-    s_min: float
 
 
 @dataclass
@@ -60,39 +72,113 @@ class ExtendedCertificateReport:
     quadratic_form_samples: list
 
 
-def extend_point(dk, embedding, xbar):
-    """Embed one new point by the projected Nystrom formula.
+def extend_points(dk, embedding, X):
+    """Embed M new points by the projected Nystrom formula.
 
     Parameters
     ----------
     dk : DiffusionKernel
     embedding : EmbeddingResult
         A certified embedding of the training set.
-    xbar : array of shape (d,)
+    X : array of shape (M, d)
 
     Returns
     -------
     ExtendedPoint
-        Non-degenerate results satisfy ||coords||^2 == kappa; degenerate ones
-        (the Nystrom sum g vanishes, e.g. at exact symmetry midpoints) carry
-        zero coordinates and the flag instead of a division by ~0.
+        ``coords`` of shape (M, rank), ``kappa`` and ``degenerate`` of shape
+        (M,).  Non-degenerate rows satisfy ``||coords||^2 == kappa``;
+        degenerate ones (the Nystrom sum g vanishes, e.g. at exact symmetry
+        midpoints) carry zero coordinates instead of a division by ~0.
+
+    Raises
+    ------
+    ValueError
+        For points of the wrong dimension or with non-finite coordinates, and
+        for a point with no kernel weight on the training set (every Gaussian
+        weight underflows), naming the first such row.
+    RuntimeError
+        If an extended diagonal violates the volume inequality beyond
+        rounding, which is an internal error.
+
+    The points are processed in row blocks of Gaussian weights ``kx`` (see
+    ``_BLOCK_BYTES``).  Per block, one product ``kx @ [Xi / sqrt(d), 1]``
+    gives both ``A = kx @ (Xi / sqrt(d))`` and the extended degrees ``dbar``,
+    from which the Nystrom sums follow as
+    ``g = A / sqrt(dbar) - sqrt(dbar) (sqrt(d) @ Xi) / vol``; the kernel rows
+    ``kvec`` of :func:`kernels.extension_row` are never formed.
     """
-    row = kernels.extension_row(dk, xbar)
-    g = embedding.Xi.T @ row.kvec
-    norm_g = float(np.linalg.norm(g))
-    scale = np.sqrt(row.kappa) * float(np.linalg.norm(row.kvec))
-    if norm_g <= _DEGENERATE_RTOL * scale:
-        zeros = np.zeros(embedding.rank)
-        return ExtendedPoint(
-            coords=zeros, kappa=row.kappa, degenerate=True, b_coeffs=zeros.copy(), s_min=0.0
-        )
-    coords = np.sqrt(row.kappa) * g / norm_g
+    base = dk.base
+    points, volume = base.points, base.volume
+    n, dim = points.shape
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"expected an (M, d) array of points, got shape {X.shape}")
+    if X.shape[1] != dim:
+        raise ValueError(f"points have dimension {X.shape[1]}, training set has {dim}")
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        raise ValueError(f"new point at index {bad[0]} has non-finite coordinates")
+    Xi = embedding.Xi
+    rank = Xi.shape[1]
+    root_d = np.sqrt(base.degrees)
+    weights = np.hstack([Xi / root_d[:, None], np.ones((n, 1))])
+    center = (root_d @ Xi) / volume
+    inv_d = 1.0 / base.degrees
+    m = X.shape[0]
+    coords = np.zeros((m, rank))
+    kappa = np.empty(m)
+    degenerate = np.zeros(m, dtype=bool)
+    rows = _block_rows(n)
+    kx_buf = np.empty((min(rows, m), n))
+    diff_buf = np.empty_like(kx_buf)
+    for start in range(0, m, rows):
+        stop = min(start + rows, m)
+        kx, diff = kx_buf[: stop - start], diff_buf[: stop - start]
+        # squared distances from coordinate differences: the expanded
+        # |x|^2 + |y|^2 - 2 x.y form cancels for points far from the origin
+        kx.fill(0.0)
+        for j in range(dim):
+            np.subtract.outer(X[start:stop, j], points[:, j], out=diff)
+            np.square(diff, out=diff)
+            kx += diff
+        kx /= -base.sigma**2
+        np.exp(kx, out=kx)
+        prod = kx @ weights
+        dbar = prod[:, rank]
+        empty = np.flatnonzero(dbar < np.finfo(float).tiny)
+        if empty.size:
+            raise ValueError(
+                f"new point at index {start + empty[0]} has no kernel weight on the training "
+                f"set (every Gaussian weight underflows at sigma = {base.sigma})"
+            )
+        root_dbar = np.sqrt(dbar)
+        g = prod[:, :rank] / root_dbar[:, None] - np.outer(root_dbar, center)
+        k = 1.0 / dbar - dbar / volume
+        worst = int(np.argmin(k))
+        if k[worst] < kernels._KAPPA_CLAMP:
+            raise RuntimeError(
+                f"extended diagonal {k[worst]:.3e} violates the volume inequality; "
+                "this indicates an internal error"
+            )
+        np.maximum(k, 0.0, out=k)
+        np.square(kx, out=kx)
+        norm_u = np.sqrt((kx @ inv_d) / dbar)
+        norm_g = np.sqrt(np.einsum("ij,ij->i", g, g))
+        flat = norm_g <= _DEGENERATE_RTOL * np.sqrt(k) * norm_u
+        ok = ~flat
+        coords[start:stop][ok] = (np.sqrt(k[ok]) / norm_g[ok])[:, None] * g[ok]
+        kappa[start:stop] = k
+        degenerate[start:stop] = flat
+    return ExtendedPoint(coords=coords, kappa=kappa, degenerate=degenerate)
+
+
+def extend_point(dk, embedding, xbar):
+    """Embed one new point: the one-row case of :func:`extend_points`,
+    returning scalar ``kappa`` and ``degenerate`` and ``coords`` of shape
+    (rank,)."""
+    batch = extend_points(dk, embedding, np.asarray(xbar, dtype=float).reshape(1, -1))
     return ExtendedPoint(
-        coords=coords,
-        kappa=row.kappa,
-        degenerate=False,
-        b_coeffs=coords.copy(),
-        s_min=float(coords @ coords),
+        coords=batch.coords[0], kappa=float(batch.kappa[0]), degenerate=bool(batch.degenerate[0])
     )
 
 
@@ -103,11 +189,10 @@ def extend_kernel(dk, embedding, x, y):
     non-degenerate point it returns kappa.  If either extension is degenerate
     the product has no defined direction and 0.0 is returned.
     """
-    px = extend_point(dk, embedding, x)
-    py = extend_point(dk, embedding, y)
-    if px.degenerate or py.degenerate:
+    pair = extend_points(dk, embedding, np.asarray([x, y], dtype=float).reshape(2, -1))
+    if pair.degenerate.any():
         return 0.0
-    return float(px.coords @ py.coords)
+    return float(pair.coords[0] @ pair.coords[1])
 
 
 def bordered_matrix(rho, b, s):

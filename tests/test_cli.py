@@ -99,6 +99,29 @@ def test_extend_two_point_fixture(two_point_csv, tmp_path):
     assert rows[1][-1] == "1"
 
 
+def test_extend_byte_identical_artifacts(cluster_csv, tmp_path):
+    out = tmp_path / "run"
+    assert main(["embed", cluster_csv, "--sigma", "5", "--out", str(out)]) == 0
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    for dest in (out_a, out_b):
+        assert main(["extend", str(out / "embedding.json"), cluster_csv, "--out", str(dest)]) == 0
+    assert (out_a / "extended.csv").read_bytes() == (out_b / "extended.csv").read_bytes()
+
+
+def test_extend_point_without_kernel_weight(two_point_csv, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(
+        ["embed", two_point_csv, "--sigma", "1", "--r0", "2", "--out", str(out)]
+    ) == 0
+    new = tmp_path / "new.csv"
+    new.write_text("-0.5\n100\n")
+    code = main(["extend", str(out / "embedding.json"), str(new), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sdpembed: extension:") and "index 1" in err
+    assert not (out / "extended.csv").exists()
+
+
 def test_extend_dimension_mismatch(cluster_csv, two_point_csv, tmp_path):
     out = tmp_path / "run"
     assert main(["embed", cluster_csv, "--sigma", "5", "--out", str(out)]) == 0

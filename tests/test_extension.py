@@ -7,9 +7,11 @@ from sdpembed import (
     bordered_matrix,
     extend_kernel,
     extend_point,
+    extend_points,
     extended_sdp_certificate,
     extension_row,
 )
+from sdpembed import extension
 
 from conftest import C
 
@@ -38,7 +40,51 @@ def test_symmetry_midpoint_is_degenerate(two_point):
     p = extend_point(two_point.kernel, two_point.embedding, [0.5])
     assert p.degenerate
     assert np.array_equal(p.coords, np.zeros(1))
-    assert p.s_min == 0.0
+
+
+def test_extend_points_matches_per_row_reference(cluster_pipeline):
+    # three full row blocks and a partial one, with copies of training points
+    dk, emb = cluster_pipeline.kernel, cluster_pipeline.embedding
+    pts = dk.base.points
+    rows = extension._block_rows(pts.shape[0])
+    m = 3 * rows + rows // 2
+    rng = np.random.default_rng(4)
+    X = rng.uniform(pts.min(axis=0) - 1.0, pts.max(axis=0) + 1.0, (m, pts.shape[1]))
+    at = rng.choice(m, 40, replace=False)
+    copies = rng.choice(pts.shape[0], 40, replace=False)
+    X[at] = pts[copies]
+    ext = extend_points(dk, emb, X)
+    assert ext.coords.shape == (m, emb.rank)
+    assert not ext.degenerate.any()
+    for i, x in enumerate(X):
+        row = extension_row(dk, x)
+        g = emb.Xi.T @ row.kvec
+        expected = np.sqrt(row.kappa) * g / np.linalg.norm(g)
+        assert abs(ext.kappa[i] - row.kappa) <= 1e-12 * row.kappa
+        assert np.linalg.norm(ext.coords[i] - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert np.max(np.abs(ext.coords[at] - emb.Xi[copies])) <= 1e-12
+
+
+def test_extend_points_flags_midpoint_in_a_batch(two_point):
+    ext = extend_points(two_point.kernel, two_point.embedding, [[-0.5], [0.5], [-0.35]])
+    assert ext.degenerate.tolist() == [False, True, False]
+    assert np.array_equal(ext.coords[1], np.zeros(1))
+    for i, x in enumerate([-0.5, -0.35]):
+        p = extend_point(two_point.kernel, two_point.embedding, [x])
+        np.testing.assert_allclose(ext.coords[2 * i], p.coords, rtol=1e-14)
+
+
+def test_extend_points_rejects_bad_rows(two_point):
+    dk, emb = two_point.kernel, two_point.embedding
+    with pytest.raises(ValueError, match="dimension 2"):
+        extend_points(dk, emb, np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="index 1 has non-finite"):
+        extend_points(dk, emb, [[0.2], [np.nan]])
+    # every Gaussian weight underflows: no degree to normalize by
+    with pytest.raises(ValueError, match="index 2 has no kernel weight"):
+        extend_points(dk, emb, [[0.2], [0.5], [100.0], [-100.0]])
+    with pytest.raises(ValueError, match="index 0 has no kernel weight"):
+        extend_point(dk, emb, [1e6])
 
 
 def test_norm_preservation(cluster_pipeline):

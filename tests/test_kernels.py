@@ -121,6 +121,12 @@ def test_extension_row_dimension_mismatch():
         extension_row(dk, [0.0, 1.0])
 
 
+def test_extension_row_rejects_point_without_weight():
+    dk = diffusion_kernel(gaussian_gram(np.array([[0.0], [1.0]]), 1.0))
+    with pytest.raises(ValueError, match="no kernel weight"):
+        extension_row(dk, [100.0])
+
+
 def test_volume_inequalities_gaussian_base():
     report = check_volume_inequalities(_random_base(4))
     assert report.ok and report.worst_slack >= -1e-12

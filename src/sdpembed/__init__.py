@@ -69,7 +69,6 @@ from .kernels import (
 )
 from .pipeline import PipelineResult, embed_points
 from .solver import (
-    Coupling,
     FactorState,
     SolverConfig,
     build_coupling,
@@ -84,7 +83,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BaseKernelState",
     "CertificateReport",
-    "Coupling",
     "CsvFormatError",
     "Dataset",
     "DiffusionBasis",

@@ -53,13 +53,9 @@ class NuclearEquivalenceReport:
     ok: bool
 
 
-def _kernel_matrix(K):
-    return np.asarray(getattr(K, "K", K), dtype=float)
-
-
 def certificate_matrix(K, rho):
     """Candidate dual matrix ``L(rho) = ddiag(K)^{-1} ddiag(K rho) - K``."""
-    K = _kernel_matrix(K)
+    K = np.asarray(K, dtype=float)
     diag = np.diag(K)
     if np.any(diag <= 0):
         raise ValueError("kernel diagonal must be strictly positive")
@@ -71,7 +67,7 @@ def check_optimality(K, H_Xi, tol_slack=_DEFAULT_TOL, tol_eig=_DEFAULT_TOL):
 
     Parameters
     ----------
-    K : DiffusionKernel or (N, N) array
+    K : (N, N) array
         The kernel defining the program.
     H_Xi : (N, r0) array
         Un-standardized factor; row i must have squared norm K(i, i).
@@ -91,7 +87,7 @@ def check_optimality(K, H_Xi, tol_slack=_DEFAULT_TOL, tol_eig=_DEFAULT_TOL):
         If some row norm deviates from the required diagonal by more than
         1e-8; certifying an infeasible candidate would be meaningless.
     """
-    K = _kernel_matrix(K)
+    K = np.asarray(K, dtype=float)
     diag = np.diag(K)
     row_sq = np.einsum("ij,ij->i", H_Xi, H_Xi)
     violation = np.abs(row_sq - diag)
@@ -134,7 +130,7 @@ def nuclear_equivalence_check(K, rho_star, rank_rtol=1e-8):
     preserved the rank, and (iii) the nuclear norm of the p.s.d. X* equals
     its trace.
     """
-    K = _kernel_matrix(K)
+    K = np.asarray(K, dtype=float)
     w, V = np.linalg.eigh(np.eye(K.shape[0]) - K)
     if w[0] <= 0:
         raise ValueError("kernel must have top eigenvalue strictly below 1")

@@ -81,9 +81,7 @@ def _rebuild_from_file(ef):
     meta = ef.metadata
     if "training_points" not in meta:
         raise EmbeddingSchemaError("embedding file has no inlined training points")
-    base = kernels.gaussian_gram(
-        dataio.Dataset(meta["training_points"]), float(meta["sigma"])
-    )
+    base = kernels.gaussian_gram(meta["training_points"], float(meta["sigma"]))
     dk = kernels.diffusion_kernel(base)
     emb = EmbeddingResult(
         Xi=ef.coordinates,
@@ -206,9 +204,8 @@ def cmd_toy(args):
     return 0 if (report.certified and report.converged) else 2
 
 
-def _add_solver_flags(p, needs_sigma):
-    if needs_sigma:
-        p.add_argument("--sigma", type=float, required=True, help="Gaussian kernel bandwidth")
+def _add_solver_flags(p):
+    p.add_argument("--sigma", type=float, required=True, help="Gaussian kernel bandwidth")
     defaults = solver.SolverConfig()
     p.add_argument("--r0", type=int, default=defaults.r0, help="factor width (default %(default)s)")
     p.add_argument("--tol", type=float, default=defaults.tol_conv,
@@ -216,7 +213,6 @@ def _add_solver_flags(p, needs_sigma):
     p.add_argument("--max-iters", type=int, default=defaults.max_iters, help="iteration cap")
     p.add_argument("--rank-tol", type=float, default=1e-6, help="relative singular-value cutoff")
     p.add_argument("--seed", type=int, default=0, help="seed for the random start")
-    p.add_argument("--out", default=".", help="output directory")
 
 
 def build_parser():
@@ -229,30 +225,30 @@ def build_parser():
 
     p = sub.add_parser("embed", help="embed a CSV point cloud")
     p.add_argument("input", help="CSV of points (optional header row)")
-    _add_solver_flags(p, needs_sigma=True)
+    _add_solver_flags(p)
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("extend", help="extend a stored embedding to new points")
     p.add_argument("embedding", help="embedding.json produced by embed/compare")
     p.add_argument("points", help="CSV of new points")
-    _add_solver_flags(p, needs_sigma=False)
     p.set_defaults(func=cmd_extend)
 
     p = sub.add_parser("certify", help="re-run the certificate on a stored embedding")
     p.add_argument("embedding", help="embedding.json produced by embed/compare")
-    _add_solver_flags(p, needs_sigma=False)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("compare", help="embed with both the SDP and diffusion maps")
     p.add_argument("input", help="CSV of points (optional header row)")
-    _add_solver_flags(p, needs_sigma=True)
+    _add_solver_flags(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("toy", help="discretized-interval experiment")
     p.add_argument("n", type=int, help="number of grid points on [-1, 1]")
-    _add_solver_flags(p, needs_sigma=True)
+    _add_solver_flags(p)
     p.set_defaults(func=cmd_toy)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=".", help="output directory")
     return parser
 
 

@@ -63,24 +63,22 @@ def load_csv(path, has_header=False, label_column=None):
     """Load a comma-separated point cloud.
 
     Cells must parse as finite reals (except in ``label_column``, parsed as
-    integers); rows must all have the same number of cells.  Row order is
-    preserved.  Row/column positions in error messages are 1-based and count
-    the header row if present.
+    integers); rows must all have the same number of cells.  Blank lines are
+    skipped and row order is preserved.  Errors name the file's 1-based line
+    (as "row") and column of the offending cell.
     """
     with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader if row]
     if has_header:
         rows = rows[1:]
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
-    arity = len(rows[0])
-    offset = 2 if has_header else 1
+    arity = len(rows[0][1])
     points, labels = [], []
-    for i, row in enumerate(rows):
+    for line, row in rows:
         if len(row) != arity:
-            raise CsvFormatError(
-                f"{path}: row {i + offset} has {len(row)} cells, expected {arity}"
-            )
+            raise CsvFormatError(f"{path}: row {line} has {len(row)} cells, expected {arity}")
         values = []
         for j, cell in enumerate(row):
             if label_column is not None and j == label_column:
@@ -89,12 +87,12 @@ def load_csv(path, has_header=False, label_column=None):
                 value = float(cell)
             except ValueError:
                 raise CsvFormatError(
-                    f"{path}: row {i + offset}, column {j + 1}: "
+                    f"{path}: row {line}, column {j + 1}: "
                     f"cannot parse {cell!r} as a real number"
                 ) from None
             if not math.isfinite(value):
                 raise CsvFormatError(
-                    f"{path}: row {i + offset}, column {j + 1}: non-finite value {cell!r}"
+                    f"{path}: row {line}, column {j + 1}: non-finite value {cell!r}"
                 )
             values.append(value)
         if label_column is not None:
@@ -102,7 +100,7 @@ def load_csv(path, has_header=False, label_column=None):
                 labels.append(int(float(row[label_column])))
             except ValueError:
                 raise CsvFormatError(
-                    f"{path}: row {i + offset}, column {label_column + 1}: "
+                    f"{path}: row {line}, column {label_column + 1}: "
                     f"cannot parse label {row[label_column]!r}"
                 ) from None
         points.append(values)

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _symmetrize
-
 
 @dataclass
 class DiffusionBasis:
@@ -55,7 +53,7 @@ def spectral_basis(base):
     tiny negatives are rounding.
     """
     root_d = np.sqrt(base.degrees)
-    k_norm = _symmetrize(base.gram / np.outer(root_d, root_d))
+    k_norm = base.gram / np.outer(root_d, root_d)
     eigenvalues, u = np.linalg.eigh(k_norm)
     order = np.argsort(eigenvalues)[::-1]
     eigenvalues = np.clip(eigenvalues[order], 0.0, None)

@@ -35,17 +35,13 @@ class MeanValueReport:
     max_residual: float
 
 
-def _kernel_matrix(K):
-    return np.asarray(getattr(K, "K", K), dtype=float)
-
-
-def factor_to_embedding(K, factor, rank_tol=1e-6):
+def factor_to_embedding(K, H, rank_tol=1e-6):
     """Convert a solved factor into embedding coordinates.
 
     Parameters
     ----------
-    K : DiffusionKernel or (N, N) array
-    factor : FactorState or (N, r0) array
+    K : (N, N) array
+    H : (N, r0) array
         Standardized factor with unit rows.
     rank_tol : float
         Relative singular-value cutoff for the effective rank.
@@ -57,9 +53,8 @@ def factor_to_embedding(K, factor, rank_tol=1e-6):
         first index of the largest-magnitude entry), each column flipped so
         its largest-magnitude entry is positive.
     """
-    K = _kernel_matrix(K)
-    H = np.asarray(getattr(factor, "H", factor), dtype=float)
-    H_Xi = np.sqrt(np.diag(K))[:, None] * H
+    K = np.asarray(K, dtype=float)
+    H_Xi = np.sqrt(np.diag(K))[:, None] * np.asarray(H, dtype=float)
     U, sv, _ = np.linalg.svd(H_Xi, full_matrices=False)
     if sv[0] <= 0:
         raise RuntimeError("all singular values vanish; the kernel diagonal is zero")
@@ -102,7 +97,7 @@ def mean_value_check(K, embedding):
         If some (K rho*)(i, i) is not strictly positive, which contradicts
         certification and indicates the input was not a certified solution.
     """
-    K = _kernel_matrix(K)
+    K = np.asarray(K, dtype=float)
     Xi = embedding.Xi
     KXi = K @ Xi
     k_rho_diag = np.einsum("ij,ij->i", KXi, Xi)

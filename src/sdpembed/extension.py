@@ -23,16 +23,6 @@ from .certificate import certificate_matrix
 # it g is rounding noise
 _DEGENERATE_RTOL = 1e-12
 
-# new points are extended in row blocks whose two working arrays (Gaussian
-# weights and coordinate differences) take about this many bytes together,
-# which keeps them in cache and below the peak memory of training
-_BLOCK_BYTES = 1 << 20
-
-
-def _block_rows(n):
-    """Rows per block of new points against ``n`` training points."""
-    return max(1, _BLOCK_BYTES // (2 * 8 * n))
-
 
 @dataclass
 class ExtendedPoint:
@@ -101,7 +91,7 @@ def extend_points(dk, embedding, X):
         rounding, which is an internal error.
 
     The points are processed in row blocks of Gaussian weights ``kx`` (see
-    ``_BLOCK_BYTES``).  Per block, one product ``kx @ [Xi / sqrt(d), 1]``
+    ``kernels._BLOCK_BYTES``).  Per block, one product ``kx @ [Xi / sqrt(d), 1]``
     gives both ``A = kx @ (Xi / sqrt(d))`` and the extended degrees ``dbar``,
     from which the Nystrom sums follow as
     ``g = A / sqrt(dbar) - sqrt(dbar) (sqrt(d) @ Xi) / vol``; the kernel rows
@@ -128,21 +118,11 @@ def extend_points(dk, embedding, X):
     coords = np.zeros((m, rank))
     kappa = np.empty(m)
     degenerate = np.zeros(m, dtype=bool)
-    rows = _block_rows(n)
+    rows = kernels._block_rows(n)
     kx_buf = np.empty((min(rows, m), n))
-    diff_buf = np.empty_like(kx_buf)
     for start in range(0, m, rows):
         stop = min(start + rows, m)
-        kx, diff = kx_buf[: stop - start], diff_buf[: stop - start]
-        # squared distances from coordinate differences: the expanded
-        # |x|^2 + |y|^2 - 2 x.y form cancels for points far from the origin
-        kx.fill(0.0)
-        for j in range(dim):
-            np.subtract.outer(X[start:stop, j], points[:, j], out=diff)
-            np.square(diff, out=diff)
-            kx += diff
-        kx /= -base.sigma**2
-        np.exp(kx, out=kx)
+        kx = kernels._gaussian_weights(X[start:stop], points, base.sigma, kx_buf[: stop - start])
         prod = kx @ weights
         dbar = prod[:, rank]
         empty = np.flatnonzero(dbar < np.finfo(float).tiny)
@@ -261,7 +241,7 @@ def bordered_certificate(K, rho, kvec, kappa, b, s, n_samples=8, seed=0):
     from the canonical extension formula and is filled in by
     :func:`extended_sdp_certificate`.
     """
-    Kbar = bordered_matrix(np.asarray(getattr(K, "K", K), dtype=float), kvec, kappa)
+    Kbar = bordered_matrix(K, kvec, kappa)
     rho_bar = bordered_matrix(rho, b, s)
     Lbar = certificate_matrix(Kbar, rho_bar)
     eigs = np.linalg.eigvalsh(Lbar)

@@ -22,6 +22,11 @@ import numpy as np
 # this is a genuine inequality violation, i.e. a bug
 _KAPPA_CLAMP = -1e-12
 
+# Gaussian weights are evaluated in row blocks whose weights and coordinate
+# differences take about this many bytes together, which keeps them in cache
+# and the working memory beside the N x N gram small
+_BLOCK_BYTES = 1 << 20
+
 
 @dataclass
 class BaseKernelState:
@@ -36,11 +41,10 @@ class BaseKernelState:
 
 @dataclass
 class DiffusionKernel:
-    """Centered kernel ``K`` plus its exact top eigenvector ``e0`` and the
-    base-kernel state needed for out-of-sample extension."""
+    """Centered kernel ``K`` plus the base-kernel state needed for
+    out-of-sample extension."""
 
     K: np.ndarray
-    e0: np.ndarray
     base: BaseKernelState
 
 
@@ -65,27 +69,36 @@ class VolumeCheckReport:
     ok: bool
 
 
-def _symmetrize(m):
-    # fill both triangles from one computation so ||M - M^T||_inf == 0
-    upper = np.triu(m)
-    return upper + np.triu(m, 1).T
+def _block_rows(n):
+    """Rows per block of points evaluated against ``n`` training points."""
+    return max(1, _BLOCK_BYTES // (2 * 8 * n))
 
 
-def _pairwise_sq_dists(points):
-    # expanded quadratic form with clamping; cancellation can otherwise
-    # produce small negative squared distances
-    g = points @ points.T
-    sq = np.diag(g)[:, None] + np.diag(g)[None, :] - 2.0 * g
-    np.fill_diagonal(sq, 0.0)
-    return _symmetrize(np.maximum(sq, 0.0))
+def _gaussian_weights(X, points, sigma, out):
+    """Fill ``out`` (M, N) with ``exp(-||X_a - points_b||^2 / sigma^2)``.
+
+    Squared distances are summed from coordinate differences one dimension at
+    a time, so they are exact functions of the differences: the kernel does
+    not change when the data are translated, ``k(x, x) == 1`` exactly, and a
+    gram built row block by row block is bitwise symmetric.  (The expanded
+    ``|x|^2 + |y|^2 - 2 x.y`` form cancels for points far from the origin.)
+    """
+    diff = np.empty_like(out)
+    out.fill(0.0)
+    for j in range(points.shape[1]):
+        np.subtract.outer(X[:, j], points[:, j], out=diff)
+        np.square(diff, out=diff)
+        out += diff
+    out /= -sigma**2
+    return np.exp(out, out=out)
 
 
-def gaussian_gram(ds, sigma):
-    """Evaluate the Gaussian kernel matrix of a dataset.
+def gaussian_gram(points, sigma):
+    """Evaluate the Gaussian kernel matrix of a point cloud.
 
     Parameters
     ----------
-    ds : Dataset or array of shape (N, d)
+    points : array of shape (N, d)
         Training points.
     sigma : float
         Kernel bandwidth, in the units of the feature distances.
@@ -93,16 +106,23 @@ def gaussian_gram(ds, sigma):
     Returns
     -------
     BaseKernelState
-        Gram matrix (unit diagonal), per-point degrees, and total volume.
+        Gram matrix (unit diagonal, exactly symmetric), per-point degrees,
+        and total volume.  The gram is filled in row blocks (see
+        ``_BLOCK_BYTES``), so the build holds one N x N array and a small
+        buffer.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    points = np.asarray(getattr(ds, "points", ds), dtype=float)
+    points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] < 1:
         raise ValueError("need a nonempty (N, d) array of points")
     if not np.all(np.isfinite(points)):
         raise ValueError("points contain non-finite entries")
-    gram = np.exp(-_pairwise_sq_dists(points) / sigma**2)
+    n = points.shape[0]
+    gram = np.empty((n, n))
+    rows = _block_rows(n)
+    for start in range(0, n, rows):
+        _gaussian_weights(points[start : start + rows], points, sigma, gram[start : start + rows])
     degrees = gram.sum(axis=1)
     return BaseKernelState(
         sigma=float(sigma),
@@ -119,13 +139,15 @@ def diffusion_kernel(base):
     Returns
     -------
     DiffusionKernel
-        ``K(i, j) = k(x_i, x_j)/sqrt(d_i d_j) - sqrt(d_i d_j)/vol`` together
-        with ``e0 = sqrt(d / vol)``, which satisfies ``K e0 = 0`` exactly.
+        ``K(i, j) = k(x_i, x_j)/sqrt(d_i d_j) - sqrt(d_i d_j)/vol``, which
+        annihilates ``sqrt(d)`` and is exactly symmetric when the gram is.
     """
     root_d = np.sqrt(base.degrees)
     outer = np.outer(root_d, root_d)
-    K = _symmetrize(base.gram / outer - outer / base.volume)
-    return DiffusionKernel(K=K, e0=root_d / np.sqrt(base.volume), base=base)
+    K = base.gram / outer
+    outer /= base.volume
+    K -= outer
+    return DiffusionKernel(K=K, base=base)
 
 
 def extension_row(dk, xbar):
@@ -185,13 +207,11 @@ def check_volume_inequalities(base, probes=()):
     failure means the kernel was built incorrectly).
     """
     diag = np.diag(base.gram)
-    slacks = [float(np.min((diag * base.volume - base.degrees**2) / (diag * base.volume)))]
-    n = base.degrees.shape[0]
-    for p in probes:
-        p = np.asarray(p, dtype=float).reshape(-1)
-        sq = np.maximum(((base.points - p) ** 2).sum(axis=1), 0.0)
-        dbar = np.exp(-sq / base.sigma**2).sum()
-        slacks.append(float((base.volume - dbar**2) / base.volume))
-        n += 1
-    worst = min(slacks)
-    return VolumeCheckReport(worst_slack=worst, n_checked=n, ok=worst >= -1e-12)
+    slacks = (diag * base.volume - base.degrees**2) / (diag * base.volume)
+    points = base.points
+    probes = np.asarray(probes, dtype=float).reshape(-1, points.shape[1])
+    kx = _gaussian_weights(probes, points, base.sigma, np.empty((probes.shape[0], points.shape[0])))
+    dbar = kx.sum(axis=1)
+    slacks = np.concatenate([slacks, (base.volume - dbar**2) / base.volume])
+    worst = float(slacks.min())
+    return VolumeCheckReport(worst_slack=worst, n_checked=slacks.size, ok=worst >= -1e-12)

@@ -26,6 +26,6 @@ def embed_points(points, sigma, config=None, rank_tol=1e-6, tol_slack=1e-8, tol_
     if cfg.r0 > n:
         cfg = replace(cfg, r0=max(2, n))
     state = solver.solve(solver.build_coupling(dk.K), cfg)
-    result = embedding.factor_to_embedding(dk.K, state, rank_tol=rank_tol)
+    result = embedding.factor_to_embedding(dk.K, state.H, rank_tol=rank_tol)
     report = certificate.check_optimality(dk.K, result.H_Xi, tol_slack=tol_slack, tol_eig=tol_eig)
     return PipelineResult(kernel=dk, factor=state, embedding=result, certificate=report)

@@ -65,15 +65,9 @@ class FactorState:
     slackness_residual: float
 
 
-@dataclass
-class Coupling:
-    """Congruence-transformed kernel ``J = ddiag(K)^{1/2} K ddiag(K)^{1/2}``."""
-
-    J: np.ndarray
-
-
 def build_coupling(K):
-    """Form the coupling matrix from a kernel matrix (or DiffusionKernel).
+    """Form the coupling matrix ``J = ddiag(K)^{1/2} K ddiag(K)^{1/2}`` from
+    an (N, N) kernel matrix.
 
     Raises
     ------
@@ -82,7 +76,7 @@ def build_coupling(K):
         standardization divides by sqrt(diag K), and a vanishing diagonal
         means the corresponding point cannot carry an embedding constraint.
     """
-    K = np.asarray(getattr(K, "K", K), dtype=float)
+    K = np.asarray(K, dtype=float)
     diag = np.diag(K)
     bad = np.flatnonzero(diag <= 0)
     if bad.size:
@@ -91,7 +85,7 @@ def build_coupling(K):
             f"index {bad[0]} with K[i,i] = {diag[bad[0]]:.3e}"
         )
     root = np.sqrt(diag)
-    return Coupling(J=np.outer(root, root) * K)
+    return np.outer(root, root) * K
 
 
 def project_rows(M, rng=None):
@@ -132,7 +126,7 @@ def objective(J, H):
 
     Equals Tr(rho K) for rho = ddiag(K)^{1/2} H H^T ddiag(K)^{1/2}.
     """
-    J = np.asarray(getattr(J, "J", J), dtype=float)
+    J = np.asarray(J, dtype=float)
     if H.shape[0] != J.shape[0]:
         raise ValueError(f"shape mismatch: J is {J.shape}, H is {H.shape}")
     return float(np.einsum("ij,ij->", H, J @ H))
@@ -143,7 +137,7 @@ def solve(J, cfg):
 
     Parameters
     ----------
-    J : Coupling or (N, N) array
+    J : (N, N) array
         Symmetric p.s.d. coupling matrix.
     cfg : SolverConfig
 
@@ -159,7 +153,7 @@ def solve(J, cfg):
         If the objective decreases by more than 1e-9 relative, which cannot
         happen for p.s.d. J and therefore signals a corrupted input.
     """
-    J = np.asarray(getattr(J, "J", J), dtype=float)
+    J = np.asarray(J, dtype=float)
     n = J.shape[0]
     if cfg.r0 > n:
         raise ValueError(f"r0 = {cfg.r0} exceeds the number of points {n}")

@@ -91,7 +91,7 @@ def test_criterion_2_nonnegative_kernel_trivial_solution():
     for i, K in enumerate(kernels):
         cfg = tight_config(r0=min(4, K.shape[0]), seed=i)
         state = solve(build_coupling(K), cfg)
-        emb = factor_to_embedding(K, state)
+        emb = factor_to_embedding(K, state.H)
         rho = emb.H_Xi @ emb.H_Xi.T
         root = np.sqrt(np.diag(K))
         worst_dev = max(worst_dev, float(np.max(np.abs(rho - np.outer(root, root)))))

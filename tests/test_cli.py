@@ -48,6 +48,17 @@ def test_embed_malformed_csv(tmp_path, capsys):
     assert "row 2" in err and "column 2" in err
 
 
+def test_extend_and_certify_take_only_out(tmp_path, capsys):
+    for argv in (
+        ["extend", "model.json", "new.csv", "--r0", "5"],
+        ["certify", "model.json", "--seed", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_embed_unconverged_exit_two(cluster_csv, tmp_path):
     out = tmp_path / "run"
     code = main(

@@ -51,6 +51,17 @@ def test_load_csv_ragged_and_empty(tmp_path):
         load_csv(empty)
 
 
+def test_load_csv_reports_file_lines_after_blank_lines(tmp_path):
+    path = tmp_path / "pts.csv"
+    path.write_text("1.0,2.0\n\n3.0,4.0\n5.0,x\n")
+    with pytest.raises(CsvFormatError, match=r"row 4, column 2"):
+        load_csv(path)
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("x,y\n\n1,2\n\n3\n")
+    with pytest.raises(CsvFormatError, match=r"row 5 has 1 cells"):
+        load_csv(ragged, has_header=True)
+
+
 def test_load_csv_labels(tmp_path):
     path = tmp_path / "pts.csv"
     path.write_text("0,0,1\n1,0,2\n0,1,1\n")

@@ -11,7 +11,7 @@ from sdpembed import (
     extended_sdp_certificate,
     extension_row,
 )
-from sdpembed import extension
+from sdpembed import kernels
 
 from conftest import C
 
@@ -46,7 +46,7 @@ def test_extend_points_matches_per_row_reference(cluster_pipeline):
     # three full row blocks and a partial one, with copies of training points
     dk, emb = cluster_pipeline.kernel, cluster_pipeline.embedding
     pts = dk.base.points
-    rows = extension._block_rows(pts.shape[0])
+    rows = kernels._block_rows(pts.shape[0])
     m = 3 * rows + rows // 2
     rng = np.random.default_rng(4)
     X = rng.uniform(pts.min(axis=0) - 1.0, pts.max(axis=0) + 1.0, (m, pts.shape[1]))

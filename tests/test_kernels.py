@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from sdpembed import (
-    Dataset,
     check_volume_inequalities,
     diffusion_kernel,
+    embed_points,
+    extend_points,
     extension_row,
     gaussian_gram,
+    gen_three_clusters,
 )
 
 from conftest import A, C
@@ -37,6 +39,21 @@ def test_gram_large_bandwidth_limit():
     assert base.volume == pytest.approx(9.0, abs=1e-8)
 
 
+def test_translated_points_give_the_same_kernel_and_extension():
+    # the paper's clusters on a quarter grid, shifted by 2**24: both sets are
+    # exact, and so are their coordinate differences, while the expanded
+    # |x|^2 + |y|^2 - 2 x.y needs more than 53 bits at that offset
+    grid = np.unique(np.round(gen_three_clusters(100, 8, 12345).points * 4) / 4, axis=0)
+    shifted = grid + 2.0**24
+    assert np.array_equal(shifted - 2.0**24, grid)
+    assert np.array_equal(gaussian_gram(shifted, 5.0).gram, gaussian_gram(grid, 5.0).gram)
+    result = embed_points(shifted, 5.0)
+    assert result.certificate.is_certified
+    copies = extend_points(result.kernel, result.embedding, shifted)
+    radius = np.sqrt(np.diag(result.kernel.K))
+    assert np.all(np.linalg.norm(copies.coords - result.embedding.Xi, axis=1) <= 1e-12 * radius)
+
+
 def test_gram_rejects_bad_input():
     with pytest.raises(ValueError, match="sigma"):
         gaussian_gram(np.zeros((2, 1)), 0.0)
@@ -59,14 +76,14 @@ def test_kernel_annihilates_root_degrees():
     base = _random_base(1)
     dk = diffusion_kernel(base)
     assert np.max(np.abs(dk.K @ np.sqrt(base.degrees))) < 1e-10
-    # e0 is the corresponding unit vector
-    assert np.linalg.norm(dk.e0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_kernel_exact_symmetry_and_spectrum():
+    # n up to 425 spans several row blocks of the gram
     for seed in range(5):
-        base = _random_base(seed, n=25, sigma=float(1.0 + seed))
+        base = _random_base(seed, n=25 + 100 * seed, sigma=float(1.0 + seed))
         dk = diffusion_kernel(base)
+        assert np.array_equal(base.gram, base.gram.T)
         assert np.max(np.abs(dk.K - dk.K.T)) == 0.0
         eigs = np.linalg.eigvalsh(dk.K)
         assert eigs[-1] < 1.0
@@ -167,8 +184,3 @@ def test_volume_inequality_property_random_clouds():
         report = check_volume_inequalities(base, probes)
         assert report.ok, f"trial {trial}: slack {report.worst_slack}"
 
-
-def test_gaussian_gram_accepts_dataset():
-    ds = Dataset(np.array([[0.0], [1.0]]))
-    base = gaussian_gram(ds, 1.0)
-    assert base.gram.shape == (2, 2)

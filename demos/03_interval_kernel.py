@@ -15,18 +15,18 @@ cfg = SolverConfig(tol_conv=1e-13)
 
 print("rank of the certified optimum vs. bandwidth (n = 200):")
 for sigma in (0.1, 0.4, 0.7, 1.0):
-    report = run_interval_experiment(build_interval_problem(200, sigma), cfg=cfg)
+    report, _ = run_interval_experiment(build_interval_problem(200, sigma), cfg=cfg)
     parity = ", ".join(f"{k} {v:.1e}" for k, v in report.parity_residuals.items())
     print(f"  sigma = {sigma:>4}: rank {report.rank}, certified {report.certified}, "
           f"parity residuals: {parity}")
 
 print("\nsigma = 1, even grid (no node at zero):")
-even = run_interval_experiment(build_interval_problem(200, 1.0), cfg=cfg)
+even, _ = run_interval_experiment(build_interval_problem(200, 1.0), cfg=cfg)
 print(f"  rank {even.rank}, max deviation from the sign solution: "
       f"{even.sign_residual:.2e}  (rank-one sign structure, exact)")
 
 print("\nsigma = 1, odd grid (node at zero):")
-odd = run_interval_experiment(build_interval_problem(201, 1.0), cfg=cfg)
+odd, _ = run_interval_experiment(build_interval_problem(201, 1.0), cfg=cfg)
 K_mid = build_interval_problem(201, 1.0).K[100, 100]
 print(f"  rank {odd.rank}, max deviation from the sign solution: "
       f"{odd.sign_residual:.2e}")

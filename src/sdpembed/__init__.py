@@ -2,14 +2,13 @@
 
 The pipeline: build a degree-normalized, centered Gaussian kernel on the
 training points; maximize Tr(rho K) over p.s.d. rho with diag(rho) = diag(K)
-by a projected power method on a row-normalized factor; certify global
+by a projected power method on a row-scaled factor; certify global
 optimality with a Laplacian-like dual matrix; read embedding coordinates off
 the SVD of the factor; and extend coordinates and kernel to new points with a
 projected Nystrom formula.
 """
 
 from .certificate import (
-    CertificateReport,
     PrimalInfeasibilityError,
     certificate_matrix,
     check_optimality,
@@ -30,20 +29,17 @@ from .dataio import (
     standardize,
 )
 from .diffmaps import (
-    DiffusionBasis,
     diffusion_distance,
     diffusion_map,
     spectral_basis,
     transition_matrix,
 )
 from .embedding import (
-    EmbeddingResult,
     factor_to_embedding,
     kernel_distance,
     mean_value_check,
 )
 from .extension import (
-    ExtendedPoint,
     block_extension_analysis,
     bordered_certificate,
     bordered_matrix,
@@ -53,25 +49,19 @@ from .extension import (
     extended_sdp_certificate,
 )
 from .interval import (
-    IntervalProblem,
     build_interval_problem,
     run_interval_experiment,
     sign_solution,
 )
 from .kernels import (
-    BaseKernelState,
-    DiffusionKernel,
-    ExtensionRow,
     check_volume_inequalities,
     diffusion_kernel,
     extension_row,
     gaussian_gram,
 )
-from .pipeline import PipelineResult, embed_points
+from .pipeline import embed_points
 from .solver import (
-    FactorState,
     SolverConfig,
-    build_coupling,
     init_factor,
     objective,
     project_rows,
@@ -81,26 +71,15 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaseKernelState",
-    "CertificateReport",
     "CsvFormatError",
     "Dataset",
-    "DiffusionBasis",
-    "DiffusionKernel",
     "EmbeddingFile",
-    "EmbeddingResult",
     "EmbeddingSchemaError",
-    "ExtendedPoint",
-    "ExtensionRow",
-    "FactorState",
-    "IntervalProblem",
-    "PipelineResult",
     "PrimalInfeasibilityError",
     "SolverConfig",
     "block_extension_analysis",
     "bordered_certificate",
     "bordered_matrix",
-    "build_coupling",
     "build_interval_problem",
     "certificate_matrix",
     "check_optimality",

@@ -20,7 +20,9 @@ import numpy as np
 # how many of the smallest eigenvalues of L the report exposes
 _N_LEAST = 6
 
-_DEFAULT_TOL = 1e-8
+# certification tolerance on the slackness and on -lambda_min(L), relative to
+# max_i K_ii, the scale of the solver's stopping rule
+_RTOL = 1e-8
 
 
 class PrimalInfeasibilityError(ValueError):
@@ -29,7 +31,8 @@ class PrimalInfeasibilityError(ValueError):
 
 @dataclass
 class CertificateReport:
-    """Outcome of the optimality check; eigenvalues ascending."""
+    """Outcome of the optimality check; eigenvalues ascending.  The
+    tolerances ``tol_slack`` and ``tol_eig`` are relative to max_i K_ii."""
 
     slackness_residual: float
     least_eigenvalues: np.ndarray
@@ -62,7 +65,7 @@ def certificate_matrix(K, rho):
     return np.diag(np.einsum("ij,ji->i", K, rho) / diag) - K
 
 
-def check_optimality(K, H_Xi, tol_slack=_DEFAULT_TOL, tol_eig=_DEFAULT_TOL):
+def check_optimality(K, H_Xi):
     """Decide global optimality of the candidate ``rho = H_Xi H_Xi^T``.
 
     Parameters
@@ -70,16 +73,16 @@ def check_optimality(K, H_Xi, tol_slack=_DEFAULT_TOL, tol_eig=_DEFAULT_TOL):
     K : (N, N) array
         The kernel defining the program.
     H_Xi : (N, r0) array
-        Un-standardized factor; row i must have squared norm K(i, i).
+        Factor of rho; row i must have squared norm K(i, i).
 
     Returns
     -------
     CertificateReport
         Certification succeeds when the complementary-slackness residual
-        ||L H_Xi||_F / ||H_Xi||_F is at most ``tol_slack`` and the least
-        eigenvalue of L is at least ``-tol_eig * max(1, lambda_max(L))``.
-        Failure to certify is a report, not an exception: the solver can
-        legitimately stop at an uncertified critical point.
+        ||L H_Xi||_F / ||H_Xi||_F is at most 1e-8 max_i K(i, i) and the least
+        eigenvalue of L is at least -1e-8 max_i K(i, i).  Failure to certify
+        is a report, not an exception: the solver can legitimately stop at
+        an uncertified critical point.
 
     Raises
     ------
@@ -97,26 +100,27 @@ def check_optimality(K, H_Xi, tol_slack=_DEFAULT_TOL, tol_eig=_DEFAULT_TOL):
             f"row {worst} has squared norm {row_sq[worst]:.6e}, "
             f"constraint requires {diag[worst]:.6e}"
         )
-    rho = H_Xi @ H_Xi.T
-    L = certificate_matrix(K, rho)
+    KH = K @ H_Xi
+    k_rho = np.einsum("ij,ij->i", KH, H_Xi)
+    D = k_rho / diag
+    slackness = float(np.linalg.norm(D[:, None] * H_Xi - KH) / np.linalg.norm(H_Xi))
+    L = np.negative(K)
+    L[np.diag_indices_from(L)] += D
     eigenvalues = np.linalg.eigvalsh(L)
-    least = eigenvalues[: min(_N_LEAST, eigenvalues.shape[0])]
-    slackness = float(np.linalg.norm(L @ H_Xi) / np.linalg.norm(H_Xi))
-    primal = float(np.sum(K * rho))
+    primal = float(k_rho.sum())
     dual = float(np.sum(diag * np.diag(L)) + np.sum(diag * diag))
-    D_diagonal = np.diag(L) + diag
-    scale = max(1.0, float(eigenvalues[-1]))
-    certified = slackness <= tol_slack and eigenvalues[0] >= -tol_eig * scale
+    scale = float(diag.max())
+    certified = slackness <= _RTOL * scale and eigenvalues[0] >= -_RTOL * scale
     return CertificateReport(
         slackness_residual=slackness,
-        least_eigenvalues=least.copy(),
+        least_eigenvalues=eigenvalues[:_N_LEAST].copy(),
         duality_gap=dual - primal,
-        D_diagonal=D_diagonal,
+        D_diagonal=D,
         is_certified=bool(certified),
-        tol_slack=tol_slack,
-        tol_eig=tol_eig,
+        tol_slack=_RTOL,
+        tol_eig=_RTOL,
         objective=primal,
-        mean_value_slack=float(np.min(D_diagonal - diag)),
+        mean_value_slack=float(np.min(D - diag)),
     )
 
 

@@ -32,25 +32,6 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _load_points(path):
-    """Load a CSV of points, skipping a single leading header row if its
-    cells do not parse as numbers."""
-    with open(path, newline="") as fh:
-        first = next(csv.reader(fh), None)
-    if first is None:
-        raise CsvFormatError(f"{path}: empty file")
-
-    def _numeric(cell):
-        try:
-            float(cell)
-        except ValueError:
-            return False
-        return True
-
-    has_header = not all(_numeric(c) for c in first)
-    return dataio.load_csv(path, has_header=has_header)
-
-
 def _solver_config(args):
     return solver.SolverConfig(
         r0=args.r0, max_iters=args.max_iters, tol_conv=args.tol, seed=args.seed
@@ -104,7 +85,7 @@ def _exit_code(result):
 
 def cmd_embed(args):
     try:
-        ds = _load_points(args.input)
+        ds = dataio.load_csv(args.input)
     except (CsvFormatError, OSError) as exc:
         return _fail("input parsing", exc)
     try:
@@ -127,7 +108,7 @@ def cmd_extend(args):
     except (EmbeddingSchemaError, OSError, ValueError) as exc:
         return _fail("embedding loading", exc)
     try:
-        new = _load_points(args.points)
+        new = dataio.load_csv(args.points)
     except (CsvFormatError, OSError) as exc:
         return _fail("new-points parsing", exc)
     try:
@@ -163,7 +144,7 @@ def cmd_certify(args):
 
 def cmd_compare(args):
     try:
-        ds = _load_points(args.input)
+        ds = dataio.load_csv(args.input)
     except (CsvFormatError, OSError) as exc:
         return _fail("input parsing", exc)
     try:
@@ -193,7 +174,7 @@ def cmd_compare(args):
 def cmd_toy(args):
     try:
         problem = interval.build_interval_problem(args.n, args.sigma)
-        report = interval.run_interval_experiment(
+        report, _ = interval.run_interval_experiment(
             problem, cfg=_solver_config(args), rank_tol=args.rank_tol
         )
     except (ValueError, RuntimeError) as exc:

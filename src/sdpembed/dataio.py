@@ -59,18 +59,27 @@ class Dataset:
         return self.points.shape[1]
 
 
-def load_csv(path, has_header=False, label_column=None):
+def _is_number(cell):
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def load_csv(path, label_column=None):
     """Load a comma-separated point cloud.
 
-    Cells must parse as finite reals (except in ``label_column``, parsed as
-    integers); rows must all have the same number of cells.  Blank lines are
-    skipped and row order is preserved.  Errors name the file's 1-based line
-    (as "row") and column of the offending cell.
+    A first row with a cell that is not a number is a header and is skipped.
+    Other cells must parse as finite reals (except in ``label_column``,
+    parsed as integers); rows must all have the same number of cells.  Blank
+    lines are skipped and row order is preserved.  Errors name the file's
+    1-based line (as "row") and column of the offending cell.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         rows = [(reader.line_num, row) for row in reader if row]
-    if has_header:
+    if rows and not all(_is_number(cell) for cell in rows[0][1]):
         rows = rows[1:]
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")

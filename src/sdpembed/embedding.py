@@ -1,6 +1,6 @@
 """Embedding coordinates from a converged factor, plus rigidity diagnostics.
 
-The factor is un-standardized to H_Xi = ddiag(K)^{1/2} H and decomposed by
+The factor H_Xi, whose row i has length sqrt(K(i, i)), is decomposed by
 SVD; the embedding keeps the columns whose singular values exceed
 ``rank_tol`` relative to the largest.  Column l of the result is the
 eigenvector chi_l of rho* = H_Xi H_Xi^T scaled so ||chi_l||^2 equals the
@@ -35,14 +35,13 @@ class MeanValueReport:
     max_residual: float
 
 
-def factor_to_embedding(K, H, rank_tol=1e-6):
+def factor_to_embedding(H_Xi, rank_tol=1e-6):
     """Convert a solved factor into embedding coordinates.
 
     Parameters
     ----------
-    K : (N, N) array
-    H : (N, r0) array
-        Standardized factor with unit rows.
+    H_Xi : (N, r0) array
+        Factor of rho* = H_Xi H_Xi^T, as returned by ``solver.solve``.
     rank_tol : float
         Relative singular-value cutoff for the effective rank.
 
@@ -53,11 +52,10 @@ def factor_to_embedding(K, H, rank_tol=1e-6):
         first index of the largest-magnitude entry), each column flipped so
         its largest-magnitude entry is positive.
     """
-    K = np.asarray(K, dtype=float)
-    H_Xi = np.sqrt(np.diag(K))[:, None] * np.asarray(H, dtype=float)
+    H_Xi = np.asarray(H_Xi, dtype=float)
     U, sv, _ = np.linalg.svd(H_Xi, full_matrices=False)
     if sv[0] <= 0:
-        raise RuntimeError("all singular values vanish; the kernel diagonal is zero")
+        raise RuntimeError("all singular values vanish; the factor is zero")
     rank = int(np.sum(sv > rank_tol * sv[0]))
     cols = U[:, :rank] * sv[:rank]
     order = sorted(

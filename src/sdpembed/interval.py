@@ -85,15 +85,17 @@ def sign_solution(problem):
 def run_interval_experiment(problem, cfg=None, rank_tol=1e-6):
     """Solve, certify, and embed the discretized interval.
 
-    The report carries the effective rank, certification status, the parity
-    residuals of the leading coordinates under grid reflection (the first
-    coordinate is odd, the second even), and, at sigma = 1, the maximal
-    entrywise deviation of rho* from the rank-one sign solution.  On odd
-    grids that deviation is the sign formula's own midpoint row,
-    sqrt(K(0, 0) max_x K(x, x)), which the rank-2 optimum does not have.
+    Returns the report and the ``pipeline.PipelineResult`` it is read from,
+    which holds the coordinates.  The report carries the effective rank,
+    certification status, the parity residuals of the leading coordinates
+    under grid reflection (the first coordinate is odd, the second even),
+    and, at sigma = 1, the maximal entrywise deviation of rho* from the
+    rank-one sign solution.  On odd grids that deviation is the sign
+    formula's own midpoint row, sqrt(K(0, 0) max_x K(x, x)), which the rank-2
+    optimum does not have.
     """
     cfg = cfg or solver.SolverConfig()
-    result = pipeline.embed_points(problem.grid[:, None], problem.sigma, config=cfg)
+    result = pipeline.embed_points(problem.grid[:, None], problem.sigma, cfg, rank_tol)
     agreement = float(np.max(np.abs(result.kernel.K - problem.K)))
     if agreement > 1e-12:
         raise RuntimeError(
@@ -120,4 +122,4 @@ def run_interval_experiment(problem, cfg=None, rank_tol=1e-6):
         objective=result.factor.objective,
         sign_residual=sign_residual,
         parity_residuals=parity,
-    )
+    ), result

@@ -13,7 +13,7 @@ class PipelineResult:
     certificate: certificate.CertificateReport
 
 
-def embed_points(points, sigma, config=None, rank_tol=1e-6, tol_slack=1e-8, tol_eig=1e-8):
+def embed_points(points, sigma, config=None, rank_tol=1e-6):
     """Run the full training pipeline on a point cloud.
 
     ``config.r0`` is capped at the number of points.  Certification failure
@@ -25,7 +25,7 @@ def embed_points(points, sigma, config=None, rank_tol=1e-6, tol_slack=1e-8, tol_
     n = dk.K.shape[0]
     if cfg.r0 > n:
         cfg = replace(cfg, r0=max(2, n))
-    state = solver.solve(solver.build_coupling(dk.K), cfg)
-    result = embedding.factor_to_embedding(dk.K, state.H, rank_tol=rank_tol)
-    report = certificate.check_optimality(dk.K, result.H_Xi, tol_slack=tol_slack, tol_eig=tol_eig)
+    state = solver.solve(dk.K, cfg)
+    result = embedding.factor_to_embedding(state.H_Xi, rank_tol=rank_tol)
+    report = certificate.check_optimality(dk.K, state.H_Xi)
     return PipelineResult(kernel=dk, factor=state, embedding=result, certificate=report)

@@ -38,7 +38,7 @@ def cluster_pipeline(clusters):
 
 @pytest.fixture(scope="session")
 def interval_results():
-    """Interval experiments cached by (n, sigma)."""
+    """Interval experiments, (report, pipeline result) cached by (n, sigma)."""
     cache = {}
 
     def run(n, sigma):

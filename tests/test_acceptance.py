@@ -19,7 +19,6 @@ import pytest
 
 from sdpembed import (
     SolverConfig,
-    build_coupling,
     build_interval_problem,
     check_optimality,
     check_volume_inequalities,
@@ -90,8 +89,8 @@ def test_criterion_2_nonnegative_kernel_trivial_solution():
     worst_dev, all_certified = 0.0, True
     for i, K in enumerate(kernels):
         cfg = tight_config(r0=min(4, K.shape[0]), seed=i)
-        state = solve(build_coupling(K), cfg)
-        emb = factor_to_embedding(K, state.H)
+        state = solve(K, cfg)
+        emb = factor_to_embedding(state.H_Xi)
         rho = emb.H_Xi @ emb.H_Xi.T
         root = np.sqrt(np.diag(K))
         worst_dev = max(worst_dev, float(np.max(np.abs(rho - np.outer(root, root)))))
@@ -136,11 +135,9 @@ def test_criterion_3_interval_sign_solution_odd_grid():
     """
     start = time.perf_counter()
     problem = build_interval_problem(201, 1.0)
-    report = run_interval_experiment(problem, cfg=tight_config())
+    report, result = run_interval_experiment(problem, cfg=tight_config())
     elapsed = time.perf_counter() - start
 
-    # the report holds no coordinates; the same deterministic solve gives them
-    result = embed_points(problem.grid[:, None], 1.0, config=tight_config())
     K, x, mid = problem.K, problem.grid, 100
     Xi = result.embedding.Xi
     chi1 = Xi[:, 0]
@@ -157,7 +154,6 @@ def test_criterion_3_interval_sign_solution_odd_grid():
         "rank 2": report.rank == 2,
         "certified": report.certified,
         "converged": report.converged,
-        "coordinates from the reported solve": result.factor.objective == report.objective,
         "chi1 odd": np.max(np.abs(chi1 + chi1[::-1])) <= 1e-8,
         "chi1(0) = 0": abs(chi1[mid]) <= 1e-8,
         "sign(chi1) = +-sign(x)": abs(np.sum(np.sign(chi1[off]) * np.sign(x[off])))
@@ -187,7 +183,7 @@ def test_criterion_4_interval_small_bandwidth():
     """Interval at sigma = 0.1: certified rank 2 with odd/even coordinates."""
     start = time.perf_counter()
     problem = build_interval_problem(201, 0.1)
-    report = run_interval_experiment(problem, cfg=tight_config())
+    report, _ = run_interval_experiment(problem, cfg=tight_config())
     elapsed = time.perf_counter() - start
     checks = {
         "rank 2": report.rank == 2,
@@ -233,18 +229,11 @@ def test_criterion_6_restriction_suite(two_point, cluster_pipeline, interval_res
     fixtures = {
         "two-point": two_point,
         "clusters sigma=5": cluster_pipeline,
-        "interval sigma=0.1": None,
-        "interval sigma=1": None,
+        "interval sigma=0.1": interval_results(201, 0.1)[1],
+        "interval sigma=1": interval_results(201, 1.0)[1],
     }
     worst = 0.0
-    for name, result in list(fixtures.items()):
-        if result is None:
-            # rebuild the interval pipelines at the acceptance scale
-            sigma = 0.1 if "0.1" in name else 1.0
-            result = embed_points(
-                np.linspace(-1, 1, 201)[:, None], sigma, config=tight_config()
-            )
-            fixtures[name] = result
+    for name, result in fixtures.items():
         assert result.certificate.is_certified, f"{name} fixture must be certified"
         Xi = result.embedding.Xi
         for i in range(Xi.shape[0]):
@@ -383,7 +372,7 @@ def test_criterion_8_desk_scale_substitutes():
     for sigma in (0.1, 1.0):
         for n in (101, 201, 401):
             problem = build_interval_problem(n, sigma)
-            ranks[(sigma, n)] = run_interval_experiment(problem, cfg=tight_config()).rank
+            ranks[(sigma, n)] = run_interval_experiment(problem, cfg=tight_config())[0].rank
     stability_ok = all(
         len({ranks[(s, n)] for n in (101, 201, 401)}) == 1 for s in (0.1, 1.0)
     )

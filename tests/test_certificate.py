@@ -1,14 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sdpembed import (
     PrimalInfeasibilityError,
+    SolverConfig,
     certificate_matrix,
     check_optimality,
     diffusion_kernel,
     embed_points,
     gaussian_gram,
+    gen_three_clusters,
+    init_factor,
     nuclear_equivalence_check,
+    solve,
 )
 
 from conftest import C, tight_config
@@ -80,6 +86,37 @@ def test_check_optimality_primal_infeasibility():
     H = 1.5 * np.sqrt(C) * np.array([[1.0], [-1.0]])
     with pytest.raises(PrimalInfeasibilityError, match="squared norm"):
         check_optimality(K, H)
+
+
+def test_check_optimality_tolerances_follow_the_kernel_scale(clusters):
+    # at sigma = 3e4, max K_ii is 1.8e-10: absolute tolerances would certify
+    # a random feasible factor whose objective is 200x below the optimum
+    result = embed_points(clusters.points, 3e4)
+    K = result.kernel.K
+    H = init_factor(K.shape[0], SolverConfig(seed=7))
+    report = check_optimality(K, np.sqrt(np.diag(K))[:, None] * H)
+    assert not report.is_certified
+    assert result.certificate.is_certified
+    assert result.certificate.objective > 100 * report.objective
+
+
+def _traced_peak(fn, *args):
+    """Result of ``fn(*args)`` and the peak of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_solve_and_certificate_form_at_most_one_square_array():
+    # N = 600: solve() needs no N x N array beyond K, the certificate only L
+    K = diffusion_kernel(gaussian_gram(gen_three_clusters(200, 0, 3).points, 5.0)).K
+    state, solve_peak = _traced_peak(solve, K, SolverConfig())
+    report, certificate_peak = _traced_peak(check_optimality, K, state.H_Xi)
+    assert report.is_certified
+    assert solve_peak < 0.1 * K.nbytes
+    assert certificate_peak <= 1.2 * K.nbytes
 
 
 def test_certified_random_instance_invariants():

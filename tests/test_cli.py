@@ -63,7 +63,7 @@ def test_embed_unconverged_exit_two(cluster_csv, tmp_path):
     out = tmp_path / "run"
     code = main(
         ["embed", cluster_csv, "--sigma", "1", "--r0", "2",
-         "--max-iters", "1", "--tol", "1e-15", "--out", str(out)]
+         "--max-iters", "1", "--tol", "1e-13", "--out", str(out)]
     )
     assert code == 2
     ef = load_embedding(out / "embedding.json")
@@ -206,7 +206,7 @@ def test_toy_even_grid(tmp_path):
 
 def test_toy_sigma_point_one(tmp_path):
     out = tmp_path / "toy"
-    code = main(["toy", "101", "--sigma", "0.1", "--tol", "1e-15", "--out", str(out)])
+    code = main(["toy", "101", "--sigma", "0.1", "--tol", "1e-13", "--out", str(out)])
     assert code == 0
     report = _read_json(out / "toy_report.json")
     assert report["rank"] == 2

@@ -29,7 +29,7 @@ def test_load_csv_basic(tmp_path):
 def test_load_csv_header(tmp_path):
     path = tmp_path / "pts.csv"
     path.write_text("x,y\n0,0\n1,0\n0,1\n")
-    ds = load_csv(path, has_header=True)
+    ds = load_csv(path)
     assert ds.n_points == 3 and ds.dim == 2
 
 
@@ -59,7 +59,7 @@ def test_load_csv_reports_file_lines_after_blank_lines(tmp_path):
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("x,y\n\n1,2\n\n3\n")
     with pytest.raises(CsvFormatError, match=r"row 5 has 1 cells"):
-        load_csv(ragged, has_header=True)
+        load_csv(ragged)
 
 
 def test_load_csv_labels(tmp_path):

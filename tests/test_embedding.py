@@ -28,18 +28,16 @@ def test_sign_convention_largest_entry_positive(cluster_pipeline):
 
 
 def test_rank_unaffected_by_duplicated_columns(two_point):
-    H = two_point.factor.H
-    duplicated = np.hstack([H, H]) / np.sqrt(2.0)
-    emb = factor_to_embedding(two_point.kernel.K, duplicated)
+    H_Xi = two_point.factor.H_Xi
+    duplicated = np.hstack([H_Xi, H_Xi]) / np.sqrt(2.0)
+    emb = factor_to_embedding(duplicated)
     assert emb.rank == two_point.embedding.rank
 
 
 def test_rank_tol_separates_scales():
-    K = np.diag([1.0, 1.0])
-    H = np.array([[1.0, 0.0], [0.0, 1e-7]])
-    # H rows are not unit here; factor_to_embedding does not require it
-    assert factor_to_embedding(K, H, rank_tol=1e-6).rank == 1
-    assert factor_to_embedding(K, H, rank_tol=1e-8).rank == 2
+    H_Xi = np.array([[1.0, 0.0], [0.0, 1e-7]])
+    assert factor_to_embedding(H_Xi, rank_tol=1e-6).rank == 1
+    assert factor_to_embedding(H_Xi, rank_tol=1e-8).rank == 2
 
 
 def test_kernel_distance_two_point(two_point):
@@ -103,7 +101,7 @@ def test_mean_value_two_point(two_point):
 
 def test_mean_value_trivial_fixture():
     K = np.array([[1.0, 0.5], [0.5, 1.0]])
-    emb = factor_to_embedding(K, np.ones((2, 1)))
+    emb = factor_to_embedding(np.ones((2, 1)))
     assert mean_value_check(K, emb).max_residual < 1e-10
 
 
@@ -115,7 +113,7 @@ def test_mean_value_negative_control():
     result = embed_points(rng.standard_normal((20, 2)), 1.5, config=tight_config())
     H_random = rng.standard_normal((20, 4))
     H_random /= np.linalg.norm(H_random, axis=1, keepdims=True)
-    emb = factor_to_embedding(result.kernel.K, H_random)
+    emb = factor_to_embedding(np.sqrt(np.diag(result.kernel.K))[:, None] * H_random)
     try:
         assert mean_value_check(result.kernel.K, emb).max_residual > 1e-3
     except RuntimeError:
@@ -124,4 +122,4 @@ def test_mean_value_negative_control():
 
 def test_all_zero_factor_rejected():
     with pytest.raises(RuntimeError, match="singular values"):
-        factor_to_embedding(np.zeros((2, 2)), np.ones((2, 2)))
+        factor_to_embedding(np.zeros((2, 2)))

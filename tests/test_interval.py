@@ -46,7 +46,7 @@ def test_sigma_one_even_grid_is_exact_sign_solution():
     # without a node at x = 0 the optimum is the rank-one sign solution to
     # solver precision
     problem = build_interval_problem(200, 1.0)
-    report = run_interval_experiment(problem, cfg=tight_config())
+    report, _ = run_interval_experiment(problem, cfg=tight_config())
     assert report.certified and report.converged
     assert report.rank == 1
     assert report.sign_residual <= 1e-8
@@ -62,7 +62,7 @@ def test_sigma_one_odd_grid_midpoint_defect():
     solution is still certified; it is simply not the sign solution.
     """
     problem = build_interval_problem(201, 1.0)
-    report = run_interval_experiment(problem, cfg=tight_config())
+    report, _ = run_interval_experiment(problem, cfg=tight_config())
     assert report.certified and report.converged
     assert report.rank == 2
     mid_diag = problem.K[100, 100]
@@ -72,7 +72,7 @@ def test_sigma_one_odd_grid_midpoint_defect():
 
 def test_sigma_small_rank_two_with_parity():
     problem = build_interval_problem(201, 0.1)
-    report = run_interval_experiment(problem, cfg=tight_config())
+    report, _ = run_interval_experiment(problem, cfg=tight_config())
     assert report.certified and report.converged
     assert report.rank == 2
     assert report.parity_residuals["chi1_odd"] <= 1e-6
@@ -95,14 +95,17 @@ def test_sign_residual_monotone_in_tolerance():
     residuals = []
     for tol in (1e-4, 1e-8, 1e-12):
         cfg = SolverConfig(tol_conv=tol, seed=0)
-        residuals.append(run_interval_experiment(problem, cfg=cfg).sign_residual)
+        residuals.append(run_interval_experiment(problem, cfg=cfg)[0].sign_residual)
     assert residuals[1] <= residuals[0] + 1e-12
     assert residuals[2] <= residuals[1] + 1e-12
 
 
 def test_report_fields():
     problem = build_interval_problem(60, 0.7)
-    report = run_interval_experiment(problem, cfg=tight_config())
+    report, _ = run_interval_experiment(problem, cfg=tight_config())
     assert report.n == 60 and report.sigma == 0.7
     assert report.sign_residual is None
     assert report.objective > 0
+    # the second singular value is 0.08 of the first here
+    coarse, _ = run_interval_experiment(problem, cfg=tight_config(), rank_tol=0.1)
+    assert report.rank == 2 and coarse.rank == 1

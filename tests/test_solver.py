@@ -3,7 +3,6 @@ import pytest
 
 from sdpembed import (
     SolverConfig,
-    build_coupling,
     build_interval_problem,
     check_optimality,
     diffusion_kernel,
@@ -13,6 +12,8 @@ from sdpembed import (
     project_rows,
     solve,
 )
+
+from sdpembed.solver import _scale_rows
 
 from conftest import C, tight_config
 
@@ -28,31 +29,6 @@ def test_config_validation():
         SolverConfig(tol_conv=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
-
-
-def test_build_coupling_two_point():
-    # diag(K) = c I, so J = c * K = c^2 [[1, -1], [-1, 1]]
-    coupling = build_coupling(_two_point_kernel())
-    assert np.allclose(coupling, C**2 * np.array([[1, -1], [-1, 1]]), atol=1e-15)
-
-
-def test_build_coupling_diagonal_kernel():
-    K = np.diag([0.5, 2.0, 1.0])
-    coupling = build_coupling(K)
-    assert np.allclose(coupling, np.diag([0.5**2, 2.0**2, 1.0**2]), atol=0)
-
-
-def test_build_coupling_psd_congruence():
-    rng = np.random.default_rng(0)
-    dk = diffusion_kernel(gaussian_gram(rng.standard_normal((15, 2)), 1.0))
-    eigs = np.linalg.eigvalsh(build_coupling(dk.K))
-    assert eigs[0] >= -1e-12 * max(eigs[-1], 1e-300)
-
-
-def test_build_coupling_rejects_zero_diagonal():
-    K = np.array([[0.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(ValueError, match="index 0"):
-        build_coupling(K)
 
 
 def test_project_rows_three_four_five():
@@ -111,33 +87,34 @@ def test_objective_shape_mismatch():
 
 
 def test_solve_two_point_closed_form():
-    state = solve(build_coupling(_two_point_kernel()), tight_config(r0=2))
+    state = solve(_two_point_kernel(), tight_config(r0=2))
     assert state.converged
     assert state.objective == pytest.approx(4 * C**2, abs=1e-12)
-    rho_std = state.H @ state.H.T
-    assert np.allclose(rho_std, [[1, -1], [-1, 1]], atol=1e-12)
+    rho = state.H_Xi @ state.H_Xi.T
+    assert np.allclose(rho / C, [[1, -1], [-1, 1]], atol=1e-12)
 
 
 def test_solve_diagonal_coupling_is_immediate():
-    J = np.diag([0.3, 0.7, 1.1])
-    state = solve(J, SolverConfig(r0=2, seed=1))
-    assert state.objective == pytest.approx(np.trace(J), abs=1e-12)
+    # every feasible rho of a diagonal K is optimal, with Tr(rho K) = sum K_ii^2
+    K = np.diag([0.3, 0.7, 1.1])
+    state = solve(K, SolverConfig(r0=2, seed=1))
+    assert state.objective == pytest.approx(np.sum(np.diag(K) ** 2), abs=1e-12)
     assert state.converged
 
 
 def test_solve_nonnegative_kernel_gives_rank_one():
     K = np.array([[1.0, 0.5], [0.5, 1.0]])
-    state = solve(build_coupling(K), tight_config(r0=2, seed=3))
-    assert np.allclose(state.H @ state.H.T, np.ones((2, 2)), atol=1e-10)
+    state = solve(K, tight_config(r0=2, seed=3))
+    assert np.allclose(state.H_Xi @ state.H_Xi.T, np.ones((2, 2)), atol=1e-10)
 
 
 def test_solve_matches_trace_identity():
-    # Tr(rho K) = E(H) under rho = ddiag(K)^(1/2) H H^T ddiag(K)^(1/2)
+    # Tr(rho K) = E(H_Xi) under rho = H_Xi H_Xi^T, on a feasible factor
     rng = np.random.default_rng(4)
     dk = diffusion_kernel(gaussian_gram(rng.standard_normal((18, 2)), 1.5))
-    state = solve(build_coupling(dk.K), tight_config())
-    root = np.sqrt(np.diag(dk.K))
-    rho = (root[:, None] * state.H) @ (root[:, None] * state.H).T
+    state = solve(dk.K, tight_config())
+    assert np.allclose(np.linalg.norm(state.H_Xi, axis=1), np.sqrt(np.diag(dk.K)), rtol=1e-12)
+    rho = state.H_Xi @ state.H_Xi.T
     assert np.sum(dk.K * rho) == pytest.approx(state.objective, rel=1e-10)
 
 
@@ -145,25 +122,40 @@ def test_solve_deterministic():
     rng = np.random.default_rng(5)
     dk = diffusion_kernel(gaussian_gram(rng.standard_normal((10, 2)), 1.0))
     cfg = SolverConfig(seed=7, r0=5)
-    a = solve(build_coupling(dk.K), cfg)
-    b = solve(build_coupling(dk.K), cfg)
-    assert np.array_equal(a.H, b.H)
+    a = solve(dk.K, cfg)
+    b = solve(dk.K, cfg)
+    assert np.array_equal(a.H_Xi, b.H_Xi)
     assert a.objective == b.objective and a.iterations == b.iterations
 
 
 def test_solve_unconverged_flag():
     rng = np.random.default_rng(6)
     dk = diffusion_kernel(gaussian_gram(rng.standard_normal((12, 2)), 1.0))
-    state = solve(build_coupling(dk.K), SolverConfig(max_iters=1, tol_conv=1e-15))
+    state = solve(dk.K, SolverConfig(max_iters=1, tol_conv=1e-15))
     assert not state.converged
     assert state.iterations == 1
 
 
+def test_solve_rejects_zero_diagonal():
+    K = np.array([[0.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="index 0"):
+        solve(K, SolverConfig(r0=2))
+
+
 def test_solve_rejects_indefinite_coupling():
-    # dominant negative eigenvalue makes the objective decrease
-    J = np.array([[-1.0, 2.0], [2.0, -1.0]])
+    # an indefinite K with positive diagonal (eigenvalues -1.28, 0.33, 1.06,
+    # 1.09) on which the objective decreases; found by a seeded search over
+    # random 3- to 5-point matrices with one-decimal entries
+    K = np.array(
+        [
+            [0.1, 0.6, -0.1, 0.5],
+            [0.6, 0.2, -0.3, -0.9],
+            [-0.1, -0.3, 0.8, -0.4],
+            [0.5, -0.9, -0.4, 0.1],
+        ]
+    )
     with pytest.raises(RuntimeError, match="decreased"):
-        solve(J, SolverConfig(r0=2, seed=0))
+        solve(K, SolverConfig(r0=2, seed=0))
 
 
 def test_solve_r0_exceeding_n_rejected():
@@ -175,14 +167,14 @@ def test_iteration_preserves_feasibility_and_monotonicity():
     # manual replay of the iteration through the public pieces
     rng = np.random.default_rng(8)
     dk = diffusion_kernel(gaussian_gram(rng.standard_normal((16, 2)), 1.2))
-    J = build_coupling(dk.K)
+    root = np.sqrt(np.diag(dk.K))
     cfg = SolverConfig(r0=6, seed=9)
-    H = init_factor(16, cfg)
-    energy = objective(J, H)
+    H_Xi = root[:, None] * init_factor(16, cfg)
+    energy = objective(dk.K, H_Xi)
     for _ in range(200):
-        H = project_rows(J @ H)
-        assert np.max(np.abs(np.linalg.norm(H, axis=1) - 1.0)) < 1e-12
-        new_energy = objective(J, H)
+        H_Xi = root[:, None] * project_rows(dk.K @ H_Xi)
+        assert np.max(np.abs(np.linalg.norm(H_Xi, axis=1) / root - 1.0)) < 1e-12
+        new_energy = objective(dk.K, H_Xi)
         assert new_energy >= energy - 1e-12 * max(1.0, abs(new_energy))
         energy = new_energy
 
@@ -191,22 +183,38 @@ def test_solve_replays_the_bare_iteration():
     # with a tolerance no iterate can reach, solve() is exactly k plain steps
     rng = np.random.default_rng(10)
     dk = diffusion_kernel(gaussian_gram(rng.standard_normal((14, 2)), 1.0))
-    J = build_coupling(dk.K)
+    root = np.sqrt(np.diag(dk.K))
     for k in (1, 7, 300):
         cfg = SolverConfig(seed=1, max_iters=k, tol_conv=1e-300)
-        state = solve(J, cfg)
+        state = solve(dk.K, cfg)
         assert not state.converged and state.iterations == k
         step_rng = np.random.default_rng(cfg.seed)
-        H = init_factor(14, cfg, step_rng)
+        H_Xi = root[:, None] * init_factor(14, cfg, step_rng)
         for _ in range(k):
-            H = project_rows(J @ H, step_rng)
-        assert np.array_equal(state.H, H)
-        assert state.objective == pytest.approx(objective(J, H), rel=1e-13)
+            H_Xi = _scale_rows(dk.K @ H_Xi, root, step_rng)
+        assert np.array_equal(state.H_Xi, H_Xi)
+        assert state.objective == pytest.approx(objective(dk.K, H_Xi), rel=1e-13)
+
+
+def test_solve_follows_the_paper_coupling_iteration():
+    # the paper's form: unit rows H <- P(J H) with J = ddiag(K)^1/2 K ddiag(K)^1/2;
+    # solve() runs on H_Xi = ddiag(K)^1/2 H and never forms J
+    rng = np.random.default_rng(11)
+    dk = diffusion_kernel(gaussian_gram(rng.standard_normal((20, 2)), 0.8))
+    root = np.sqrt(np.diag(dk.K))
+    J = np.outer(root, root) * dk.K
+    for k in (1, 7, 300):
+        cfg = SolverConfig(seed=2, max_iters=k, tol_conv=1e-300)
+        state = solve(dk.K, cfg)
+        H = init_factor(20, cfg)
+        for _ in range(k):
+            H = project_rows(J @ H)
+        assert np.max(np.abs(state.H_Xi - root[:, None] * H)) <= 1e-12 * root.max()
+        assert state.objective == pytest.approx(objective(J, H), rel=1e-12)
 
 
 def _certified_residual(K, state):
-    H_Xi = np.sqrt(np.diag(K))[:, None] * state.H
-    return check_optimality(K, H_Xi).slackness_residual
+    return check_optimality(K, state.H_Xi).slackness_residual
 
 
 def _assert_stopped_on_certificate_residual(K, state, reported):
@@ -227,10 +235,10 @@ def test_cluster_pipeline_stops_on_certificate_residual(cluster_pipeline):
 
 def test_odd_interval_stops_on_certificate_residual():
     K = build_interval_problem(201, 1.0).K
-    state = solve(build_coupling(K), tight_config())
+    state = solve(K, tight_config())
     _assert_stopped_on_certificate_residual(K, state, _certified_residual(K, state))
     # far from the rounding floor the two formulas agree in relative terms
-    early = solve(build_coupling(K), SolverConfig(max_iters=10))
+    early = solve(K, SolverConfig(max_iters=10))
     assert not early.converged
     assert early.slackness_residual == pytest.approx(_certified_residual(K, early), rel=1e-9)
 

@@ -30,7 +30,8 @@ cert = result.certificate
 print(f"\ncertified          : {cert.is_certified}")
 print(f"slackness residual : {cert.slackness_residual:.2e}")
 print(f"least eigenvalues  : {cert.least_eigenvalues}  (analytic: 0 and 2c = {2 * c:.7f})")
-print(f"duality gap        : {cert.duality_gap:.2e}")
+print(f"duality gap bound  : {cert.duality_gap:.2e}  (max(0, -lambda_min(L)) Tr(K), "
+      "bounds the distance to the optimum)")
 
 emb = result.embedding
 print(f"\nembedding rank    : {emb.rank}")

@@ -41,7 +41,6 @@ from .embedding import (
 )
 from .extension import (
     block_extension_analysis,
-    bordered_certificate,
     bordered_matrix,
     extend_kernel,
     extend_point,
@@ -78,7 +77,6 @@ __all__ = [
     "PrimalInfeasibilityError",
     "SolverConfig",
     "block_extension_analysis",
-    "bordered_certificate",
     "bordered_matrix",
     "build_interval_problem",
     "certificate_matrix",

@@ -8,9 +8,12 @@ Tr(rho K) if and only if the Laplacian-like matrix
 satisfies L(rho) rho = 0 and L(rho) >= 0.  L + K is diagonal by construction,
 with entries D(i, i) = (K rho)(i, i) / K(i, i); on certified solutions
 D(i, i) >= K(i, i), which is what makes the mean-value factor of the
-out-of-sample formula positive.  The dual objective
-Tr(ddiag(K) L) + Tr(ddiag(K) K) matches the primal Tr(K rho) at optima, so the
-reported duality gap should vanish.
+out-of-sample formula positive.
+
+Weak duality bounds the distance to the optimum: for every feasible rho',
+Tr(K rho') = Tr(K rho) - Tr(L rho') <= Tr(K rho) - lambda_min(L) Tr(K), so
+max(0, -lambda_min(L)) Tr(K) bounds Tr(K rho*) - Tr(K rho) from above.  It is
+reported as the duality gap, and it vanishes exactly when L >= 0.
 """
 
 from dataclasses import dataclass
@@ -20,8 +23,8 @@ import numpy as np
 # how many of the smallest eigenvalues of L the report exposes
 _N_LEAST = 6
 
-# certification tolerance on the slackness and on -lambda_min(L), relative to
-# max_i K_ii, the scale of the solver's stopping rule
+# tolerance on the row norms, on the slackness and on -lambda_min(L),
+# relative to max_i K_ii, the scale of the solver's stopping rule
 _RTOL = 1e-8
 
 
@@ -32,7 +35,9 @@ class PrimalInfeasibilityError(ValueError):
 @dataclass
 class CertificateReport:
     """Outcome of the optimality check; eigenvalues ascending.  The
-    tolerances ``tol_slack`` and ``tol_eig`` are relative to max_i K_ii."""
+    tolerances ``tol_slack`` and ``tol_eig`` are relative to max_i K_ii;
+    ``duality_gap`` is the weak-duality bound max(0, -lambda_min(L)) Tr(K)
+    on Tr(K rho*) - ``objective``."""
 
     slackness_residual: float
     least_eigenvalues: np.ndarray
@@ -65,6 +70,16 @@ def certificate_matrix(K, rho):
     return np.diag(np.einsum("ij,ji->i", K, rho) / diag) - K
 
 
+def _slackness(KH, H_Xi, diag):
+    """``(K rho)_ii`` and the complementary-slackness residual
+    ``||L H_Xi||_F / ||H_Xi||_F`` of rho = H_Xi H_Xi^T, from ``KH = K @ H_Xi``
+    and ``diag = diag(K)``: row i of L H_Xi is D_i (H_Xi)_i - (K H_Xi)_i with
+    D_i = (K rho)_ii / K_ii."""
+    k_rho = np.einsum("ij,ij->i", KH, H_Xi)
+    residual = np.linalg.norm((k_rho / diag)[:, None] * H_Xi - KH) / np.linalg.norm(H_Xi)
+    return k_rho, float(residual)
+
+
 def check_optimality(K, H_Xi):
     """Decide global optimality of the candidate ``rho = H_Xi H_Xi^T``.
 
@@ -87,39 +102,36 @@ def check_optimality(K, H_Xi):
     Raises
     ------
     PrimalInfeasibilityError
-        If some row norm deviates from the required diagonal by more than
-        1e-8; certifying an infeasible candidate would be meaningless.
+        If some squared row norm deviates from the required diagonal by more
+        than 1e-8 max_i K(i, i); certifying an infeasible candidate would be
+        meaningless.
     """
     K = np.asarray(K, dtype=float)
     diag = np.diag(K)
+    scale = float(diag.max())
     row_sq = np.einsum("ij,ij->i", H_Xi, H_Xi)
     violation = np.abs(row_sq - diag)
     worst = int(np.argmax(violation))
-    if violation[worst] > 1e-8:
+    if violation[worst] > _RTOL * scale:
         raise PrimalInfeasibilityError(
             f"row {worst} has squared norm {row_sq[worst]:.6e}, "
             f"constraint requires {diag[worst]:.6e}"
         )
-    KH = K @ H_Xi
-    k_rho = np.einsum("ij,ij->i", KH, H_Xi)
+    k_rho, slackness = _slackness(K @ H_Xi, H_Xi, diag)
     D = k_rho / diag
-    slackness = float(np.linalg.norm(D[:, None] * H_Xi - KH) / np.linalg.norm(H_Xi))
     L = np.negative(K)
     L[np.diag_indices_from(L)] += D
     eigenvalues = np.linalg.eigvalsh(L)
-    primal = float(k_rho.sum())
-    dual = float(np.sum(diag * np.diag(L)) + np.sum(diag * diag))
-    scale = float(diag.max())
     certified = slackness <= _RTOL * scale and eigenvalues[0] >= -_RTOL * scale
     return CertificateReport(
         slackness_residual=slackness,
         least_eigenvalues=eigenvalues[:_N_LEAST].copy(),
-        duality_gap=dual - primal,
+        duality_gap=max(0.0, -float(eigenvalues[0])) * float(diag.sum()),
         D_diagonal=D,
         is_certified=bool(certified),
         tol_slack=_RTOL,
         tol_eig=_RTOL,
-        objective=primal,
+        objective=float(k_rho.sum()),
         mean_value_slack=float(np.min(D - diag)),
     )
 

@@ -2,7 +2,8 @@
 
 Commands: ``embed``, ``extend``, ``certify``, ``compare``, ``toy``.  Exit
 codes are stable across commands: 0 for a certified (and converged) result,
-2 for a valid run that is unconverged or uncertified, 1 for errors.  All
+2 for a valid run that is unconverged or uncertified (one stderr line then
+names each failed test with its value and bound), 1 for errors.  All
 artifacts are deterministic functions of the inputs and flags (no
 timestamps), so identical invocations produce byte-identical files.
 """
@@ -79,8 +80,33 @@ def _certificate_payload(report):
     return doc
 
 
-def _exit_code(result):
-    return 0 if (result.certificate.is_certified and result.factor.converged) else 2
+def _exit_code(report, K, factor=None, tol=None):
+    """0 for a certified (and converged) run; otherwise 2, after one stderr
+    line naming each failed test with its value and bound."""
+    if report.is_certified and (factor is None or factor.converged):
+        return 0
+    scale = float(K.diagonal().max())
+    failed = []
+    if factor is not None and not factor.converged:
+        failed.append(
+            f"not converged at iteration {factor.iterations}: slackness residual "
+            f"{factor.slackness_residual:.3e} > {tol:g} * max K(i,i) = {tol * scale:.3e}"
+        )
+    tests = []
+    if not report.slackness_residual <= report.tol_slack * scale:
+        tests.append(
+            f"slackness residual {report.slackness_residual:.3e} > "
+            f"{report.tol_slack:g} * max K(i,i) = {report.tol_slack * scale:.3e}"
+        )
+    if not report.least_eigenvalues[0] >= -report.tol_eig * scale:
+        tests.append(
+            f"least eigenvalue of L {report.least_eigenvalues[0]:.3e} < "
+            f"-{report.tol_eig:g} * max K(i,i) = {-report.tol_eig * scale:.3e}"
+        )
+    if tests:
+        failed.append("not certified: " + ", ".join(tests))
+    print("sdpembed: " + "; ".join(failed), file=sys.stderr)
+    return 2
 
 
 def cmd_embed(args):
@@ -98,7 +124,7 @@ def cmd_embed(args):
     out.mkdir(parents=True, exist_ok=True)
     dataio.save_embedding(_embedding_file(result, args, ds), out / "embedding.json")
     _write_json(out / "certificate.json", _certificate_payload(result.certificate))
-    return _exit_code(result)
+    return _exit_code(result.certificate, result.kernel.K, result.factor, args.tol)
 
 
 def cmd_extend(args):
@@ -139,7 +165,7 @@ def cmd_certify(args):
         print(f"sdpembed: primal feasibility violated: {exc}", file=sys.stderr)
         return 2
     _write_json(out / "certificate.json", _certificate_payload(report))
-    return 0 if report.is_certified else 2
+    return _exit_code(report, dk.K)
 
 
 def cmd_compare(args):
@@ -168,13 +194,13 @@ def cmd_compare(args):
         out / "dm_eigenvalues.json",
         {"eigenvalues": list(basis.eigenvalues[: min(6, ds.n_points)])},
     )
-    return _exit_code(result)
+    return _exit_code(result.certificate, result.kernel.K, result.factor, args.tol)
 
 
 def cmd_toy(args):
     try:
         problem = interval.build_interval_problem(args.n, args.sigma)
-        report, _ = interval.run_interval_experiment(
+        report, result = interval.run_interval_experiment(
             problem, cfg=_solver_config(args), rank_tol=args.rank_tol
         )
     except (ValueError, RuntimeError) as exc:
@@ -182,7 +208,7 @@ def cmd_toy(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "toy_report.json", asdict(report))
-    return 0 if (report.certified and report.converged) else 2
+    return _exit_code(result.certificate, result.kernel.K, result.factor, args.tol)
 
 
 def _add_solver_flags(p):

@@ -8,6 +8,11 @@ training points, (b) keep the squared length equal to kappa, and (c) maximize
 the extended objective among all feasible one-point completions.  Symmetric
 configurations can make g vanish; that case is flagged as degenerate rather
 than divided through.
+
+One new point borders the training program into an (N+1)-point one.
+:func:`block_extension_analysis` probes when a bordered rho* stays p.s.d., and
+:func:`extended_sdp_certificate` certifies the bordered kernel and factor with
+:func:`check_optimality`, the same test as for the training program.
 """
 
 from dataclasses import dataclass
@@ -15,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .certificate import certificate_matrix
+from .certificate import check_optimality
+from .solver import objective
 
 # ||g|| at or below 1e-12 * sqrt(kappa) * ||u|| counts as degenerate, where
 # u = kx / sqrt(dbar d) is the uncentered kernel row (kvec is u minus its
@@ -47,19 +53,6 @@ class BlockExtensionReport:
     min_eig_at_s_min: float
     min_eig_below_s_min: float | None
     min_eigs_at_tested_s: dict
-
-
-@dataclass
-class ExtendedCertificateReport:
-    """Certificate diagnostics for the bordered (N+1)-point program."""
-
-    trace_identity_residual: float
-    slackness_trace: float
-    min_eig: float
-    max_eig: float
-    slackness_residual: float
-    would_certify: bool
-    quadratic_form_samples: list
 
 
 def extend_points(dk, embedding, X):
@@ -226,64 +219,29 @@ def block_extension_analysis(embedding, b, tested_s=(1.0, 10.0, 100.0)):
     )
 
 
-def bordered_certificate(K, rho, kvec, kappa, b, s, n_samples=8, seed=0):
-    """Certificate diagnostics for a bordered kernel/candidate pair.
-
-    Builds Kbar = [[K, kvec], [kvec^T, kappa]], rho_bar = [[rho, b], [b^T, s]]
-    and the bordered dual candidate
-    Lbar = ddiag(Kbar)^{-1} ddiag(Kbar rho_bar) - Kbar, and reports its
-    spectrum, the slackness trace Tr(rho_bar Lbar), the slackness residual,
-    and sampled quadratic forms v^T Lbar v at the corner values
-    v_s = sqrt(kappa) kvec^T v / sqrt(kvec^T rho kvec).  No sign is asserted
-    for the sampled forms; they are diagnostic output.
-
-    ``trace_identity_residual`` is NaN here; it only applies when b comes
-    from the canonical extension formula and is filled in by
-    :func:`extended_sdp_certificate`.
-    """
-    Kbar = bordered_matrix(K, kvec, kappa)
-    rho_bar = bordered_matrix(rho, b, s)
-    Lbar = certificate_matrix(Kbar, rho_bar)
-    eigs = np.linalg.eigvalsh(Lbar)
-    slack_trace = float(np.sum(rho_bar * Lbar))
-    slack_residual = float(
-        np.linalg.norm(Lbar @ rho_bar) / max(np.linalg.norm(rho_bar), 1e-300)
-    )
-    quad = float(kvec @ rho @ kvec)
-    rng = np.random.default_rng(seed)
-    samples = []
-    for _ in range(n_samples):
-        v = rng.standard_normal(rho.shape[0])
-        v_bar = np.append(v, np.sqrt(kappa) * float(kvec @ v) / np.sqrt(quad))
-        samples.append(float(v_bar @ Lbar @ v_bar))
-    scale = max(1.0, float(eigs[-1]))
-    would_certify = slack_residual <= 1e-8 and eigs[0] >= -1e-8 * scale
-    return ExtendedCertificateReport(
-        trace_identity_residual=float("nan"),
-        slackness_trace=slack_trace,
-        min_eig=float(eigs[0]),
-        max_eig=float(eigs[-1]),
-        slackness_residual=slack_residual,
-        would_certify=bool(would_certify),
-        quadratic_form_samples=samples,
-    )
-
-
 def extended_sdp_certificate(dk, embedding, xbar):
-    """Diagnose whether one projected-Nystrom extension solves the bordered SDP.
+    """Certify one projected-Nystrom extension as a solution of the bordered
+    (N+1)-point program.
 
-    Verifies the trace identity
-    Tr(rho_bar Kbar) = Tr(rho* K) + 2 sqrt(kappa) sqrt(kvec^T rho* kvec) + kappa^2
-    and the slackness trace Tr(rho_bar Lbar) = 0, then reports the spectrum
-    of the bordered certificate.  The extension is feasible for the bordered
-    program but generally not its optimum, so ``would_certify`` is usually
-    False; that is expected output, not an error.
+    The bordered kernel is Kbar = [[K, kvec], [kvec^T, kappa]] and the
+    bordered factor stacks the extended coordinates under ``embedding.Xi``,
+    so rho_bar = [[rho*, b], [b^T, kappa]] with b = Xi coords.  The extension
+    is feasible for the bordered program but generally not its optimum, so
+    the report usually does not certify; that is expected output, not an
+    error.
+
+    Returns
+    -------
+    (CertificateReport, float)
+        :func:`check_optimality` of the bordered pair, and the relative
+        residual of the trace identity
+        Tr(rho_bar Kbar) = Tr(rho* K) + 2 sqrt(kappa) sqrt(kvec^T rho* kvec) + kappa^2.
 
     Raises
     ------
     ValueError
         For degenerate extensions (no direction to border with) or a zero
-        extended diagonal (the bordered dual candidate needs kappa > 0).
+        extended diagonal (the bordered certificate needs kappa > 0).
     """
     point = extend_point(dk, embedding, xbar)
     if point.degenerate:
@@ -291,14 +249,13 @@ def extended_sdp_certificate(dk, embedding, xbar):
     if point.kappa <= 0:
         raise ValueError("extended diagonal vanishes; bordered certificate undefined")
     row = kernels.extension_row(dk, xbar)
-    K = dk.K
-    rho = embedding.Xi @ embedding.Xi.T
-    b = embedding.Xi @ point.coords
-    report = bordered_certificate(K, rho, row.kvec, row.kappa, b, point.kappa)
-    quad = float(row.kvec @ rho @ row.kvec)
-    expected = float(np.sum(K * rho)) + 2.0 * np.sqrt(row.kappa) * np.sqrt(quad) + row.kappa**2
-    actual = float(
-        np.sum(bordered_matrix(K, row.kvec, row.kappa) * bordered_matrix(rho, b, point.kappa))
+    Xi = embedding.Xi
+    report = check_optimality(
+        bordered_matrix(dk.K, row.kvec, row.kappa), np.vstack([Xi, point.coords])
     )
-    report.trace_identity_residual = abs(actual - expected) / max(1.0, abs(expected))
-    return report
+    expected = (
+        objective(dk.K, Xi)
+        + 2.0 * np.sqrt(row.kappa) * np.linalg.norm(row.kvec @ Xi)
+        + row.kappa**2
+    )
+    return report, abs(report.objective - expected) / expected

@@ -13,22 +13,23 @@ come from  H_Xi <- rows of K H_Xi scaled to length sqrt(K_ii),  one product
 with K per step and no second N x N matrix.  For p.s.d. K the objective
 E = Tr(H_Xi^T K H_Xi) = Tr(rho K) is nondecreasing along the iterates.
 
-The iteration stops on the certificate's complementary-slackness residual:
-with D_i = (K H_Xi)_i . (H_Xi)_i / K_ii, row i of L(rho) H_Xi is
-D_i (H_Xi)_i - (K H_Xi)_i, and ||L H_Xi||_F / ||H_Xi||_F is the
-``slackness_residual`` of ``check_optimality``.  It needs only the K H_Xi of
-the next step; it and E are evaluated on every tenth iterate and on the last.
+The iteration stops on the ``slackness_residual`` ||L(rho) H_Xi||_F / ||H_Xi||_F
+of ``check_optimality``, computed by the same code from the K H_Xi of the next
+step.  It and E are evaluated on every tenth iterate and on the last.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .certificate import _slackness
+
 # a row whose norm is below this is treated as zero and re-randomized
 _ZERO_ROW = 1e-300
 
-# an objective decrease beyond this relative amount breaks the monotonicity
-# guarantee for p.s.d. kernels and is reported as an internal error
+# an objective decrease beyond this much of Tr(K)^2, which bounds |E| for
+# p.s.d. K, breaks the monotonicity guarantee and is reported as an internal
+# error
 _MONOTONE_RTOL = 1e-9
 
 # E and the residual (a sixth of a step at N = 308, r0 = 10) are evaluated
@@ -139,7 +140,7 @@ def solve(K, cfg):
         If some diagonal entry of K is not strictly positive (that point
         cannot carry an embedding constraint), or if ``cfg.r0`` exceeds N.
     RuntimeError
-        If the objective decreases by more than 1e-9 relative, which cannot
+        If the objective decreases by more than 1e-9 Tr(K)^2, which cannot
         happen for p.s.d. K and therefore signals a corrupted input.
     """
     K = np.asarray(K, dtype=float)
@@ -154,8 +155,8 @@ def solve(K, cfg):
     if cfg.r0 > n:
         raise ValueError(f"r0 = {cfg.r0} exceeds the number of points {n}")
     root = np.sqrt(diag)
-    norm_H_Xi = np.sqrt(diag.sum())
     threshold = cfg.tol_conv * diag.max()
+    max_decrease = _MONOTONE_RTOL * diag.sum() ** 2
     rng = np.random.default_rng(cfg.seed)
     H_Xi = root[:, None] * init_factor(n, cfg, rng)
     iterations = 0
@@ -163,15 +164,14 @@ def solve(K, cfg):
     while True:
         KH = K @ H_Xi
         if iterations % _CHECK_EVERY == 0 or iterations == cfg.max_iters:
-            k_rho = np.einsum("ij,ij->i", KH, H_Xi)
+            k_rho, residual = _slackness(KH, H_Xi, diag)
             energy = float(k_rho.sum())
-            if energy < previous - _MONOTONE_RTOL * max(1.0, abs(energy)):
+            if energy < previous - max_decrease:
                 raise RuntimeError(
                     f"objective decreased from {previous!r} to {energy!r}; "
                     "the kernel is not p.s.d."
                 )
             previous = energy
-            residual = float(np.linalg.norm((k_rho / diag)[:, None] * H_Xi - KH) / norm_H_Xi)
             converged = bool(residual <= threshold)
             if converged or iterations == cfg.max_iters:
                 break

@@ -88,16 +88,45 @@ def test_check_optimality_primal_infeasibility():
         check_optimality(K, H)
 
 
-def test_check_optimality_tolerances_follow_the_kernel_scale(clusters):
-    # at sigma = 3e4, max K_ii is 1.8e-10: absolute tolerances would certify
-    # a random feasible factor whose objective is 200x below the optimum
-    result = embed_points(clusters.points, 3e4)
-    K = result.kernel.K
-    H = init_factor(K.shape[0], SolverConfig(seed=7))
-    report = check_optimality(K, np.sqrt(np.diag(K))[:, None] * H)
+def _random_feasible_factor(K):
+    return np.sqrt(np.diag(K))[:, None] * init_factor(K.shape[0], SolverConfig(seed=7))
+
+
+@pytest.fixture(scope="module")
+def large_sigma(clusters):
+    """The clusters at sigma = 3e4, where max K_ii is 1.8e-10."""
+    return embed_points(clusters.points, 3e4)
+
+
+def test_check_optimality_tolerances_follow_the_kernel_scale(large_sigma):
+    # absolute tolerances would certify a random feasible factor whose
+    # objective is 200x below the optimum
+    K = large_sigma.kernel.K
+    report = check_optimality(K, _random_feasible_factor(K))
     assert not report.is_certified
-    assert result.certificate.is_certified
-    assert result.certificate.objective > 100 * report.objective
+    assert large_sigma.certificate.is_certified
+    assert large_sigma.certificate.objective > 100 * report.objective
+
+
+def test_check_optimality_feasibility_follows_the_kernel_scale(large_sigma):
+    # rows scaled by 3 miss the diagonal by 8 K_ii, below an absolute 1e-8
+    K = large_sigma.kernel.K
+    H_Xi = large_sigma.factor.H_Xi
+    assert check_optimality(K, H_Xi).is_certified
+    with pytest.raises(PrimalInfeasibilityError, match="squared norm"):
+        check_optimality(K, 3.0 * H_Xi)
+
+
+def test_duality_gap_bounds_the_objective_deficit(cluster_pipeline):
+    # weak duality: max(0, -lambda_min(L)) Tr(K) >= Tr(K rho*) - Tr(K rho)
+    K = cluster_pipeline.kernel.K
+    optimum = cluster_pipeline.certificate
+    report = check_optimality(K, _random_feasible_factor(K))
+    deficit = optimum.objective - report.objective
+    assert deficit > 0.1
+    assert report.duality_gap >= deficit
+    assert report.duality_gap < 1.1 * deficit
+    assert optimum.duality_gap <= 1e-12 * optimum.objective
 
 
 def _traced_peak(fn, *args):

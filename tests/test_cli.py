@@ -7,6 +7,8 @@ import pytest
 from sdpembed import gen_three_clusters, load_embedding, save_csv
 from sdpembed.cli import main
 
+from conftest import C
+
 
 @pytest.fixture(scope="module")
 def cluster_csv(tmp_path_factory):
@@ -68,6 +70,41 @@ def test_embed_unconverged_exit_two(cluster_csv, tmp_path):
     assert code == 2
     ef = load_embedding(out / "embedding.json")
     assert ef.metadata["converged"] is False
+
+
+def test_embed_exit_two_names_the_failed_tests(cluster_csv, tmp_path, capsys):
+    out = tmp_path / "run"
+    code = main(["embed", cluster_csv, "--sigma", "5", "--max-iters", "1", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sdpembed: not converged at iteration 1: slackness residual ")
+    assert err.count("\n") == 1
+    cert = _read_json(out / "certificate.json")
+    residual = f"slackness residual {cert['slackness_residual']:.3e} > "
+    assert f"{residual}1e-12 * max K(i,i) = " in err
+    assert f"not certified: {residual}1e-08 * max K(i,i) = " in err
+    assert f"least eigenvalue of L {cert['least_eigenvalues'][0]:.3e} < -1e-08 *" in err
+
+
+def test_certify_sign_flip_names_the_least_eigenvalue(two_point_csv, tmp_path, capsys):
+    # flipping one point's coordinates keeps the row norms but gives
+    # rho = c ones, where K rho = 0: the slackness holds and L = -K is indefinite
+    out = tmp_path / "run"
+    assert main(
+        ["embed", two_point_csv, "--sigma", "1", "--r0", "2", "--out", str(out)]
+    ) == 0
+    doc = _read_json(out / "embedding.json")
+    doc["coordinates"][0] = [-v for v in doc["coordinates"][0]]
+    flipped = tmp_path / "flipped.json"
+    flipped.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["certify", str(flipped), "--out", str(out)]) == 2
+    cert = _read_json(out / "certificate.json")
+    assert cert["is_certified"] is False
+    assert capsys.readouterr().err == (
+        f"sdpembed: not certified: least eigenvalue of L {-2 * C:.3e} "
+        f"< -1e-08 * max K(i,i) = {-1e-8 * C:.3e}\n"
+    )
 
 
 def test_embed_byte_identical_artifacts(two_point_csv, tmp_path):

@@ -2,14 +2,20 @@ import numpy as np
 import pytest
 
 from sdpembed import (
+    SolverConfig,
     block_extension_analysis,
-    bordered_certificate,
     bordered_matrix,
+    certificate_matrix,
+    check_optimality,
+    diffusion_kernel,
     extend_kernel,
     extend_point,
     extend_points,
     extended_sdp_certificate,
     extension_row,
+    factor_to_embedding,
+    gaussian_gram,
+    init_factor,
 )
 from sdpembed import kernels
 
@@ -201,12 +207,50 @@ def test_block_analysis_rejects_zero_b(two_point):
         block_extension_analysis(two_point.embedding, np.zeros(2))
 
 
+def _dense_bordered_eigenvalues(pipeline, xbar):
+    """Spectrum of the dense bordered certificate of the extension at xbar."""
+    dk, emb = pipeline.kernel, pipeline.embedding
+    row = extension_row(dk, xbar)
+    H_bar = np.vstack([emb.Xi, extend_point(dk, emb, xbar).coords])
+    L_bar = certificate_matrix(bordered_matrix(dk.K, row.kvec, row.kappa), H_bar @ H_bar.T)
+    return np.linalg.eigvalsh(L_bar)
+
+
 def test_extended_certificate_two_point(two_point):
-    report = extended_sdp_certificate(two_point.kernel, two_point.embedding, [-0.5])
-    assert report.trace_identity_residual < 1e-8
-    assert abs(report.slackness_trace) < 1e-8
-    assert np.isfinite(report.min_eig)
-    assert len(report.quadratic_form_samples) == 8
+    report, trace_residual = extended_sdp_certificate(two_point.kernel, two_point.embedding, [-0.5])
+    assert trace_residual < 1e-8
+    # bordering the two-point optimum with this extension stays optimal
+    assert report.is_certified
+    assert report.slackness_residual < 1e-12
+    dense = _dense_bordered_eigenvalues(two_point, [-0.5])
+    assert np.allclose(report.least_eigenvalues, dense, rtol=0, atol=1e-12)
+
+
+def test_extended_certificate_clusters_match_dense_reference(clusters, cluster_pipeline):
+    # near the clusters the extension is feasible but not optimal for the
+    # bordered program, and the report's spectrum is the dense one
+    for i in (0, 150, 305):
+        xbar = clusters.points[i] + 0.3
+        report, trace_residual = extended_sdp_certificate(
+            cluster_pipeline.kernel, cluster_pipeline.embedding, xbar
+        )
+        assert trace_residual < 1e-12
+        assert not report.is_certified
+        dense = _dense_bordered_eigenvalues(cluster_pipeline, xbar)[:6]
+        assert dense[0] < -1e-4
+        assert np.allclose(report.least_eigenvalues, dense, rtol=1e-10, atol=1e-15)
+
+
+def test_extended_certificate_tolerances_follow_the_kernel_scale(clusters):
+    # at sigma = 3e4, max K_ii is 1.8e-10; the bordered extension of a random
+    # feasible factor has lambda_min(L_bar) = -37 max K_ii and is not optimal
+    dk = diffusion_kernel(gaussian_gram(clusters.points, 3e4))
+    root = np.sqrt(np.diag(dk.K))
+    H_Xi = root[:, None] * init_factor(len(root), SolverConfig(seed=7))
+    emb = factor_to_embedding(H_Xi, rank_tol=0)
+    report, _ = extended_sdp_certificate(dk, emb, clusters.points.mean(axis=0) + 0.1)
+    assert not report.is_certified
+    assert report.least_eigenvalues[0] < -10 * root.max() ** 2
 
 
 def test_extended_certificate_rejects_degenerate(two_point):
@@ -215,14 +259,12 @@ def test_extended_certificate_rejects_degenerate(two_point):
 
 
 def test_extended_certificate_canonical_basis_fixture(two_point):
-    # bordering with kvec = e_i and the matching b solves the extended
-    # program: the bordered certificate is p.s.d. with zero slackness
-    K = two_point.kernel.K
-    rho = two_point.embedding.Xi @ two_point.embedding.Xi.T
-    kvec = np.array([1.0, 0.0])
-    kappa = float(rho[0, 0])
-    b = np.sqrt(kappa / (kvec @ rho @ kvec)) * (rho @ kvec)
-    report = bordered_certificate(K, rho, kvec, kappa, b, kappa)
-    assert report.would_certify
-    assert report.min_eig >= -1e-10 * max(1.0, report.max_eig)
+    # bordering with kvec = e_1, kappa = rho_11 and a copy of the first
+    # point's coordinates solves the extended program: the bordered
+    # certificate is p.s.d. with zero slackness
+    Xi = two_point.embedding.Xi
+    K_bar = bordered_matrix(two_point.kernel.K, np.array([1.0, 0.0]), float(Xi[0] @ Xi[0]))
+    report = check_optimality(K_bar, np.vstack([Xi, Xi[0]]))
+    assert report.is_certified
+    assert report.least_eigenvalues[0] >= -1e-10
     assert report.slackness_residual < 1e-10

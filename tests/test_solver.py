@@ -142,11 +142,13 @@ def test_solve_rejects_zero_diagonal():
         solve(K, SolverConfig(r0=2))
 
 
-def test_solve_rejects_indefinite_coupling():
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-10])
+def test_solve_rejects_indefinite_coupling(scale):
     # an indefinite K with positive diagonal (eigenvalues -1.28, 0.33, 1.06,
     # 1.09) on which the objective decreases; found by a seeded search over
-    # random 3- to 5-point matrices with one-decimal entries
-    K = np.array(
+    # random 3- to 5-point matrices with one-decimal entries.  The guard
+    # follows the scale of K, so it fires on small kernels too.
+    K = scale * np.array(
         [
             [0.1, 0.6, -0.1, 0.5],
             [0.6, 0.2, -0.3, -0.9],

@@ -18,7 +18,6 @@ from pathlib import Path
 from . import dataio, diffmaps, interval, kernels, pipeline, solver
 from .certificate import PrimalInfeasibilityError, check_optimality
 from .dataio import CsvFormatError, EmbeddingSchemaError
-from .embedding import EmbeddingResult
 from .extension import extend_points
 
 
@@ -59,19 +58,13 @@ def _embedding_file(result, args, ds):
     )
 
 
-def _rebuild_from_file(ef):
+def _load_model(path):
+    """A stored embedding's coordinates, training points and sigma."""
+    ef = dataio.load_embedding(path)
     meta = ef.metadata
     if "training_points" not in meta:
         raise EmbeddingSchemaError("embedding file has no inlined training points")
-    base = kernels.gaussian_gram(meta["training_points"], float(meta["sigma"]))
-    dk = kernels.diffusion_kernel(base)
-    emb = EmbeddingResult(
-        Xi=ef.coordinates,
-        singular_values=ef.singular_values,
-        rank=ef.coordinates.shape[1],
-        H_Xi=ef.coordinates,
-    )
-    return dk, emb
+    return ef.coordinates, meta["training_points"], float(meta["sigma"])
 
 
 def _certificate_payload(report):
@@ -129,8 +122,8 @@ def cmd_embed(args):
 
 def cmd_extend(args):
     try:
-        ef = dataio.load_embedding(args.embedding)
-        dk, emb = _rebuild_from_file(ef)
+        Xi, points, sigma = _load_model(args.embedding)
+        base = kernels._degree_state(points, sigma)
     except (EmbeddingSchemaError, OSError, ValueError) as exc:
         return _fail("embedding loading", exc)
     try:
@@ -138,7 +131,7 @@ def cmd_extend(args):
     except (CsvFormatError, OSError) as exc:
         return _fail("new-points parsing", exc)
     try:
-        ext = extend_points(dk, emb, new.points)
+        ext = extend_points(base, Xi, new.points)
     except (ValueError, RuntimeError) as exc:
         return _fail("extension", exc)
     out = Path(args.out)
@@ -153,19 +146,19 @@ def cmd_extend(args):
 
 def cmd_certify(args):
     try:
-        ef = dataio.load_embedding(args.embedding)
-        dk, emb = _rebuild_from_file(ef)
+        Xi, points, sigma = _load_model(args.embedding)
+        K = kernels.diffusion_kernel(kernels.gaussian_gram(points, sigma)).K
     except (EmbeddingSchemaError, OSError, ValueError) as exc:
         return _fail("embedding loading", exc)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        report = check_optimality(dk.K, emb.H_Xi)
+        report = check_optimality(K, Xi)
     except PrimalInfeasibilityError as exc:
         print(f"sdpembed: primal feasibility violated: {exc}", file=sys.stderr)
         return 2
     _write_json(out / "certificate.json", _certificate_payload(report))
-    return _exit_code(report, dk.K)
+    return _exit_code(report, K)
 
 
 def cmd_compare(args):

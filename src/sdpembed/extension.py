@@ -55,14 +55,16 @@ class BlockExtensionReport:
     min_eigs_at_tested_s: dict
 
 
-def extend_points(dk, embedding, X):
+def extend_points(base, Xi, X):
     """Embed M new points by the projected Nystrom formula.
 
     Parameters
     ----------
-    dk : DiffusionKernel
-    embedding : EmbeddingResult
-        A certified embedding of the training set.
+    base : BaseKernelState
+        Of the training set; only its points, sigma, degrees and volume are
+        read, so the gram may be None (as for a stored model).
+    Xi : array of shape (N, rank)
+        Coordinates of a certified embedding of the training set.
     X : array of shape (M, d)
 
     Returns
@@ -90,7 +92,6 @@ def extend_points(dk, embedding, X):
     ``g = A / sqrt(dbar) - sqrt(dbar) (sqrt(d) @ Xi) / vol``; the kernel rows
     ``kvec`` of :func:`kernels.extension_row` are never formed.
     """
-    base = dk.base
     points, volume = base.points, base.volume
     n, dim = points.shape
     X = np.asarray(X, dtype=float)
@@ -101,7 +102,6 @@ def extend_points(dk, embedding, X):
     bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
     if bad.size:
         raise ValueError(f"new point at index {bad[0]} has non-finite coordinates")
-    Xi = embedding.Xi
     rank = Xi.shape[1]
     root_d = np.sqrt(base.degrees)
     weights = np.hstack([Xi / root_d[:, None], np.ones((n, 1))])
@@ -145,24 +145,24 @@ def extend_points(dk, embedding, X):
     return ExtendedPoint(coords=coords, kappa=kappa, degenerate=degenerate)
 
 
-def extend_point(dk, embedding, xbar):
+def extend_point(base, Xi, xbar):
     """Embed one new point: the one-row case of :func:`extend_points`,
     returning scalar ``kappa`` and ``degenerate`` and ``coords`` of shape
     (rank,)."""
-    batch = extend_points(dk, embedding, np.asarray(xbar, dtype=float).reshape(1, -1))
+    batch = extend_points(base, Xi, np.asarray(xbar, dtype=float).reshape(1, -1))
     return ExtendedPoint(
         coords=batch.coords[0], kappa=float(batch.kappa[0]), degenerate=bool(batch.degenerate[0])
     )
 
 
-def extend_kernel(dk, embedding, x, y):
+def extend_kernel(base, Xi, x, y):
     """Extended kernel value ``sum_l chi_l(x) chi_l(y)`` at two points.
 
     Restricted to training points this reproduces rho*; on the diagonal of a
     non-degenerate point it returns kappa.  If either extension is degenerate
     the product has no defined direction and 0.0 is returned.
     """
-    pair = extend_points(dk, embedding, np.asarray([x, y], dtype=float).reshape(2, -1))
+    pair = extend_points(base, Xi, np.asarray([x, y], dtype=float).reshape(2, -1))
     if pair.degenerate.any():
         return 0.0
     return float(pair.coords[0] @ pair.coords[1])
@@ -243,7 +243,7 @@ def extended_sdp_certificate(dk, embedding, xbar):
         For degenerate extensions (no direction to border with) or a zero
         extended diagonal (the bordered certificate needs kappa > 0).
     """
-    point = extend_point(dk, embedding, xbar)
+    point = extend_point(dk.base, embedding.Xi, xbar)
     if point.degenerate:
         raise ValueError("extension is degenerate at this point; no certificate to check")
     if point.kappa <= 0:

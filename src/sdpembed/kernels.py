@@ -30,10 +30,11 @@ _BLOCK_BYTES = 1 << 20
 
 @dataclass
 class BaseKernelState:
-    """Gaussian Gram matrix with its degrees and total volume."""
+    """Gaussian Gram matrix with its degrees and total volume; ``gram`` is
+    None for a state built for out-of-sample extension alone."""
 
     sigma: float
-    gram: np.ndarray
+    gram: np.ndarray | None
     degrees: np.ndarray
     volume: float
     points: np.ndarray
@@ -93,6 +94,18 @@ def _gaussian_weights(X, points, sigma, out):
     return np.exp(out, out=out)
 
 
+def _checked_points(points, sigma):
+    """The training points as a float array, after checking them and sigma."""
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[0] < 1:
+        raise ValueError("need a nonempty (N, d) array of points")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("points contain non-finite entries")
+    return points
+
+
 def gaussian_gram(points, sigma):
     """Evaluate the Gaussian kernel matrix of a point cloud.
 
@@ -108,21 +121,17 @@ def gaussian_gram(points, sigma):
     BaseKernelState
         Gram matrix (unit diagonal, exactly symmetric), per-point degrees,
         and total volume.  The gram is filled in row blocks (see
-        ``_BLOCK_BYTES``), so the build holds one N x N array and a small
-        buffer.
+        ``_BLOCK_BYTES``), each from its diagonal on, and mirrored below the
+        diagonal, so the build holds one N x N array and a small buffer.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[0] < 1:
-        raise ValueError("need a nonempty (N, d) array of points")
-    if not np.all(np.isfinite(points)):
-        raise ValueError("points contain non-finite entries")
+    points = _checked_points(points, sigma)
     n = points.shape[0]
     gram = np.empty((n, n))
     rows = _block_rows(n)
     for start in range(0, n, rows):
-        _gaussian_weights(points[start : start + rows], points, sigma, gram[start : start + rows])
+        stop = min(start + rows, n)
+        _gaussian_weights(points[start:stop], points[start:], sigma, gram[start:stop, start:])
+        gram[stop:, start:stop] = gram[start:stop, stop:].T
     degrees = gram.sum(axis=1)
     return BaseKernelState(
         sigma=float(sigma),
@@ -130,6 +139,26 @@ def gaussian_gram(points, sigma):
         degrees=degrees,
         volume=float(degrees.sum()),
         points=points,
+    )
+
+
+def _degree_state(points, sigma):
+    """The base-kernel state of ``points`` without the gram (``gram`` is
+    None), which is all :func:`extension.extend_points` reads.  The degrees
+    are row sums of one row block of Gaussian weights at a time, bitwise
+    equal to those of :func:`gaussian_gram`."""
+    points = _checked_points(points, sigma)
+    n = points.shape[0]
+    rows = _block_rows(n)
+    buf = np.empty((min(rows, n), n))
+    degrees = np.empty(n)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        degrees[start:stop] = _gaussian_weights(
+            points[start:stop], points, sigma, buf[: stop - start]
+        ).sum(axis=1)
+    return BaseKernelState(
+        sigma=float(sigma), gram=None, degrees=degrees, volume=float(degrees.sum()), points=points
     )
 
 
@@ -141,12 +170,19 @@ def diffusion_kernel(base):
     DiffusionKernel
         ``K(i, j) = k(x_i, x_j)/sqrt(d_i d_j) - sqrt(d_i d_j)/vol``, which
         annihilates ``sqrt(d)`` and is exactly symmetric when the gram is.
+        ``K`` is filled in row blocks, so the build holds the gram, ``K`` and
+        a block of ``sqrt(d_i d_j)``.
     """
+    gram = base.gram
     root_d = np.sqrt(base.degrees)
-    outer = np.outer(root_d, root_d)
-    K = base.gram / outer
-    outer /= base.volume
-    K -= outer
+    K = np.empty_like(gram)
+    rows = _block_rows(gram.shape[0])
+    for start in range(0, gram.shape[0], rows):
+        blk = slice(start, start + rows)
+        outer = np.outer(root_d[blk], root_d)
+        np.divide(gram[blk], outer, out=K[blk])
+        outer /= base.volume
+        K[blk] -= outer
     return DiffusionKernel(K=K, base=base)
 
 

@@ -237,7 +237,7 @@ def test_criterion_6_restriction_suite(two_point, cluster_pipeline, interval_res
         assert result.certificate.is_certified, f"{name} fixture must be certified"
         Xi = result.embedding.Xi
         for i in range(Xi.shape[0]):
-            p = extend_point(result.kernel, result.embedding, result.kernel.base.points[i])
+            p = extend_point(result.kernel.base, result.embedding.Xi, result.kernel.base.points[i])
             assert not p.degenerate, f"{name}: training point {i} degenerate"
             worst = max(worst, float(np.max(np.abs(p.coords - Xi[i]))))
     ok = _verdict(6, worst <= 1e-8, f"restriction to training points, worst {worst:.2e}")
@@ -272,8 +272,8 @@ def test_criterion_7_property_suites(random_pipelines):
         rx, ry = extension_row(result.kernel, x), extension_row(result.kernel, y)
         qx, qy = rx.kvec @ rho @ rx.kvec, ry.kvec @ rho @ ry.kvec
         if qx > 0 and qy > 0:
-            px = extend_point(result.kernel, emb, x)
-            py = extend_point(result.kernel, emb, y)
+            px = extend_point(result.kernel.base, emb.Xi, x)
+            py = extend_point(result.kernel.base, emb.Xi, y)
             if not (px.degenerate or py.degenerate):
                 double_sum = (
                     np.sqrt(rx.kappa / qx) * np.sqrt(ry.kappa / qy) * (rx.kvec @ rho @ ry.kvec)

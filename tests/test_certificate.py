@@ -17,6 +17,9 @@ from sdpembed import (
     solve,
 )
 
+from sdpembed import certificate
+from sdpembed.certificate import _LANCZOS_RTOL, _RTOL, _lanczos_least
+
 from conftest import C, tight_config
 
 
@@ -139,13 +142,96 @@ def _traced_peak(fn, *args):
 
 
 def test_solve_and_certificate_form_at_most_one_square_array():
-    # N = 600: solve() needs no N x N array beyond K, the certificate only L
-    K = diffusion_kernel(gaussian_gram(gen_three_clusters(200, 0, 3).points, 5.0)).K
+    # N = 2408, above the dense cutoff: solve() needs no N x N array beyond
+    # K, and the Lanczos certificate none at all (its basis of about 150
+    # vectors is 0.06 K.nbytes here)
+    K = diffusion_kernel(gaussian_gram(gen_three_clusters(800, 8, 3).points, 5.0)).K
     state, solve_peak = _traced_peak(solve, K, SolverConfig())
     report, certificate_peak = _traced_peak(check_optimality, K, state.H_Xi)
     assert report.is_certified
     assert solve_peak < 0.1 * K.nbytes
-    assert certificate_peak <= 1.2 * K.nbytes
+    assert certificate_peak < 0.1 * K.nbytes
+
+
+def _lanczos_against_dense(K, H_Xi):
+    """Least eigenvalues of L(H_Xi H_Xi^T) from the Lanczos helper and from
+    the dense eigvalsh, with the helper's residual bound."""
+    diag = np.diag(K)
+    D = np.einsum("ij,ij->i", K @ H_Xi, H_Xi) / diag
+    bound = _LANCZOS_RTOL * diag.max()
+    dense = np.linalg.eigvalsh(np.diag(D) - K)[:6]
+    return _lanczos_least(K, D, bound, 100), dense, bound
+
+
+def _assert_same_least_eigenvalues(lanczos, dense, bound, scale):
+    assert lanczos is not None
+    assert np.all(np.diff(lanczos) >= 0)
+    assert np.max(np.abs(lanczos - dense)) <= bound
+    assert (lanczos[0] >= -_RTOL * scale) == (dense[0] >= -_RTOL * scale)
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.5, 0.3])
+def test_lanczos_matches_dense_on_paper_points(clusters, sigma):
+    # 500 power steps leave L uncertified, with the least eigenvalues of the
+    # small-sigma cases clustered within 1e-7 max K_ii of zero
+    K = diffusion_kernel(gaussian_gram(clusters.points, sigma)).K
+    state = solve(K, SolverConfig(max_iters=500))
+    lanczos, dense, bound = _lanczos_against_dense(K, state.H_Xi)
+    _assert_same_least_eigenvalues(lanczos, dense, bound, np.diag(K).max())
+    assert dense[0] < -_RTOL * np.diag(K).max()
+
+
+def test_lanczos_matches_dense_at_kernel_scale(large_sigma):
+    K = large_sigma.kernel.K
+    lanczos, dense, bound = _lanczos_against_dense(K, _random_feasible_factor(K))
+    _assert_same_least_eigenvalues(lanczos, dense, bound, np.diag(K).max())
+
+
+def test_lanczos_resolves_the_zero_of_a_certified_rank_two_optimum(cluster_pipeline):
+    K = cluster_pipeline.kernel.K
+    lanczos, dense, bound = _lanczos_against_dense(K, cluster_pipeline.factor.H_Xi)
+    _assert_same_least_eigenvalues(lanczos, dense, bound, np.diag(K).max())
+    assert cluster_pipeline.embedding.rank == 2
+    assert np.all(np.abs(lanczos[:2]) <= bound) and lanczos[2] > 1e-3
+
+
+def test_check_optimality_takes_lanczos_above_the_cutoff_and_falls_back(
+    cluster_pipeline, monkeypatch
+):
+    K, H_Xi = cluster_pipeline.kernel.K, cluster_pipeline.factor.H_Xi
+    dense = check_optimality(K, H_Xi)
+    runs = []
+
+    def spy(*args):
+        runs.append(_lanczos_least(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(certificate, "_lanczos_least", spy)
+    monkeypatch.setattr(certificate, "_DENSE_BELOW", 300)
+    monkeypatch.setattr(certificate, "_LANCZOS_BASIS", 1.0)
+    lanczos = check_optimality(K, H_Xi)
+    assert runs[0] is not None and np.array_equal(lanczos.least_eigenvalues, runs[0])
+    assert lanczos.is_certified and dense.is_certified
+    assert np.max(np.abs(lanczos.least_eigenvalues - dense.least_eigenvalues)) <= (
+        _LANCZOS_RTOL * np.diag(K).max()
+    )
+    # a Lanczos run that has not converged within its basis cap hands over
+    monkeypatch.setattr(certificate, "_LANCZOS_BASIS", 0.05)
+    fallback = check_optimality(K, H_Xi)
+    assert runs[1] is None
+    assert np.array_equal(fallback.least_eigenvalues, dense.least_eigenvalues)
+
+
+def test_lanczos_breakdown_on_a_repeated_least_eigenvalue():
+    # L has eigenvalue 0 three times and 1 elsewhere, so the Krylov space of
+    # the first block is invariant after one step and fresh vectors continue
+    rng = np.random.default_rng(5)
+    n = 120
+    U = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :3]
+    L = np.eye(n) - U @ U.T
+    K = np.eye(n) - (L + L.T) / 2
+    least = _lanczos_least(K, np.ones(n), 1e-10, 100)
+    assert np.max(np.abs(least - [0, 0, 0, 1, 1, 1])) <= 1e-10
 
 
 def test_certified_random_instance_invariants():

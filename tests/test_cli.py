@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,23 @@ def test_extend_byte_identical_artifacts(cluster_csv, tmp_path):
     for dest in (out_a, out_b):
         assert main(["extend", str(out / "embedding.json"), cluster_csv, "--out", str(dest)]) == 0
     assert (out_a / "extended.csv").read_bytes() == (out_b / "extended.csv").read_bytes()
+
+
+def test_extend_allocates_no_square_array(tmp_path):
+    # a stored model of N = 1208 points: extend reads the degrees from row
+    # blocks of Gaussian weights and builds no N x N gram or K
+    train, new = tmp_path / "train.csv", tmp_path / "new.csv"
+    save_csv(gen_three_clusters(400, 8, 3), train)
+    save_csv(gen_three_clusters(100, 8, 4), new)
+    assert main(["embed", str(train), "--sigma", "5", "--out", str(tmp_path)]) == 0
+    tracemalloc.start()
+    try:
+        code = main(["extend", str(tmp_path / "embedding.json"), str(new), "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 0.5 * 1208 * 1208 * 8
 
 
 def test_extend_point_without_kernel_weight(two_point_csv, tmp_path, capsys):

@@ -26,13 +26,13 @@ def test_restriction_to_training_points(two_point, cluster_pipeline):
     for result in (two_point, cluster_pipeline):
         Xi = result.embedding.Xi
         for i in range(0, Xi.shape[0], 7):
-            p = extend_point(result.kernel, result.embedding, result.kernel.base.points[i])
+            p = extend_point(result.kernel.base, result.embedding.Xi, result.kernel.base.points[i])
             assert not p.degenerate
             assert np.max(np.abs(p.coords - Xi[i])) < 1e-8
 
 
 def test_two_point_extension_value(two_point):
-    p = extend_point(two_point.kernel, two_point.embedding, [-0.5])
+    p = extend_point(two_point.kernel.base, two_point.embedding.Xi, [-0.5])
     assert not p.degenerate
     # hand evaluation: coords = sqrt(kappa) * sign(g), kappa = 1/dbar - dbar/vol
     dbar = np.exp(-0.25) + np.exp(-2.25)
@@ -43,7 +43,7 @@ def test_two_point_extension_value(two_point):
 
 
 def test_symmetry_midpoint_is_degenerate(two_point):
-    p = extend_point(two_point.kernel, two_point.embedding, [0.5])
+    p = extend_point(two_point.kernel.base, two_point.embedding.Xi, [0.5])
     assert p.degenerate
     assert np.array_equal(p.coords, np.zeros(1))
 
@@ -59,7 +59,7 @@ def test_extend_points_matches_per_row_reference(cluster_pipeline):
     at = rng.choice(m, 40, replace=False)
     copies = rng.choice(pts.shape[0], 40, replace=False)
     X[at] = pts[copies]
-    ext = extend_points(dk, emb, X)
+    ext = extend_points(dk.base, emb.Xi, X)
     assert ext.coords.shape == (m, emb.rank)
     assert not ext.degenerate.any()
     for i, x in enumerate(X):
@@ -72,25 +72,25 @@ def test_extend_points_matches_per_row_reference(cluster_pipeline):
 
 
 def test_extend_points_flags_midpoint_in_a_batch(two_point):
-    ext = extend_points(two_point.kernel, two_point.embedding, [[-0.5], [0.5], [-0.35]])
+    ext = extend_points(two_point.kernel.base, two_point.embedding.Xi, [[-0.5], [0.5], [-0.35]])
     assert ext.degenerate.tolist() == [False, True, False]
     assert np.array_equal(ext.coords[1], np.zeros(1))
     for i, x in enumerate([-0.5, -0.35]):
-        p = extend_point(two_point.kernel, two_point.embedding, [x])
+        p = extend_point(two_point.kernel.base, two_point.embedding.Xi, [x])
         np.testing.assert_allclose(ext.coords[2 * i], p.coords, rtol=1e-14)
 
 
 def test_extend_points_rejects_bad_rows(two_point):
     dk, emb = two_point.kernel, two_point.embedding
     with pytest.raises(ValueError, match="dimension 2"):
-        extend_points(dk, emb, np.zeros((3, 2)))
+        extend_points(dk.base, emb.Xi, np.zeros((3, 2)))
     with pytest.raises(ValueError, match="index 1 has non-finite"):
-        extend_points(dk, emb, [[0.2], [np.nan]])
+        extend_points(dk.base, emb.Xi, [[0.2], [np.nan]])
     # every Gaussian weight underflows: no degree to normalize by
     with pytest.raises(ValueError, match="index 2 has no kernel weight"):
-        extend_points(dk, emb, [[0.2], [0.5], [100.0], [-100.0]])
+        extend_points(dk.base, emb.Xi, [[0.2], [0.5], [100.0], [-100.0]])
     with pytest.raises(ValueError, match="index 0 has no kernel weight"):
-        extend_point(dk, emb, [1e6])
+        extend_point(dk.base, emb.Xi, [1e6])
 
 
 def test_norm_preservation(cluster_pipeline):
@@ -99,7 +99,7 @@ def test_norm_preservation(cluster_pipeline):
     hi = cluster_pipeline.kernel.base.points.max(axis=0)
     for _ in range(25):
         x = rng.uniform(lo, hi)
-        p = extend_point(cluster_pipeline.kernel, cluster_pipeline.embedding, x)
+        p = extend_point(cluster_pipeline.kernel.base, cluster_pipeline.embedding.Xi, x)
         if not p.degenerate:
             assert abs(p.coords @ p.coords - p.kappa) < 1e-10
 
@@ -111,7 +111,7 @@ def test_extension_maximizes_bordered_objective(two_point, cluster_pipeline):
     rng = np.random.default_rng(1)
     for result, xbar in [(two_point, [-0.35]), (cluster_pipeline, [2.0, 1.0])]:
         row = extension_row(result.kernel, xbar)
-        p = extend_point(result.kernel, result.embedding, xbar)
+        p = extend_point(result.kernel.base, result.embedding.Xi, xbar)
         assert not p.degenerate
         g = result.embedding.Xi.T @ row.kvec
         best = 2 * g @ p.coords
@@ -127,23 +127,23 @@ def test_extend_kernel_restriction_and_diagonal(cluster_pipeline):
     rho = emb.Xi @ emb.Xi.T
     pts = cluster_pipeline.kernel.base.points
     for i, j in [(0, 1), (5, 200), (100, 100)]:
-        value = extend_kernel(cluster_pipeline.kernel, emb, pts[i], pts[j])
+        value = extend_kernel(cluster_pipeline.kernel.base, emb.Xi, pts[i], pts[j])
         assert value == pytest.approx(rho[i, j], abs=1e-8)
     x = np.array([1.7, 0.3])
-    p = extend_point(cluster_pipeline.kernel, emb, x)
-    assert extend_kernel(cluster_pipeline.kernel, emb, x, x) == pytest.approx(
+    p = extend_point(cluster_pipeline.kernel.base, emb.Xi, x)
+    assert extend_kernel(cluster_pipeline.kernel.base, emb.Xi, x, x) == pytest.approx(
         p.kappa, abs=1e-10
     )
 
 
 def test_extend_kernel_two_point_product(two_point):
-    value = extend_kernel(two_point.kernel, two_point.embedding, [-0.5], [0.0])
+    value = extend_kernel(two_point.kernel.base, two_point.embedding.Xi, [-0.5], [0.0])
     assert value == pytest.approx(0.8987573 * np.sqrt(C), abs=1e-4)
     assert value == pytest.approx(0.43204, abs=1e-4)
 
 
 def test_extend_kernel_degenerate_returns_zero(two_point):
-    assert extend_kernel(two_point.kernel, two_point.embedding, [0.5], [0.0]) == 0.0
+    assert extend_kernel(two_point.kernel.base, two_point.embedding.Xi, [0.5], [0.0]) == 0.0
 
 
 def test_appendix_double_sum_equivalence(cluster_pipeline):
@@ -161,7 +161,7 @@ def test_appendix_double_sum_equivalence(cluster_pipeline):
             continue
         norm = np.sqrt(rx.kappa / qx) * np.sqrt(ry.kappa / qy)
         double_sum = norm * (rx.kvec @ rho @ ry.kvec)
-        product_form = extend_kernel(K, emb, x, y)
+        product_form = extend_kernel(K.base, emb.Xi, x, y)
         assert product_form == pytest.approx(double_sum, abs=1e-10)
 
 
@@ -211,7 +211,7 @@ def _dense_bordered_eigenvalues(pipeline, xbar):
     """Spectrum of the dense bordered certificate of the extension at xbar."""
     dk, emb = pipeline.kernel, pipeline.embedding
     row = extension_row(dk, xbar)
-    H_bar = np.vstack([emb.Xi, extend_point(dk, emb, xbar).coords])
+    H_bar = np.vstack([emb.Xi, extend_point(dk.base, emb.Xi, xbar).coords])
     L_bar = certificate_matrix(bordered_matrix(dk.K, row.kvec, row.kappa), H_bar @ H_bar.T)
     return np.linalg.eigvalsh(L_bar)
 

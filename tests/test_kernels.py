@@ -11,6 +11,8 @@ from sdpembed import (
     gen_three_clusters,
 )
 
+from sdpembed import kernels
+
 from conftest import A, C
 
 
@@ -49,7 +51,7 @@ def test_translated_points_give_the_same_kernel_and_extension():
     assert np.array_equal(gaussian_gram(shifted, 5.0).gram, gaussian_gram(grid, 5.0).gram)
     result = embed_points(shifted, 5.0)
     assert result.certificate.is_certified
-    copies = extend_points(result.kernel, result.embedding, shifted)
+    copies = extend_points(result.kernel.base, result.embedding.Xi, shifted)
     radius = np.sqrt(np.diag(result.kernel.K))
     assert np.all(np.linalg.norm(copies.coords - result.embedding.Xi, axis=1) <= 1e-12 * radius)
 
@@ -88,6 +90,22 @@ def test_kernel_exact_symmetry_and_spectrum():
         eigs = np.linalg.eigvalsh(dk.K)
         assert eigs[-1] < 1.0
         assert eigs[0] >= -1e-10 * eigs[-1]
+
+
+def test_blocked_builds_match_the_whole_matrix_forms():
+    # the mirrored upper row blocks of the gram, K filled in row blocks and
+    # the gram-free degrees are bitwise equal to the whole-matrix forms
+    for seed, (n, d) in enumerate([(1, 2), (425, 2), (300, 10)]):
+        points = np.random.default_rng(seed).standard_normal((n, d)) * 2.0 + 50.0
+        base = gaussian_gram(points, 1.5)
+        gram = kernels._gaussian_weights(points, points, 1.5, np.empty((n, n)))
+        assert np.array_equal(base.gram, gram)
+        outer = np.outer(np.sqrt(gram.sum(axis=1)), np.sqrt(gram.sum(axis=1)))
+        assert np.array_equal(diffusion_kernel(base).K, gram / outer - outer / base.volume)
+        state = kernels._degree_state(points, 1.5)
+        assert state.gram is None
+        assert np.array_equal(state.degrees, gram.sum(axis=1))
+        assert state.volume == base.volume
 
 
 def test_kernel_diagonal_formula():

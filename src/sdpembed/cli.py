@@ -15,6 +15,8 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from . import dataio, diffmaps, interval, kernels, pipeline, solver
 from .certificate import PrimalInfeasibilityError, check_optimality
 from .dataio import CsvFormatError, EmbeddingSchemaError
@@ -64,7 +66,13 @@ def _load_model(path):
     meta = ef.metadata
     if "training_points" not in meta:
         raise EmbeddingSchemaError("embedding file has no inlined training points")
-    return ef.coordinates, meta["training_points"], float(meta["sigma"])
+    points = np.asarray(meta["training_points"], dtype=float)
+    if points.ndim != 2 or len(points) != len(ef.coordinates):
+        raise EmbeddingSchemaError(
+            f"embedding file has {len(ef.coordinates)} coordinate rows "
+            f"but training points of shape {points.shape}"
+        )
+    return ef.coordinates, points, float(meta["sigma"])
 
 
 def _certificate_payload(report):
@@ -123,7 +131,7 @@ def cmd_embed(args):
 def cmd_extend(args):
     try:
         Xi, points, sigma = _load_model(args.embedding)
-        base = kernels._degree_state(points, sigma)
+        base = kernels.gaussian_gram(points, sigma)
     except (EmbeddingSchemaError, OSError, ValueError) as exc:
         return _fail("embedding loading", exc)
     try:

@@ -67,14 +67,14 @@ def _is_number(cell):
     return True
 
 
-def load_csv(path, label_column=None):
+def load_csv(path):
     """Load a comma-separated point cloud.
 
     A first row with a cell that is not a number is a header and is skipped.
-    Other cells must parse as finite reals (except in ``label_column``,
-    parsed as integers); rows must all have the same number of cells.  Blank
-    lines are skipped and row order is preserved.  Errors name the file's
-    1-based line (as "row") and column of the offending cell.
+    Other cells must parse as finite reals; rows must all have the same
+    number of cells.  Blank lines are skipped and row order is preserved.
+    Errors name the file's 1-based line (as "row") and column of the
+    offending cell.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -84,14 +84,12 @@ def load_csv(path, label_column=None):
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
     arity = len(rows[0][1])
-    points, labels = [], []
+    points = []
     for line, row in rows:
         if len(row) != arity:
             raise CsvFormatError(f"{path}: row {line} has {len(row)} cells, expected {arity}")
         values = []
         for j, cell in enumerate(row):
-            if label_column is not None and j == label_column:
-                continue
             try:
                 value = float(cell)
             except ValueError:
@@ -104,19 +102,8 @@ def load_csv(path, label_column=None):
                     f"{path}: row {line}, column {j + 1}: non-finite value {cell!r}"
                 )
             values.append(value)
-        if label_column is not None:
-            try:
-                labels.append(int(float(row[label_column])))
-            except ValueError:
-                raise CsvFormatError(
-                    f"{path}: row {line}, column {label_column + 1}: "
-                    f"cannot parse label {row[label_column]!r}"
-                ) from None
         points.append(values)
-    return Dataset(
-        points=np.asarray(points, dtype=float),
-        labels=np.asarray(labels, dtype=int) if label_column is not None else None,
-    )
+    return Dataset(points=np.asarray(points, dtype=float))
 
 
 def save_csv(ds, path):

@@ -6,11 +6,15 @@ one).  ``p`` is conjugate to the symmetric normalized kernel
 [0, 1].  Eigenvectors come in a bi-orthogonal pair (psi, phi) derived from the
 orthonormal eigenvectors ``u`` of ``k_N`` via ``psi = u / sqrt(phi0)`` and
 ``phi = u * sqrt(phi0)``, with ``phi0 = d / vol`` the stationary distribution.
+The baseline is dense: each function evaluates the N x N Gaussian gram ``k``
+from the points of the base-kernel state.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .kernels import _gaussian_weights
 
 
 @dataclass
@@ -24,9 +28,17 @@ class DiffusionBasis:
     u: np.ndarray
 
 
+def _gram(base):
+    """The N x N Gaussian gram of the training points."""
+    n = base.points.shape[0]
+    return _gaussian_weights(base.points, base.points, base.sigma, np.empty((n, n)))
+
+
 def transition_matrix(base):
     """Row-stochastic transition matrix ``p(x, y) = k(x, y) / d(x)``."""
-    return base.gram / base.degrees[:, None]
+    p = _gram(base)
+    p /= base.degrees[:, None]
+    return p
 
 
 def fix_signs(vectors):
@@ -53,7 +65,8 @@ def spectral_basis(base):
     tiny negatives are rounding.
     """
     root_d = np.sqrt(base.degrees)
-    k_norm = base.gram / np.outer(root_d, root_d)
+    k_norm = _gram(base)
+    k_norm /= np.outer(root_d, root_d)
     eigenvalues, u = np.linalg.eigh(k_norm)
     order = np.argsort(eigenvalues)[::-1]
     eigenvalues = np.clip(eigenvalues[order], 0.0, None)

@@ -61,8 +61,7 @@ def extend_points(base, Xi, X):
     Parameters
     ----------
     base : BaseKernelState
-        Of the training set; only its points, sigma, degrees and volume are
-        read, so the gram may be None (as for a stored model).
+        Of the training set: its points, sigma, degrees and volume.
     Xi : array of shape (N, rank)
         Coordinates of a certified embedding of the training set.
     X : array of shape (M, d)
@@ -248,7 +247,7 @@ def extended_sdp_certificate(dk, embedding, xbar):
         raise ValueError("extension is degenerate at this point; no certificate to check")
     if point.kappa <= 0:
         raise ValueError("extended diagonal vanishes; bordered certificate undefined")
-    row = kernels.extension_row(dk, xbar)
+    row = kernels.extension_row(dk.base, xbar)
     Xi = embedding.Xi
     report = check_optimality(
         bordered_matrix(dk.K, row.kvec, row.kappa), np.vstack([Xi, point.coords])

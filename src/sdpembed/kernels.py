@@ -9,7 +9,9 @@ handed to the semi-definite program is the centered, degree-normalized kernel
 
 which is positive semi-definite on the training set, annihilates the vector
 ``sqrt(d)`` exactly, has strictly positive diagonal (for distinct points), and
-has top eigenvalue < 1.  Everything here also extends to new points: the
+has top eigenvalue < 1.  The base-kernel state keeps the points, sigma, the
+degrees and the volume, never the N x N gram: ``K`` is evaluated from the
+points in row blocks.  Everything here also extends to new points: the
 degree, the kernel row, and the diagonal value all have natural out-of-sample
 formulas, and the extended diagonal is provably nonnegative.
 """
@@ -24,20 +26,20 @@ _KAPPA_CLAMP = -1e-12
 
 # Gaussian weights are evaluated in row blocks whose weights and coordinate
 # differences take about this many bytes together, which keeps them in cache
-# and the working memory beside the N x N gram small
+# and the working memory beside the N x N K small
 _BLOCK_BYTES = 1 << 20
 
 
 @dataclass
 class BaseKernelState:
-    """Gaussian Gram matrix with its degrees and total volume; ``gram`` is
-    None for a state built for out-of-sample extension alone."""
+    """Training points and bandwidth of the Gaussian kernel, with its
+    degrees and total volume: everything ``K`` and its out-of-sample
+    extension are built from.  The gram matrix itself is never stored."""
 
     sigma: float
-    gram: np.ndarray | None
+    points: np.ndarray
     degrees: np.ndarray
     volume: float
-    points: np.ndarray
 
 
 @dataclass
@@ -80,8 +82,8 @@ def _gaussian_weights(X, points, sigma, out):
 
     Squared distances are summed from coordinate differences one dimension at
     a time, so they are exact functions of the differences: the kernel does
-    not change when the data are translated, ``k(x, x) == 1`` exactly, and a
-    gram built row block by row block is bitwise symmetric.  (The expanded
+    not change when the data are translated, ``k(x, x) == 1`` exactly, and
+    ``k(x, y) == k(y, x)`` bit for bit, whatever the row blocks.  (The expanded
     ``|x|^2 + |y|^2 - 2 x.y`` form cancels for points far from the origin.)
     """
     diff = np.empty_like(out)
@@ -107,7 +109,7 @@ def _checked_points(points, sigma):
 
 
 def gaussian_gram(points, sigma):
-    """Evaluate the Gaussian kernel matrix of a point cloud.
+    """Degrees and total volume of the Gaussian kernel of a point cloud.
 
     Parameters
     ----------
@@ -119,34 +121,11 @@ def gaussian_gram(points, sigma):
     Returns
     -------
     BaseKernelState
-        Gram matrix (unit diagonal, exactly symmetric), per-point degrees,
-        and total volume.  The gram is filled in row blocks (see
-        ``_BLOCK_BYTES``), each from its diagonal on, and mirrored below the
-        diagonal, so the build holds one N x N array and a small buffer.
+        The points, sigma, per-point degrees ``d_i = sum_j k(x_i, x_j)`` and
+        total volume.  Each degree is the row sum of one row block of
+        Gaussian weights at a time (see ``_BLOCK_BYTES``), so no N x N gram
+        is formed; :func:`diffusion_kernel` evaluates the weights again.
     """
-    points = _checked_points(points, sigma)
-    n = points.shape[0]
-    gram = np.empty((n, n))
-    rows = _block_rows(n)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        _gaussian_weights(points[start:stop], points[start:], sigma, gram[start:stop, start:])
-        gram[stop:, start:stop] = gram[start:stop, stop:].T
-    degrees = gram.sum(axis=1)
-    return BaseKernelState(
-        sigma=float(sigma),
-        gram=gram,
-        degrees=degrees,
-        volume=float(degrees.sum()),
-        points=points,
-    )
-
-
-def _degree_state(points, sigma):
-    """The base-kernel state of ``points`` without the gram (``gram`` is
-    None), which is all :func:`extension.extend_points` reads.  The degrees
-    are row sums of one row block of Gaussian weights at a time, bitwise
-    equal to those of :func:`gaussian_gram`."""
     points = _checked_points(points, sigma)
     n = points.shape[0]
     rows = _block_rows(n)
@@ -158,7 +137,7 @@ def _degree_state(points, sigma):
             points[start:stop], points, sigma, buf[: stop - start]
         ).sum(axis=1)
     return BaseKernelState(
-        sigma=float(sigma), gram=None, degrees=degrees, volume=float(degrees.sum()), points=points
+        sigma=float(sigma), points=points, degrees=degrees, volume=float(degrees.sum())
     )
 
 
@@ -169,29 +148,33 @@ def diffusion_kernel(base):
     -------
     DiffusionKernel
         ``K(i, j) = k(x_i, x_j)/sqrt(d_i d_j) - sqrt(d_i d_j)/vol``, which
-        annihilates ``sqrt(d)`` and is exactly symmetric when the gram is.
-        ``K`` is filled in row blocks, so the build holds the gram, ``K`` and
-        a block of ``sqrt(d_i d_j)``.
+        annihilates ``sqrt(d)`` and is exactly symmetric.  Each row block of
+        ``K`` is evaluated from its diagonal on, straight from the Gaussian
+        weights of ``base.points``, normalized in place and mirrored below
+        the diagonal, so the build holds ``K`` and a few block buffers.
     """
-    gram = base.gram
+    points, n = base.points, base.points.shape[0]
     root_d = np.sqrt(base.degrees)
-    K = np.empty_like(gram)
-    rows = _block_rows(gram.shape[0])
-    for start in range(0, gram.shape[0], rows):
-        blk = slice(start, start + rows)
-        outer = np.outer(root_d[blk], root_d)
-        np.divide(gram[blk], outer, out=K[blk])
+    K = np.empty((n, n))
+    rows = _block_rows(n)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        blk = K[start:stop, start:]
+        _gaussian_weights(points[start:stop], points[start:], base.sigma, blk)
+        outer = np.outer(root_d[start:stop], root_d[start:])
+        blk /= outer
         outer /= base.volume
-        K[blk] -= outer
+        blk -= outer
+        K[stop:, start:stop] = K[start:stop, stop:].T
     return DiffusionKernel(K=K, base=base)
 
 
-def extension_row(dk, xbar):
+def extension_row(base, xbar):
     """Extend the centered kernel to one new point.
 
     Parameters
     ----------
-    dk : DiffusionKernel
+    base : BaseKernelState
     xbar : array of shape (d,)
         The new point.
 
@@ -208,7 +191,6 @@ def extension_row(dk, xbar):
     Gaussian weights all underflow (``dbar`` zero or subnormal) has no
     extension and raises ``ValueError``.
     """
-    base = dk.base
     xbar = np.asarray(xbar, dtype=float).reshape(-1)
     if xbar.shape[0] != base.points.shape[1]:
         raise ValueError(
@@ -238,16 +220,15 @@ def extension_row(dk, xbar):
 def check_volume_inequalities(base, probes=()):
     """Check ``d(x)^2 <= k(x, x) * vol`` on the training set and at probes.
 
-    The slack is reported relative to ``k(x, x) * vol``; a value below
-    ``-1e-12`` marks the report as failed (the inequality is a theorem, so a
-    failure means the kernel was built incorrectly).
+    The slack is reported relative to ``k(x, x) * vol``, where the Gaussian
+    ``k(x, x)`` is exactly 1; a value below ``-1e-12`` marks the report as
+    failed (the inequality is a theorem, so a failure means the kernel was
+    built incorrectly).
     """
-    diag = np.diag(base.gram)
-    slacks = (diag * base.volume - base.degrees**2) / (diag * base.volume)
     points = base.points
     probes = np.asarray(probes, dtype=float).reshape(-1, points.shape[1])
     kx = _gaussian_weights(probes, points, base.sigma, np.empty((probes.shape[0], points.shape[0])))
-    dbar = kx.sum(axis=1)
-    slacks = np.concatenate([slacks, (base.volume - dbar**2) / base.volume])
+    degrees = np.concatenate([base.degrees, kx.sum(axis=1)])
+    slacks = (base.volume - degrees**2) / base.volume
     worst = float(slacks.min())
     return VolumeCheckReport(worst_slack=worst, n_checked=slacks.size, ok=worst >= -1e-12)

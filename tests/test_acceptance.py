@@ -269,7 +269,7 @@ def test_criterion_7_property_suites(random_pipelines):
         x, y = (pts[rng.integers(len(pts))] + 0.3 * rng.standard_normal(pts.shape[1])
                 for _ in range(2))
         rho = emb.Xi @ emb.Xi.T
-        rx, ry = extension_row(result.kernel, x), extension_row(result.kernel, y)
+        rx, ry = extension_row(result.kernel.base, x), extension_row(result.kernel.base, y)
         qx, qy = rx.kvec @ rho @ rx.kvec, ry.kvec @ rho @ ry.kvec
         if qx > 0 and qy > 0:
             px = extend_point(result.kernel.base, emb.Xi, x)

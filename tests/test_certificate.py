@@ -142,13 +142,17 @@ def _traced_peak(fn, *args):
 
 
 def test_solve_and_certificate_form_at_most_one_square_array():
-    # N = 2408, above the dense cutoff: solve() needs no N x N array beyond
-    # K, and the Lanczos certificate none at all (its basis of about 150
-    # vectors is 0.06 K.nbytes here)
-    K = diffusion_kernel(gaussian_gram(gen_three_clusters(800, 8, 3).points, 5.0)).K
+    # N = 2408, above the dense cutoff: the kernel build holds K and no
+    # gram, solve() needs no N x N array beyond K, and the Lanczos
+    # certificate none at all (its basis of about 150 vectors is 0.06
+    # K.nbytes here)
+    points = gen_three_clusters(800, 8, 3).points
+    dk, build_peak = _traced_peak(lambda: diffusion_kernel(gaussian_gram(points, 5.0)))
+    K = dk.K
     state, solve_peak = _traced_peak(solve, K, SolverConfig())
     report, certificate_peak = _traced_peak(check_optimality, K, state.H_Xi)
     assert report.is_certified
+    assert build_peak < 1.1 * K.nbytes
     assert solve_peak < 0.1 * K.nbytes
     assert certificate_peak < 0.1 * K.nbytes
 

@@ -212,6 +212,25 @@ def test_certify_stored_embedding(two_point_csv, tmp_path, capsys):
     assert "feasibility" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["extend", "certify"])
+def test_model_with_mismatched_training_points(command, two_point_csv, tmp_path, capsys):
+    # a model whose coordinate rows and inlined training points disagree on N
+    out = tmp_path / "run"
+    assert main(
+        ["embed", two_point_csv, "--sigma", "1", "--r0", "2", "--out", str(out)]
+    ) == 0
+    doc = _read_json(out / "embedding.json")
+    doc["metadata"]["training_points"] = doc["metadata"]["training_points"][:1]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    args = [str(model), two_point_csv] if command == "extend" else [str(model)]
+    assert main([command, *args, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sdpembed: embedding loading: ")
+    assert "2 coordinate rows" in err and "(1, 1)" in err
+
+
 def test_compare_artifacts(cluster_csv, tmp_path):
     out = tmp_path / "cmp"
     code = main(["compare", cluster_csv, "--sigma", "5", "--out", str(out)])

@@ -62,14 +62,6 @@ def test_load_csv_reports_file_lines_after_blank_lines(tmp_path):
         load_csv(ragged)
 
 
-def test_load_csv_labels(tmp_path):
-    path = tmp_path / "pts.csv"
-    path.write_text("0,0,1\n1,0,2\n0,1,1\n")
-    ds = load_csv(path, label_column=2)
-    assert ds.dim == 2
-    assert np.array_equal(ds.labels, [1, 2, 1])
-
-
 def test_dataset_rejects_nonfinite():
     with pytest.raises(ValueError, match="non-finite"):
         Dataset(np.array([[0.0], [np.inf]]))

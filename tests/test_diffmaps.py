@@ -46,7 +46,7 @@ def test_spectral_basis_two_point_eigenvalues():
 def test_spectral_basis_invariants():
     base = _base(2)
     basis = spectral_basis(base)
-    n = base.gram.shape[0]
+    n = base.points.shape[0]
     assert basis.eigenvalues[0] == pytest.approx(1.0, abs=1e-10)
     assert np.all(np.diff(basis.eigenvalues) <= 1e-14)
     assert np.all(basis.eigenvalues >= 0)

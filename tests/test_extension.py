@@ -63,7 +63,7 @@ def test_extend_points_matches_per_row_reference(cluster_pipeline):
     assert ext.coords.shape == (m, emb.rank)
     assert not ext.degenerate.any()
     for i, x in enumerate(X):
-        row = extension_row(dk, x)
+        row = extension_row(dk.base, x)
         g = emb.Xi.T @ row.kvec
         expected = np.sqrt(row.kappa) * g / np.linalg.norm(g)
         assert abs(ext.kappa[i] - row.kappa) <= 1e-12 * row.kappa
@@ -110,7 +110,7 @@ def test_extension_maximizes_bordered_objective(two_point, cluster_pipeline):
     # 100 random feasible candidates
     rng = np.random.default_rng(1)
     for result, xbar in [(two_point, [-0.35]), (cluster_pipeline, [2.0, 1.0])]:
-        row = extension_row(result.kernel, xbar)
+        row = extension_row(result.kernel.base, xbar)
         p = extend_point(result.kernel.base, result.embedding.Xi, xbar)
         assert not p.degenerate
         g = result.embedding.Xi.T @ row.kvec
@@ -155,7 +155,7 @@ def test_appendix_double_sum_equivalence(cluster_pipeline):
     lo, hi = K.base.points.min(axis=0), K.base.points.max(axis=0)
     for _ in range(20):
         x, y = rng.uniform(lo, hi, (2, 2))
-        rx, ry = extension_row(K, x), extension_row(K, y)
+        rx, ry = extension_row(K.base, x), extension_row(K.base, y)
         qx, qy = rx.kvec @ rho @ rx.kvec, ry.kvec @ rho @ ry.kvec
         if min(qx, qy) <= 0:
             continue
@@ -210,7 +210,7 @@ def test_block_analysis_rejects_zero_b(two_point):
 def _dense_bordered_eigenvalues(pipeline, xbar):
     """Spectrum of the dense bordered certificate of the extension at xbar."""
     dk, emb = pipeline.kernel, pipeline.embedding
-    row = extension_row(dk, xbar)
+    row = extension_row(dk.base, xbar)
     H_bar = np.vstack([emb.Xi, extend_point(dk.base, emb.Xi, xbar).coords])
     L_bar = certificate_matrix(bordered_matrix(dk.K, row.kvec, row.kappa), H_bar @ H_bar.T)
     return np.linalg.eigvalsh(L_bar)

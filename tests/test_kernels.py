@@ -23,20 +23,24 @@ def _random_base(seed, n=30, d=2, sigma=1.0):
 
 def test_gram_two_points():
     base = gaussian_gram(np.array([[0.0], [1.0]]), 1.0)
-    assert base.gram[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-15)
-    assert np.array_equal(np.diag(base.gram), [1.0, 1.0])
+    gram = kernels._gaussian_weights(base.points, base.points, 1.0, np.empty((2, 2)))
+    assert gram[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-15)
+    assert np.array_equal(np.diag(gram), [1.0, 1.0])
     assert base.degrees == pytest.approx([1 + A, 1 + A])
     assert base.volume == pytest.approx(2 * (1 + A))
 
 
 def test_gram_diagonal_is_one():
+    # K(i, i) is built from a Gaussian weight of exactly 1
     base = _random_base(0)
-    assert np.array_equal(np.diag(base.gram), np.ones(30))
+    mixed = np.sqrt(base.degrees) * np.sqrt(base.degrees)
+    assert np.array_equal(np.diag(diffusion_kernel(base).K), 1.0 / mixed - mixed / base.volume)
 
 
 def test_gram_large_bandwidth_limit():
     base = gaussian_gram(np.array([[0.0], [0.5], [1.0]]), 1e6)
-    assert np.allclose(base.gram, 1.0, atol=1e-10)
+    # every weight tends to 1, so K tends to 1/3 - 3/9 = 0
+    assert np.allclose(diffusion_kernel(base).K, 0.0, atol=1e-10)
     assert np.allclose(base.degrees, 3.0, atol=1e-9)
     assert base.volume == pytest.approx(9.0, abs=1e-8)
 
@@ -48,8 +52,10 @@ def test_translated_points_give_the_same_kernel_and_extension():
     grid = np.unique(np.round(gen_three_clusters(100, 8, 12345).points * 4) / 4, axis=0)
     shifted = grid + 2.0**24
     assert np.array_equal(shifted - 2.0**24, grid)
-    assert np.array_equal(gaussian_gram(shifted, 5.0).gram, gaussian_gram(grid, 5.0).gram)
     result = embed_points(shifted, 5.0)
+    unshifted = diffusion_kernel(gaussian_gram(grid, 5.0))
+    assert np.array_equal(result.kernel.base.degrees, unshifted.base.degrees)
+    assert np.array_equal(result.kernel.K, unshifted.K)
     assert result.certificate.is_certified
     copies = extend_points(result.kernel.base, result.embedding.Xi, shifted)
     radius = np.sqrt(np.diag(result.kernel.K))
@@ -81,31 +87,28 @@ def test_kernel_annihilates_root_degrees():
 
 
 def test_kernel_exact_symmetry_and_spectrum():
-    # n up to 425 spans several row blocks of the gram
+    # n up to 425 spans several row blocks of K
     for seed in range(5):
         base = _random_base(seed, n=25 + 100 * seed, sigma=float(1.0 + seed))
         dk = diffusion_kernel(base)
-        assert np.array_equal(base.gram, base.gram.T)
-        assert np.max(np.abs(dk.K - dk.K.T)) == 0.0
+        assert np.array_equal(dk.K, dk.K.T)
         eigs = np.linalg.eigvalsh(dk.K)
         assert eigs[-1] < 1.0
         assert eigs[0] >= -1e-10 * eigs[-1]
 
 
 def test_blocked_builds_match_the_whole_matrix_forms():
-    # the mirrored upper row blocks of the gram, K filled in row blocks and
-    # the gram-free degrees are bitwise equal to the whole-matrix forms
+    # the degrees summed over row blocks of weights, and K evaluated in
+    # mirrored upper row blocks, are bitwise equal to the whole-matrix forms
     for seed, (n, d) in enumerate([(1, 2), (425, 2), (300, 10)]):
         points = np.random.default_rng(seed).standard_normal((n, d)) * 2.0 + 50.0
         base = gaussian_gram(points, 1.5)
         gram = kernels._gaussian_weights(points, points, 1.5, np.empty((n, n)))
-        assert np.array_equal(base.gram, gram)
-        outer = np.outer(np.sqrt(gram.sum(axis=1)), np.sqrt(gram.sum(axis=1)))
+        degrees = gram.sum(axis=1)
+        assert np.array_equal(base.degrees, degrees)
+        assert base.volume == float(degrees.sum())
+        outer = np.outer(np.sqrt(degrees), np.sqrt(degrees))
         assert np.array_equal(diffusion_kernel(base).K, gram / outer - outer / base.volume)
-        state = kernels._degree_state(points, 1.5)
-        assert state.gram is None
-        assert np.array_equal(state.degrees, gram.sum(axis=1))
-        assert state.volume == base.volume
 
 
 def test_kernel_diagonal_formula():
@@ -120,7 +123,7 @@ def test_extension_row_restricts_to_training_rows():
     base = _random_base(3, n=20)
     dk = diffusion_kernel(base)
     for i in range(20):
-        row = extension_row(dk, base.points[i])
+        row = extension_row(base, base.points[i])
         assert np.max(np.abs(row.kvec - dk.K[i])) < 1e-12
         assert abs(row.kappa - dk.K[i, i]) < 1e-12
 
@@ -128,8 +131,7 @@ def test_extension_row_restricts_to_training_rows():
 def test_extension_row_two_point_fixture():
     # hand evaluation: dbar = e^-0.25 + e^-2.25, kappa = 1/dbar - dbar/vol,
     # kvec_i = k(xbar, x_i)/sqrt(dbar d_i) - sqrt(dbar d_i)/vol
-    dk = diffusion_kernel(gaussian_gram(np.array([[0.0], [1.0]]), 1.0))
-    row = extension_row(dk, [-0.5])
+    row = extension_row(gaussian_gram(np.array([[0.0], [1.0]]), 1.0), [-0.5])
     kx = np.array([np.exp(-0.25), np.exp(-2.25)])
     dbar = kx.sum()
     vol = 2 * (1 + A)
@@ -144,22 +146,21 @@ def test_extension_row_two_point_fixture():
 
 
 def test_extension_row_symmetry_midpoint_near_degenerate():
-    dk = diffusion_kernel(gaussian_gram(np.array([[0.0], [1.0]]), 1.0))
-    row = extension_row(dk, [0.5])
+    row = extension_row(gaussian_gram(np.array([[0.0], [1.0]]), 1.0), [0.5])
     assert row.kvec[0] == pytest.approx(row.kvec[1], abs=1e-15)
     assert abs(row.kvec[0]) < 1e-4
 
 
 def test_extension_row_dimension_mismatch():
-    dk = diffusion_kernel(gaussian_gram(np.array([[0.0], [1.0]]), 1.0))
+    base = gaussian_gram(np.array([[0.0], [1.0]]), 1.0)
     with pytest.raises(ValueError, match="dimension"):
-        extension_row(dk, [0.0, 1.0])
+        extension_row(base, [0.0, 1.0])
 
 
 def test_extension_row_rejects_point_without_weight():
-    dk = diffusion_kernel(gaussian_gram(np.array([[0.0], [1.0]]), 1.0))
+    base = gaussian_gram(np.array([[0.0], [1.0]]), 1.0)
     with pytest.raises(ValueError, match="no kernel weight"):
-        extension_row(dk, [100.0])
+        extension_row(base, [100.0])
 
 
 def test_volume_inequalities_gaussian_base():

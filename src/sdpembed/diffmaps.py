@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _gaussian_weights
+from .kernels import _weight_blocks
 
 
 @dataclass
@@ -31,7 +31,10 @@ class DiffusionBasis:
 def _gram(base):
     """The N x N Gaussian gram of the training points."""
     n = base.points.shape[0]
-    return _gaussian_weights(base.points, base.points, base.sigma, np.empty((n, n)))
+    gram = np.empty((n, n))
+    for start, stop, weights in _weight_blocks(base.points, base.points, base.sigma):
+        gram[start:stop] = weights
+    return gram
 
 
 def transition_matrix(base):

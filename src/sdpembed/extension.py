@@ -110,11 +110,7 @@ def extend_points(base, Xi, X):
     coords = np.zeros((m, rank))
     kappa = np.empty(m)
     degenerate = np.zeros(m, dtype=bool)
-    rows = kernels._block_rows(n)
-    kx_buf = np.empty((min(rows, m), n))
-    for start in range(0, m, rows):
-        stop = min(start + rows, m)
-        kx = kernels._gaussian_weights(X[start:stop], points, base.sigma, kx_buf[: stop - start])
+    for start, stop, kx in kernels._weight_blocks(X, points, base.sigma):
         prod = kx @ weights
         dbar = prod[:, rank]
         empty = np.flatnonzero(dbar < np.finfo(float).tiny)

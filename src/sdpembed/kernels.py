@@ -11,9 +11,14 @@ which is positive semi-definite on the training set, annihilates the vector
 ``sqrt(d)`` exactly, has strictly positive diagonal (for distinct points), and
 has top eigenvalue < 1.  The base-kernel state keeps the points, sigma, the
 degrees and the volume, never the N x N gram: ``K`` is evaluated from the
-points in row blocks.  Everything here also extends to new points: the
-degree, the kernel row, and the diagonal value all have natural out-of-sample
-formulas, and the extended diagonal is provably nonnegative.
+points in row blocks.  One evaluator, ``_gaussian_weights``, gives every
+Gaussian weight in the package (the degrees, ``K``, the extension to new
+points, the volume probes and the diffusion-maps gram) from the training
+points held as contiguous columns, writing into the caller's block with one
+scratch block that the caller reuses across blocks.  Everything here also
+extends to new points: the degree, the kernel row, and the diagonal value all
+have natural out-of-sample formulas, and the extended diagonal is provably
+nonnegative.
 """
 
 from dataclasses import dataclass
@@ -24,9 +29,10 @@ import numpy as np
 # this is a genuine inequality violation, i.e. a bug
 _KAPPA_CLAMP = -1e-12
 
-# Gaussian weights are evaluated in row blocks whose weights and coordinate
-# differences take about this many bytes together, which keeps them in cache
-# and the working memory beside the N x N K small
+# Gaussian weights are evaluated in row blocks whose weights and one scratch
+# block of the same shape (coordinate differences, then in diffusion_kernel
+# the products of root degrees) take about this many bytes together, which
+# keeps them in cache and the working memory beside the N x N K small
 _BLOCK_BYTES = 1 << 20
 
 
@@ -77,23 +83,54 @@ def _block_rows(n):
     return max(1, _BLOCK_BYTES // (2 * 8 * n))
 
 
-def _gaussian_weights(X, points, sigma, out):
-    """Fill ``out`` (M, N) with ``exp(-||X_a - points_b||^2 / sigma^2)``.
+def _gaussian_weights(X, columns, sigma, out, scratch):
+    """Fill ``out`` (M, N) with ``exp(-||X_a - x_b||^2 / sigma^2)``, where the
+    training points ``x_b`` come as the contiguous columns ``points.T`` of
+    shape (d, N), and return it; ``scratch`` is a spare array shaped like
+    ``out``.
 
     Squared distances are summed from coordinate differences one dimension at
     a time, so they are exact functions of the differences: the kernel does
     not change when the data are translated, ``k(x, x) == 1`` exactly, and
     ``k(x, y) == k(y, x)`` bit for bit, whatever the row blocks.  (The expanded
     ``|x|^2 + |y|^2 - 2 x.y`` form cancels for points far from the origin.)
+    Each difference is a broadcast copy of the training column minus the new
+    coordinate, ``x_b - X_a``, whose square has the bits of ``(X_a - x_b)^2``;
+    the first dimension is written straight into ``out``.  (One broadcast
+    ``subtract`` of column and coordinates buffers both inputs and is slower.)
     """
-    diff = np.empty_like(out)
-    out.fill(0.0)
-    for j in range(points.shape[1]):
-        np.subtract.outer(X[:, j], points[:, j], out=diff)
-        np.square(diff, out=diff)
-        out += diff
+    np.copyto(out, columns[0])
+    out -= X[:, :1]
+    np.square(out, out=out)
+    for j in range(1, columns.shape[0]):
+        np.copyto(scratch, columns[j])
+        scratch -= X[:, j : j + 1]
+        np.square(scratch, out=scratch)
+        out += scratch
     out /= -sigma**2
     return np.exp(out, out=out)
+
+
+def _weight_blocks(X, points, sigma):
+    """Yield ``(start, stop, weights)`` over row blocks of ``X`` against the
+    training points; ``weights`` is a buffer reused by the next block."""
+    columns = np.ascontiguousarray(points.T)
+    n, m = points.shape[0], X.shape[0]
+    rows = _block_rows(n)
+    out = np.empty((min(rows, m), n))
+    scratch = np.empty_like(out)
+    for start in range(0, m, rows):
+        stop = min(start + rows, m)
+        k = stop - start
+        yield start, stop, _gaussian_weights(X[start:stop], columns, sigma, out[:k], scratch[:k])
+
+
+def _degrees(X, points, sigma):
+    """Row sums of the Gaussian weights of ``X`` against the training points."""
+    degrees = np.empty(X.shape[0])
+    for start, stop, weights in _weight_blocks(X, points, sigma):
+        degrees[start:stop] = weights.sum(axis=1)
+    return degrees
 
 
 def _checked_points(points, sigma):
@@ -101,8 +138,8 @@ def _checked_points(points, sigma):
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[0] < 1:
-        raise ValueError("need a nonempty (N, d) array of points")
+    if points.ndim != 2 or min(points.shape) < 1:
+        raise ValueError("need an (N, d) array of points with N, d >= 1")
     if not np.all(np.isfinite(points)):
         raise ValueError("points contain non-finite entries")
     return points
@@ -127,15 +164,7 @@ def gaussian_gram(points, sigma):
         is formed; :func:`diffusion_kernel` evaluates the weights again.
     """
     points = _checked_points(points, sigma)
-    n = points.shape[0]
-    rows = _block_rows(n)
-    buf = np.empty((min(rows, n), n))
-    degrees = np.empty(n)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        degrees[start:stop] = _gaussian_weights(
-            points[start:stop], points, sigma, buf[: stop - start]
-        ).sum(axis=1)
+    degrees = _degrees(points, points, sigma)
     return BaseKernelState(
         sigma=float(sigma), points=points, degrees=degrees, volume=float(degrees.sum())
     )
@@ -154,14 +183,17 @@ def diffusion_kernel(base):
         the diagonal, so the build holds ``K`` and a few block buffers.
     """
     points, n = base.points, base.points.shape[0]
+    columns = np.ascontiguousarray(points.T)
     root_d = np.sqrt(base.degrees)
     K = np.empty((n, n))
     rows = _block_rows(n)
+    spare = np.empty(min(rows, n) * n)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         blk = K[start:stop, start:]
-        _gaussian_weights(points[start:stop], points[start:], base.sigma, blk)
-        outer = np.outer(root_d[start:stop], root_d[start:])
+        scratch = spare[: blk.size].reshape(blk.shape)
+        _gaussian_weights(points[start:stop], columns[:, start:], base.sigma, blk, scratch)
+        outer = np.multiply.outer(root_d[start:stop], root_d[start:], out=scratch)
         blk /= outer
         outer /= base.volume
         blk -= outer
@@ -198,8 +230,9 @@ def extension_row(base, xbar):
         )
     if not np.all(np.isfinite(xbar)):
         raise ValueError("new point has non-finite coordinates")
-    sq = np.maximum(((base.points - xbar) ** 2).sum(axis=1), 0.0)
-    kx = np.exp(-sq / base.sigma**2)
+    out = np.empty((1, base.points.shape[0]))
+    columns = np.ascontiguousarray(base.points.T)
+    kx = _gaussian_weights(xbar[None, :], columns, base.sigma, out, np.empty_like(out))[0]
     dbar = float(kx.sum())
     if dbar < np.finfo(float).tiny:
         raise ValueError(
@@ -227,8 +260,7 @@ def check_volume_inequalities(base, probes=()):
     """
     points = base.points
     probes = np.asarray(probes, dtype=float).reshape(-1, points.shape[1])
-    kx = _gaussian_weights(probes, points, base.sigma, np.empty((probes.shape[0], points.shape[0])))
-    degrees = np.concatenate([base.degrees, kx.sum(axis=1)])
+    degrees = np.concatenate([base.degrees, _degrees(probes, points, base.sigma)])
     slacks = (base.volume - degrees**2) / base.volume
     worst = float(slacks.min())
     return VolumeCheckReport(worst_slack=worst, n_checked=slacks.size, ok=worst >= -1e-12)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,9 +23,28 @@ def _random_base(seed, n=30, d=2, sigma=1.0):
     return gaussian_gram(rng.standard_normal((n, d)), sigma)
 
 
+def _weights(X, points, sigma):
+    """All Gaussian weights of ``X`` against ``points`` in one evaluator call."""
+    out = np.empty((X.shape[0], points.shape[0]))
+    return kernels._gaussian_weights(X, np.ascontiguousarray(points.T), sigma, out, np.empty_like(out))
+
+
+def _reference_weights(X, points, sigma):
+    """Oracle evaluator: zero-filled squared distances summed from
+    ``subtract.outer`` one dimension at a time."""
+    out = np.zeros((X.shape[0], points.shape[0]))
+    diff = np.empty_like(out)
+    for j in range(points.shape[1]):
+        np.subtract.outer(X[:, j], points[:, j], out=diff)
+        np.square(diff, out=diff)
+        out += diff
+    out /= -sigma**2
+    return np.exp(out, out=out)
+
+
 def test_gram_two_points():
     base = gaussian_gram(np.array([[0.0], [1.0]]), 1.0)
-    gram = kernels._gaussian_weights(base.points, base.points, 1.0, np.empty((2, 2)))
+    gram = _weights(base.points, base.points, 1.0)
     assert gram[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-15)
     assert np.array_equal(np.diag(gram), [1.0, 1.0])
     assert base.degrees == pytest.approx([1 + A, 1 + A])
@@ -67,6 +88,8 @@ def test_gram_rejects_bad_input():
         gaussian_gram(np.zeros((2, 1)), 0.0)
     with pytest.raises(ValueError, match="non-finite"):
         gaussian_gram(np.array([[np.nan]]), 1.0)
+    with pytest.raises(ValueError, match="d >= 1"):
+        gaussian_gram(np.zeros((3, 0)), 1.0)
 
 
 def test_diffusion_kernel_two_point_closed_form():
@@ -103,12 +126,47 @@ def test_blocked_builds_match_the_whole_matrix_forms():
     for seed, (n, d) in enumerate([(1, 2), (425, 2), (300, 10)]):
         points = np.random.default_rng(seed).standard_normal((n, d)) * 2.0 + 50.0
         base = gaussian_gram(points, 1.5)
-        gram = kernels._gaussian_weights(points, points, 1.5, np.empty((n, n)))
+        gram = _weights(points, points, 1.5)
         degrees = gram.sum(axis=1)
         assert np.array_equal(base.degrees, degrees)
         assert base.volume == float(degrees.sum())
         outer = np.outer(np.sqrt(degrees), np.sqrt(degrees))
         assert np.array_equal(diffusion_kernel(base).K, gram / outer - outer / base.volume)
+
+
+@pytest.mark.parametrize("d, offset", [(1, 0.0), (2, 0.0), (10, 0.0), (2, 1e6), (10, 1e6)])
+def test_weights_match_the_reference_evaluator_bitwise(d, offset):
+    # 700 training points take several row blocks, the last one shorter
+    rng = np.random.default_rng(d)
+    points = rng.standard_normal((700, d)) * 2.0 + offset
+    X = np.vstack([points, rng.standard_normal((260, d)) * 2.0 + offset])
+    expected = _reference_weights(X, points, 1.3)
+    sizes = []
+    for start, stop, weights in kernels._weight_blocks(X, points, 1.3):
+        assert np.array_equal(weights, expected[start:stop])
+        sizes.append(stop - start)
+    assert len(sizes) > 2 and sizes[-1] < sizes[0] == kernels._block_rows(points.shape[0])
+    assert np.array_equal(_weights(X[:1], points, 1.3), expected[:1])
+    assert np.array_equal(_weights(X, points, 1.3), expected)
+    # k(x, x) == 1 and k(x, y) == k(y, x) bit for bit across the row blocks
+    gram = expected[:700]
+    assert np.array_equal(np.diag(gram), np.ones(700))
+    assert np.array_equal(gram, gram.T)
+
+
+def test_weights_allocate_no_block_sized_buffer():
+    rng = np.random.default_rng(0)
+    points = rng.standard_normal((2000, 2))
+    columns = np.ascontiguousarray(points.T)
+    X = points[:32].copy()
+    out, scratch = np.empty((32, 2000)), np.empty((32, 2000))
+    tracemalloc.start()
+    try:
+        kernels._gaussian_weights(X, columns, 1.0, out, scratch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * out.nbytes
 
 
 def test_kernel_diagonal_formula():
@@ -126,6 +184,22 @@ def test_extension_row_restricts_to_training_rows():
         row = extension_row(base, base.points[i])
         assert np.max(np.abs(row.kvec - dk.K[i])) < 1e-12
         assert abs(row.kappa - dk.K[i, i]) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 10])
+def test_extension_row_matches_the_summed_distance_formula(d):
+    # at d >= 8 numpy's pairwise sum over a row differs from the evaluator's
+    # sequential one in the last bit
+    rng = np.random.default_rng(d)
+    base = gaussian_gram(rng.standard_normal((200, d)), 2.0)
+    for xbar in rng.standard_normal((10, d)):
+        kx = np.exp(-((base.points - xbar) ** 2).sum(axis=1) / base.sigma**2)
+        dbar = kx.sum()
+        mixed = np.sqrt(dbar * base.degrees)
+        kvec = kx / mixed - mixed / base.volume
+        row = extension_row(base, xbar)
+        assert np.max(np.abs(row.kvec - kvec)) <= 1e-14 * np.max(np.abs(kvec))
+        assert row.kappa == pytest.approx(1 / dbar - dbar / base.volume, rel=1e-13)
 
 
 def test_extension_row_two_point_fixture():

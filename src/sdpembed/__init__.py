@@ -5,15 +5,11 @@ training points; maximize Tr(rho K) over p.s.d. rho with diag(rho) = diag(K)
 by a projected power method on a row-scaled factor; certify global
 optimality with a Laplacian-like dual matrix; read embedding coordinates off
 the SVD of the factor; and extend coordinates and kernel to new points with a
-projected Nystrom formula.
+projected Nystrom formula.  The research checks of the paper's claims live
+in ``sdpembed.diagnostics``, which this namespace does not import.
 """
 
-from .certificate import (
-    PrimalInfeasibilityError,
-    certificate_matrix,
-    check_optimality,
-    nuclear_equivalence_check,
-)
+from .certificate import PrimalInfeasibilityError, check_optimality
 from .dataio import (
     CsvFormatError,
     Dataset,
@@ -34,30 +30,14 @@ from .diffmaps import (
     spectral_basis,
     transition_matrix,
 )
-from .embedding import (
-    factor_to_embedding,
-    kernel_distance,
-    mean_value_check,
-)
-from .extension import (
-    block_extension_analysis,
-    bordered_matrix,
-    extend_kernel,
-    extend_point,
-    extend_points,
-    extended_sdp_certificate,
-)
+from .embedding import factor_to_embedding
+from .extension import extend_kernel, extend_points
 from .interval import (
     build_interval_problem,
     run_interval_experiment,
     sign_solution,
 )
-from .kernels import (
-    check_volume_inequalities,
-    diffusion_kernel,
-    extension_row,
-    gaussian_gram,
-)
+from .kernels import diffusion_kernel, gaussian_gram
 from .pipeline import embed_points
 from .solver import (
     SolverConfig,
@@ -76,32 +56,22 @@ __all__ = [
     "EmbeddingSchemaError",
     "PrimalInfeasibilityError",
     "SolverConfig",
-    "block_extension_analysis",
-    "bordered_matrix",
     "build_interval_problem",
-    "certificate_matrix",
     "check_optimality",
-    "check_volume_inequalities",
     "diffusion_distance",
     "diffusion_kernel",
     "diffusion_map",
     "embed_points",
     "extend_kernel",
-    "extend_point",
     "extend_points",
-    "extended_sdp_certificate",
-    "extension_row",
     "factor_to_embedding",
     "gaussian_gram",
     "gen_interval_grid",
     "gen_swiss_roll",
     "gen_three_clusters",
     "init_factor",
-    "kernel_distance",
     "load_csv",
     "load_embedding",
-    "mean_value_check",
-    "nuclear_equivalence_check",
     "objective",
     "project_rows",
     "run_interval_experiment",

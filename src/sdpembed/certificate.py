@@ -68,26 +68,6 @@ class CertificateReport:
     mean_value_slack: float
 
 
-@dataclass
-class NuclearEquivalenceReport:
-    """Agreement between the kernel SDP solution and the nuclear-norm form."""
-
-    diag_residual: float
-    rank_X: int
-    rank_rho: int
-    nuclear_trace_gap: float
-    ok: bool
-
-
-def certificate_matrix(K, rho):
-    """Candidate dual matrix ``L(rho) = ddiag(K)^{-1} ddiag(K rho) - K``."""
-    K = np.asarray(K, dtype=float)
-    diag = np.diag(K)
-    if np.any(diag <= 0):
-        raise ValueError("kernel diagonal must be strictly positive")
-    return np.diag(np.einsum("ij,ji->i", K, rho) / diag) - K
-
-
 def _slackness(KH, H_Xi, diag):
     """``(K rho)_ii`` and the complementary-slackness residual
     ``||L H_Xi||_F / ||H_Xi||_F`` of rho = H_Xi H_Xi^T, from ``KH = K @ H_Xi``
@@ -209,43 +189,4 @@ def check_optimality(K, H_Xi):
         tol_eig=_RTOL,
         objective=float(k_rho.sum()),
         mean_value_slack=float(np.min(D - diag)),
-    )
-
-
-def nuclear_equivalence_check(K, rho_star, rank_rtol=1e-8):
-    """Cross-check the solution against the equivalent nuclear-norm program.
-
-    With Sigma the symmetric square root of I - K (which requires
-    lambda_max(K) < 1), the matrix X* = Sigma^T rho* Sigma solves a
-    nuclear-norm minimization with the same rank.  This verifies that
-    (i) mapping X* back reproduces the fixed diagonal, (ii) the congruence
-    preserved the rank, and (iii) the nuclear norm of the p.s.d. X* equals
-    its trace.
-    """
-    K = np.asarray(K, dtype=float)
-    w, V = np.linalg.eigh(np.eye(K.shape[0]) - K)
-    if w[0] <= 0:
-        raise ValueError("kernel must have top eigenvalue strictly below 1")
-    sigma = (V * np.sqrt(w)) @ V.T
-    sigma_inv = (V / np.sqrt(w)) @ V.T
-    X = sigma.T @ rho_star @ sigma
-    back = sigma_inv.T @ X @ sigma_inv
-    diag_residual = float(np.max(np.abs(np.diag(back) - np.diag(K))))
-
-    sv_X = np.linalg.svd(X, compute_uv=False)
-    sv_rho = np.linalg.svd(rho_star, compute_uv=False)
-    rank_X = int(np.sum(sv_X > rank_rtol * sv_X[0]))
-    rank_rho = int(np.sum(sv_rho > rank_rtol * sv_rho[0]))
-    nuclear_trace_gap = float(abs(np.sum(sv_X) - np.trace(X)))
-    ok = (
-        diag_residual <= 1e-8
-        and rank_X == rank_rho
-        and nuclear_trace_gap <= 1e-10 * max(1.0, abs(float(np.trace(X))))
-    )
-    return NuclearEquivalenceReport(
-        diag_residual=diag_residual,
-        rank_X=rank_X,
-        rank_rho=rank_rho,
-        nuclear_trace_gap=nuclear_trace_gap,
-        ok=ok,
     )

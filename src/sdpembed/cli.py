@@ -66,13 +66,16 @@ def _load_model(path):
     meta = ef.metadata
     if "training_points" not in meta:
         raise EmbeddingSchemaError("embedding file has no inlined training points")
-    points = np.asarray(meta["training_points"], dtype=float)
+    points = dataio._numbers(path, "training_points", meta["training_points"])
     if points.ndim != 2 or len(points) != len(ef.coordinates):
         raise EmbeddingSchemaError(
             f"embedding file has {len(ef.coordinates)} coordinate rows "
             f"but training points of shape {points.shape}"
         )
-    return ef.coordinates, points, float(meta["sigma"])
+    sigma = dataio._numbers(path, "sigma", meta["sigma"])
+    if sigma.ndim != 0 or not np.isfinite(sigma):
+        raise EmbeddingSchemaError(f"{path}: sigma {meta['sigma']!r} is not a finite number")
+    return ef.coordinates, points, float(sigma)
 
 
 def _certificate_payload(report):

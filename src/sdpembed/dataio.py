@@ -218,18 +218,27 @@ def load_embedding(path):
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise EmbeddingSchemaError(f"{path}: not a valid embedding file ({exc})") from None
+    if not isinstance(doc, dict):
+        raise EmbeddingSchemaError(f"{path}: not a JSON object")
     for key in ("ids", "coordinates", "singular_values", "metadata"):
         if key not in doc:
             raise EmbeddingSchemaError(f"{path}: missing field {key!r}")
-    rows = doc["coordinates"]
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
-        raise EmbeddingSchemaError(f"{path}: coordinates are empty or ragged")
+    if not isinstance(doc["ids"], list) or not isinstance(doc["metadata"], dict):
+        raise EmbeddingSchemaError(f"{path}: ids must be a list and metadata an object")
     return EmbeddingFile(
         ids=[str(i) for i in doc["ids"]],
-        coordinates=np.asarray(rows, dtype=float),
-        singular_values=np.asarray(doc["singular_values"], dtype=float),
+        coordinates=_numbers(path, "coordinates", doc["coordinates"]),
+        singular_values=_numbers(path, "singular_values", doc["singular_values"]),
         metadata=doc["metadata"],
     )
+
+
+def _numbers(path, name, value):
+    """``value`` of the embedding file at ``path`` as a float array."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise EmbeddingSchemaError(f"{path}: {name} is not an array of numbers") from None
 
 
 def _jsonable(value):

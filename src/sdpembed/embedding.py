@@ -1,4 +1,4 @@
-"""Embedding coordinates from a converged factor, plus rigidity diagnostics.
+"""Embedding coordinates from a converged factor.
 
 The factor H_Xi, whose row i has length sqrt(K(i, i)), is decomposed by
 SVD; the embedding keeps the columns whose singular values exceed
@@ -25,14 +25,6 @@ class EmbeddingResult:
     singular_values: np.ndarray
     rank: int
     H_Xi: np.ndarray
-
-
-@dataclass
-class MeanValueReport:
-    """Worst absolute residual of the mean-value identity over points and
-    embedding columns."""
-
-    max_residual: float
 
 
 def factor_to_embedding(H_Xi, rank_tol=1e-6):
@@ -68,43 +60,3 @@ def factor_to_embedding(H_Xi, rank_tol=1e-6):
         rank=rank,
         H_Xi=H_Xi,
     )
-
-
-def kernel_distance(embedding, i, j):
-    """Distance ``||Xi(i) - Xi(j)||_2`` between two embedded training points.
-
-    Coincides with sqrt(rho*(i,i) + rho*(j,j) - 2 rho*(i,j)).
-    """
-    n = embedding.Xi.shape[0]
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError("point indices out of range")
-    return float(np.linalg.norm(embedding.Xi[i] - embedding.Xi[j]))
-
-
-def mean_value_check(K, embedding):
-    """Verify the mean-value identity on a certified embedding.
-
-    Each coordinate must reproduce itself as a weighted kernel average:
-    chi_l(i) = [K(i,i) / (K rho*)(i,i)] * sum_j K(i,j) chi_l(j).  Returns the
-    largest absolute residual; on certified solutions it sits at rounding
-    level, while generic feasible-but-suboptimal factors violate it badly.
-
-    Raises
-    ------
-    RuntimeError
-        If some (K rho*)(i, i) is not strictly positive, which contradicts
-        certification and indicates the input was not a certified solution.
-    """
-    K = np.asarray(K, dtype=float)
-    Xi = embedding.Xi
-    KXi = K @ Xi
-    k_rho_diag = np.einsum("ij,ij->i", KXi, Xi)
-    if np.any(k_rho_diag <= 0):
-        bad = int(np.argmin(k_rho_diag))
-        raise RuntimeError(
-            f"(K rho)(i, i) = {k_rho_diag[bad]:.3e} at point {bad}; "
-            "mean-value factors are positive on certified solutions"
-        )
-    factors = np.diag(K) / k_rho_diag
-    residual = np.abs(Xi - factors[:, None] * KXi)
-    return MeanValueReport(max_residual=float(residual.max()))

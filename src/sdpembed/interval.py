@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import pipeline, solver
+from . import dataio, pipeline, solver
 
 
 @dataclass
@@ -50,15 +50,14 @@ class IntervalExperimentReport:
 def build_interval_problem(n, sigma):
     """Discretize the interval kernel on ``n`` uniform grid points.
 
-    This is an independent construction (direct grid sums) of the same
-    formula the kernel module produces for the grid dataset; the two agree
-    to ~1e-12 and the experiment cross-checks that.
+    The grid is :func:`dataio.gen_interval_grid`; the kernel is an
+    independent construction (direct grid sums) of the same formula the
+    kernel module produces for it; the two agree to ~1e-12 and the
+    experiment cross-checks that.
     """
-    if n < 2:
-        raise ValueError("need n >= 2 grid points")
+    grid = dataio.gen_interval_grid(n).points[:, 0]
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    grid = np.linspace(-1.0, 1.0, n)
     gram = np.exp(-((grid[:, None] - grid[None, :]) ** 2) / sigma**2)
     degree = gram.sum(axis=1)
     volume = degree.sum()

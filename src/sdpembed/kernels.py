@@ -15,19 +15,14 @@ points in row blocks.  One evaluator, ``_gaussian_weights``, gives every
 Gaussian weight in the package (the degrees, ``K``, the extension to new
 points, the volume probes and the diffusion-maps gram) from the training
 points held as contiguous columns, writing into the caller's block with one
-scratch block that the caller reuses across blocks.  Everything here also
-extends to new points: the degree, the kernel row, and the diagonal value all
-have natural out-of-sample formulas, and the extended diagonal is provably
-nonnegative.
+scratch block that the caller reuses across blocks.  The degree of a new
+point is a row sum of the same weights; the module ``extension`` turns it
+into the new point's kernel row and diagonal value.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-# tiny negative extended-diagonal values are rounding noise; anything below
-# this is a genuine inequality violation, i.e. a bug
-_KAPPA_CLAMP = -1e-12
 
 # Gaussian weights are evaluated in row blocks whose weights and one scratch
 # block of the same shape (coordinate differences, then in diffusion_kernel
@@ -55,27 +50,6 @@ class DiffusionKernel:
 
     K: np.ndarray
     base: BaseKernelState
-
-
-@dataclass
-class ExtensionRow:
-    """Out-of-sample kernel data at one new point: the row ``kvec`` of kernel
-    values against the training set, the diagonal value ``kappa``, and the
-    extended degree ``dbar``."""
-
-    kvec: np.ndarray
-    kappa: float
-    dbar: float
-
-
-@dataclass
-class VolumeCheckReport:
-    """Worst relative slack of the degree/volume inequalities
-    ``d(x)^2 <= k(x, x) * vol`` over training points and probes."""
-
-    worst_slack: float
-    n_checked: int
-    ok: bool
 
 
 def _block_rows(n):
@@ -199,68 +173,3 @@ def diffusion_kernel(base):
         blk -= outer
         K[stop:, start:stop] = K[start:stop, stop:].T
     return DiffusionKernel(K=K, base=base)
-
-
-def extension_row(base, xbar):
-    """Extend the centered kernel to one new point.
-
-    Parameters
-    ----------
-    base : BaseKernelState
-    xbar : array of shape (d,)
-        The new point.
-
-    Returns
-    -------
-    ExtensionRow
-        ``kvec[i] = k(xbar, x_i)/sqrt(dbar d_i) - sqrt(dbar d_i)/vol``,
-        ``kappa = 1/dbar - dbar/vol`` (Gaussian kernels have k(x, x) = 1),
-        and the extended degree ``dbar = sum_i k(xbar, x_i)``.
-
-    ``kappa`` is nonnegative up to rounding; values in ``[-1e-12, 0]`` are
-    clamped to zero and anything below that raises, since the inequality
-    ``dbar^2 <= vol`` is a theorem for this construction.  A point whose
-    Gaussian weights all underflow (``dbar`` zero or subnormal) has no
-    extension and raises ``ValueError``.
-    """
-    xbar = np.asarray(xbar, dtype=float).reshape(-1)
-    if xbar.shape[0] != base.points.shape[1]:
-        raise ValueError(
-            f"point has dimension {xbar.shape[0]}, training set has {base.points.shape[1]}"
-        )
-    if not np.all(np.isfinite(xbar)):
-        raise ValueError("new point has non-finite coordinates")
-    out = np.empty((1, base.points.shape[0]))
-    columns = np.ascontiguousarray(base.points.T)
-    kx = _gaussian_weights(xbar[None, :], columns, base.sigma, out, np.empty_like(out))[0]
-    dbar = float(kx.sum())
-    if dbar < np.finfo(float).tiny:
-        raise ValueError(
-            "new point has no kernel weight on the training set "
-            f"(every Gaussian weight underflows at sigma = {base.sigma})"
-        )
-    mixed = np.sqrt(dbar * base.degrees)
-    kvec = kx / mixed - mixed / base.volume
-    kappa = 1.0 / dbar - dbar / base.volume
-    if kappa < _KAPPA_CLAMP:
-        raise RuntimeError(
-            f"extended diagonal {kappa:.3e} violates the volume inequality; "
-            "this indicates an internal error"
-        )
-    return ExtensionRow(kvec=kvec, kappa=max(kappa, 0.0), dbar=dbar)
-
-
-def check_volume_inequalities(base, probes=()):
-    """Check ``d(x)^2 <= k(x, x) * vol`` on the training set and at probes.
-
-    The slack is reported relative to ``k(x, x) * vol``, where the Gaussian
-    ``k(x, x)`` is exactly 1; a value below ``-1e-12`` marks the report as
-    failed (the inequality is a theorem, so a failure means the kernel was
-    built incorrectly).
-    """
-    points = base.points
-    probes = np.asarray(probes, dtype=float).reshape(-1, points.shape[1])
-    degrees = np.concatenate([base.degrees, _degrees(probes, points, base.sigma)])
-    slacks = (base.volume - degrees**2) / base.volume
-    worst = float(slacks.min())
-    return VolumeCheckReport(worst_slack=worst, n_checked=slacks.size, ok=worst >= -1e-12)

@@ -21,17 +21,14 @@ from sdpembed import (
     SolverConfig,
     build_interval_problem,
     check_optimality,
-    check_volume_inequalities,
     diffusion_distance,
     diffusion_map,
     embed_points,
-    extend_point,
-    extension_row,
+    extend_points,
     factor_to_embedding,
     gaussian_gram,
     gen_three_clusters,
     init_factor,
-    mean_value_check,
     objective,
     project_rows,
     run_interval_experiment,
@@ -39,7 +36,12 @@ from sdpembed import (
     solve,
     spectral_basis,
 )
-from sdpembed.extension import bordered_matrix
+from sdpembed.diagnostics import (
+    bordered_matrix,
+    check_volume_inequalities,
+    extension_row,
+    mean_value_check,
+)
 
 from conftest import C, CLUSTER_SEED, tight_config
 
@@ -237,9 +239,9 @@ def test_criterion_6_restriction_suite(two_point, cluster_pipeline, interval_res
         assert result.certificate.is_certified, f"{name} fixture must be certified"
         Xi = result.embedding.Xi
         for i in range(Xi.shape[0]):
-            p = extend_point(result.kernel.base, result.embedding.Xi, result.kernel.base.points[i])
-            assert not p.degenerate, f"{name}: training point {i} degenerate"
-            worst = max(worst, float(np.max(np.abs(p.coords - Xi[i]))))
+            p = extend_points(result.kernel.base, Xi, [result.kernel.base.points[i]])
+            assert not p.degenerate[0], f"{name}: training point {i} degenerate"
+            worst = max(worst, float(np.max(np.abs(p.coords[0] - Xi[i]))))
     ok = _verdict(6, worst <= 1e-8, f"restriction to training points, worst {worst:.2e}")
     assert ok
 
@@ -260,7 +262,7 @@ def test_criterion_7_property_suites(random_pipelines):
         rigidity = max(
             rigidity, float(np.max(np.abs(np.einsum("ij,ij->i", emb.Xi, emb.Xi) - diag)))
         )
-        mean_value = max(mean_value, mean_value_check(K, emb).max_residual)
+        mean_value = max(mean_value, mean_value_check(K, emb))
         pataki = max(pataki, emb.rank * (emb.rank + 1) / 2 - K.shape[0])
 
         rng = np.random.default_rng(500 + trial)
@@ -272,13 +274,13 @@ def test_criterion_7_property_suites(random_pipelines):
         rx, ry = extension_row(result.kernel.base, x), extension_row(result.kernel.base, y)
         qx, qy = rx.kvec @ rho @ rx.kvec, ry.kvec @ rho @ ry.kvec
         if qx > 0 and qy > 0:
-            px = extend_point(result.kernel.base, emb.Xi, x)
-            py = extend_point(result.kernel.base, emb.Xi, y)
-            if not (px.degenerate or py.degenerate):
+            px = extend_points(result.kernel.base, emb.Xi, [x])
+            py = extend_points(result.kernel.base, emb.Xi, [y])
+            if not (px.degenerate[0] or py.degenerate[0]):
                 double_sum = (
                     np.sqrt(rx.kappa / qx) * np.sqrt(ry.kappa / qy) * (rx.kvec @ rho @ ry.kvec)
                 )
-                dual_form = max(dual_form, abs(float(px.coords @ py.coords) - double_sum))
+                dual_form = max(dual_form, abs(float(px.coords[0] @ py.coords[0]) - double_sum))
 
         # extension trichotomy: in-range b at s_min and below, out-of-range b
         coeffs = rng.standard_normal(emb.rank)

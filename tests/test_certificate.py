@@ -6,19 +6,18 @@ import pytest
 from sdpembed import (
     PrimalInfeasibilityError,
     SolverConfig,
-    certificate_matrix,
     check_optimality,
     diffusion_kernel,
     embed_points,
     gaussian_gram,
     gen_three_clusters,
     init_factor,
-    nuclear_equivalence_check,
     solve,
 )
 
 from sdpembed import certificate
 from sdpembed.certificate import _LANCZOS_RTOL, _RTOL, _lanczos_least
+from sdpembed.diagnostics import certificate_matrix, nuclear_equivalence_check
 
 from conftest import C, tight_config
 

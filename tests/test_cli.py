@@ -231,6 +231,65 @@ def test_model_with_mismatched_training_points(command, two_point_csv, tmp_path,
     assert "2 coordinate rows" in err and "(1, 1)" in err
 
 
+def _scalar_rows(doc):
+    doc["coordinates"] = [1.0, 2.0, 3.0]
+    return doc
+
+
+def _scalar_ids(doc):
+    doc["ids"] = 5
+    return doc
+
+
+def _null_sigma(doc):
+    doc["metadata"]["sigma"] = None
+    return doc
+
+
+def _scalar_metadata(doc):
+    doc["metadata"] = 5
+    return doc
+
+
+def _object_training_points(doc):
+    doc["metadata"]["training_points"] = {"x": 0.0}
+    return doc
+
+
+def _scalar_file(doc):
+    return 5
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _scalar_rows,
+        _scalar_ids,
+        _null_sigma,
+        _scalar_metadata,
+        _object_training_points,
+        _scalar_file,
+    ],
+)
+@pytest.mark.parametrize("command", ["extend", "certify"])
+def test_malformed_model_is_a_loading_error(command, corrupt, two_point_csv, tmp_path, capsys):
+    # a model file of the wrong types gives the one-line loading error, not a
+    # traceback
+    out = tmp_path / "run"
+    assert main(
+        ["embed", two_point_csv, "--sigma", "1", "--r0", "2", "--out", str(out)]
+    ) == 0
+    doc = corrupt(_read_json(out / "embedding.json"))
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    args = [str(model), two_point_csv] if command == "extend" else [str(model)]
+    assert main([command, *args, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sdpembed: embedding loading: ")
+    assert err.count("\n") == 1
+
+
 def test_compare_artifacts(cluster_csv, tmp_path):
     out = tmp_path / "cmp"
     code = main(["compare", cluster_csv, "--sigma", "5", "--out", str(out)])

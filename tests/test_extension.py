@@ -3,21 +3,22 @@ import pytest
 
 from sdpembed import (
     SolverConfig,
-    block_extension_analysis,
-    bordered_matrix,
-    certificate_matrix,
     check_optimality,
     diffusion_kernel,
     extend_kernel,
-    extend_point,
     extend_points,
-    extended_sdp_certificate,
-    extension_row,
     factor_to_embedding,
     gaussian_gram,
     init_factor,
 )
 from sdpembed import kernels
+from sdpembed.diagnostics import (
+    block_extension_analysis,
+    bordered_matrix,
+    certificate_matrix,
+    extended_sdp_certificate,
+    extension_row,
+)
 
 from conftest import C
 
@@ -26,26 +27,26 @@ def test_restriction_to_training_points(two_point, cluster_pipeline):
     for result in (two_point, cluster_pipeline):
         Xi = result.embedding.Xi
         for i in range(0, Xi.shape[0], 7):
-            p = extend_point(result.kernel.base, result.embedding.Xi, result.kernel.base.points[i])
-            assert not p.degenerate
-            assert np.max(np.abs(p.coords - Xi[i])) < 1e-8
+            p = extend_points(result.kernel.base, Xi, [result.kernel.base.points[i]])
+            assert not p.degenerate[0]
+            assert np.max(np.abs(p.coords[0] - Xi[i])) < 1e-8
 
 
 def test_two_point_extension_value(two_point):
-    p = extend_point(two_point.kernel.base, two_point.embedding.Xi, [-0.5])
-    assert not p.degenerate
+    p = extend_points(two_point.kernel.base, two_point.embedding.Xi, [[-0.5]])
+    assert not p.degenerate[0]
     # hand evaluation: coords = sqrt(kappa) * sign(g), kappa = 1/dbar - dbar/vol
     dbar = np.exp(-0.25) + np.exp(-2.25)
     kappa = 1 / dbar - dbar / (2 * (1 + np.exp(-1)))
-    assert p.coords[0] == pytest.approx(np.sqrt(kappa), abs=1e-12)
-    assert p.coords[0] == pytest.approx(0.8988, abs=5e-5)
-    assert p.kappa == pytest.approx(kappa, abs=1e-14)
+    assert p.coords[0, 0] == pytest.approx(np.sqrt(kappa), abs=1e-12)
+    assert p.coords[0, 0] == pytest.approx(0.8988, abs=5e-5)
+    assert p.kappa[0] == pytest.approx(kappa, abs=1e-14)
 
 
 def test_symmetry_midpoint_is_degenerate(two_point):
-    p = extend_point(two_point.kernel.base, two_point.embedding.Xi, [0.5])
-    assert p.degenerate
-    assert np.array_equal(p.coords, np.zeros(1))
+    p = extend_points(two_point.kernel.base, two_point.embedding.Xi, [[0.5]])
+    assert p.degenerate[0]
+    assert np.array_equal(p.coords[0], np.zeros(1))
 
 
 def test_extend_points_matches_per_row_reference(cluster_pipeline):
@@ -76,21 +77,29 @@ def test_extend_points_flags_midpoint_in_a_batch(two_point):
     assert ext.degenerate.tolist() == [False, True, False]
     assert np.array_equal(ext.coords[1], np.zeros(1))
     for i, x in enumerate([-0.5, -0.35]):
-        p = extend_point(two_point.kernel.base, two_point.embedding.Xi, [x])
-        np.testing.assert_allclose(ext.coords[2 * i], p.coords, rtol=1e-14)
+        p = extend_points(two_point.kernel.base, two_point.embedding.Xi, [[x]])
+        np.testing.assert_allclose(ext.coords[2 * i], p.coords[0], rtol=1e-14)
 
 
-def test_extend_points_rejects_bad_rows(two_point):
+@pytest.mark.parametrize("extend", ["extend_points", "extension_row"])
+def test_extend_points_rejects_bad_rows(extend, two_point):
+    # one set of new-point rules: extend_points names the first bad row of a
+    # batch, and extension_row, given that row alone, names index 0
     dk, emb = two_point.kernel, two_point.embedding
-    with pytest.raises(ValueError, match="dimension 2"):
-        extend_points(dk.base, emb.Xi, np.zeros((3, 2)))
-    with pytest.raises(ValueError, match="index 1 has non-finite"):
-        extend_points(dk.base, emb.Xi, [[0.2], [np.nan]])
-    # every Gaussian weight underflows: no degree to normalize by
-    with pytest.raises(ValueError, match="index 2 has no kernel weight"):
-        extend_points(dk.base, emb.Xi, [[0.2], [0.5], [100.0], [-100.0]])
-    with pytest.raises(ValueError, match="index 0 has no kernel weight"):
-        extend_point(dk.base, emb.Xi, [1e6])
+    cases = [
+        (np.zeros((3, 2)), 0, "points have dimension 2"),
+        ([[0.2], [np.nan]], 1, "index {} has non-finite"),
+        # every Gaussian weight underflows: no degree to normalize by
+        ([[0.2], [0.5], [100.0], [-100.0]], 2, "index {} has no kernel weight"),
+        ([[1e6]], 0, "index {} has no kernel weight"),
+    ]
+    for X, bad, message in cases:
+        if extend == "extend_points":
+            with pytest.raises(ValueError, match=message.format(bad)):
+                extend_points(dk.base, emb.Xi, X)
+        else:
+            with pytest.raises(ValueError, match=message.format(0)):
+                extension_row(dk.base, X[bad])
 
 
 def test_norm_preservation(cluster_pipeline):
@@ -99,9 +108,9 @@ def test_norm_preservation(cluster_pipeline):
     hi = cluster_pipeline.kernel.base.points.max(axis=0)
     for _ in range(25):
         x = rng.uniform(lo, hi)
-        p = extend_point(cluster_pipeline.kernel.base, cluster_pipeline.embedding.Xi, x)
-        if not p.degenerate:
-            assert abs(p.coords @ p.coords - p.kappa) < 1e-10
+        p = extend_points(cluster_pipeline.kernel.base, cluster_pipeline.embedding.Xi, [x])
+        if not p.degenerate[0]:
+            assert abs(p.coords[0] @ p.coords[0] - p.kappa[0]) < 1e-10
 
 
 def test_extension_maximizes_bordered_objective(two_point, cluster_pipeline):
@@ -111,14 +120,14 @@ def test_extension_maximizes_bordered_objective(two_point, cluster_pipeline):
     rng = np.random.default_rng(1)
     for result, xbar in [(two_point, [-0.35]), (cluster_pipeline, [2.0, 1.0])]:
         row = extension_row(result.kernel.base, xbar)
-        p = extend_point(result.kernel.base, result.embedding.Xi, xbar)
-        assert not p.degenerate
+        p = extend_points(result.kernel.base, result.embedding.Xi, [xbar])
+        assert not p.degenerate[0]
         g = result.embedding.Xi.T @ row.kvec
-        best = 2 * g @ p.coords
-        assert 2 * g @ (-p.coords) <= best + 1e-10
+        best = 2 * g @ p.coords[0]
+        assert 2 * g @ (-p.coords[0]) <= best + 1e-10
         for _ in range(100):
             u = rng.standard_normal(g.shape[0])
-            u *= np.sqrt(p.kappa) / np.linalg.norm(u)
+            u *= np.sqrt(p.kappa[0]) / np.linalg.norm(u)
             assert 2 * g @ u <= best + 1e-10
 
 
@@ -130,9 +139,9 @@ def test_extend_kernel_restriction_and_diagonal(cluster_pipeline):
         value = extend_kernel(cluster_pipeline.kernel.base, emb.Xi, pts[i], pts[j])
         assert value == pytest.approx(rho[i, j], abs=1e-8)
     x = np.array([1.7, 0.3])
-    p = extend_point(cluster_pipeline.kernel.base, emb.Xi, x)
+    p = extend_points(cluster_pipeline.kernel.base, emb.Xi, [x])
     assert extend_kernel(cluster_pipeline.kernel.base, emb.Xi, x, x) == pytest.approx(
-        p.kappa, abs=1e-10
+        p.kappa[0], abs=1e-10
     )
 
 
@@ -211,7 +220,7 @@ def _dense_bordered_eigenvalues(pipeline, xbar):
     """Spectrum of the dense bordered certificate of the extension at xbar."""
     dk, emb = pipeline.kernel, pipeline.embedding
     row = extension_row(dk.base, xbar)
-    H_bar = np.vstack([emb.Xi, extend_point(dk.base, emb.Xi, xbar).coords])
+    H_bar = np.vstack([emb.Xi, extend_points(dk.base, emb.Xi, [xbar]).coords])
     L_bar = certificate_matrix(bordered_matrix(dk.K, row.kvec, row.kappa), H_bar @ H_bar.T)
     return np.linalg.eigvalsh(L_bar)
 

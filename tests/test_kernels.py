@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from sdpembed import (
-    check_volume_inequalities,
     diffusion_kernel,
     embed_points,
     extend_points,
-    extension_row,
     gaussian_gram,
     gen_three_clusters,
 )
 
 from sdpembed import kernels
+from sdpembed.diagnostics import check_volume_inequalities, extension_row
 
 from conftest import A, C
 

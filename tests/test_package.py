@@ -1,0 +1,39 @@
+"""The package namespace and the command line load the main path alone."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+PROBE = """
+import json, sys
+import sdpembed, sdpembed.cli
+loaded = "sdpembed.diagnostics" in sys.modules
+unresolved = [name for name in sdpembed.__all__ if not hasattr(sdpembed, name)]
+import sdpembed.diagnostics
+shared = sorted(set(sdpembed.__all__) & set(sdpembed.diagnostics.__all__))
+missing = [n for n in sdpembed.diagnostics.__all__ if not hasattr(sdpembed.diagnostics, n)]
+print(json.dumps({"loaded": loaded, "unresolved": unresolved, "shared": shared,
+                  "missing": missing}))
+"""
+
+
+def test_main_path_does_not_load_diagnostics():
+    # a fresh interpreter, so no other test has imported the module already
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", PROBE],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(run.stdout) == {
+        "loaded": False,
+        "unresolved": [],
+        "shared": [],
+        "missing": [],
+    }

@@ -30,7 +30,7 @@ def _fail(stage, exc):
 
 def _write_json(path, payload):
     with open(path, "w") as fh:
-        json.dump(dataio._jsonable(payload), fh, indent=2)
+        json.dump(payload, fh, indent=2, default=dataio._plain)
         fh.write("\n")
 
 
@@ -61,7 +61,7 @@ def _embedding_file(result, args, ds):
 
 
 def _load_model(path):
-    """A stored embedding's coordinates, training points and sigma."""
+    """A stored embedding's coordinates and its training points' kernel state."""
     ef = dataio.load_embedding(path)
     meta = ef.metadata
     if "training_points" not in meta:
@@ -75,13 +75,7 @@ def _load_model(path):
     sigma = dataio._numbers(path, "sigma", meta["sigma"])
     if sigma.ndim != 0 or not np.isfinite(sigma):
         raise EmbeddingSchemaError(f"{path}: sigma {meta['sigma']!r} is not a finite number")
-    return ef.coordinates, points, float(sigma)
-
-
-def _certificate_payload(report):
-    doc = asdict(report)
-    doc["least_eigenvalues"] = list(report.least_eigenvalues)
-    return doc
+    return ef.coordinates, kernels.gaussian_gram(points, float(sigma))
 
 
 def _exit_code(report, K, factor=None, tol=None):
@@ -127,14 +121,13 @@ def cmd_embed(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dataio.save_embedding(_embedding_file(result, args, ds), out / "embedding.json")
-    _write_json(out / "certificate.json", _certificate_payload(result.certificate))
+    _write_json(out / "certificate.json", asdict(result.certificate))
     return _exit_code(result.certificate, result.kernel.K, result.factor, args.tol)
 
 
 def cmd_extend(args):
     try:
-        Xi, points, sigma = _load_model(args.embedding)
-        base = kernels.gaussian_gram(points, sigma)
+        Xi, base = _load_model(args.embedding)
     except (EmbeddingSchemaError, OSError, ValueError) as exc:
         return _fail("embedding loading", exc)
     try:
@@ -157,8 +150,8 @@ def cmd_extend(args):
 
 def cmd_certify(args):
     try:
-        Xi, points, sigma = _load_model(args.embedding)
-        K = kernels.diffusion_kernel(kernels.gaussian_gram(points, sigma)).K
+        Xi, base = _load_model(args.embedding)
+        K = kernels.diffusion_kernel(base).K
     except (EmbeddingSchemaError, OSError, ValueError) as exc:
         return _fail("embedding loading", exc)
     out = Path(args.out)
@@ -168,7 +161,7 @@ def cmd_certify(args):
     except PrimalInfeasibilityError as exc:
         print(f"sdpembed: primal feasibility violated: {exc}", file=sys.stderr)
         return 2
-    _write_json(out / "certificate.json", _certificate_payload(report))
+    _write_json(out / "certificate.json", asdict(report))
     return _exit_code(report, K)
 
 
@@ -189,7 +182,7 @@ def cmd_compare(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dataio.save_embedding(_embedding_file(result, args, ds), out / "embedding.json")
-    _write_json(out / "certificate.json", _certificate_payload(result.certificate))
+    _write_json(out / "certificate.json", asdict(result.certificate))
     with open(out / "dm_embedding.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         for pid, row in zip(ds.ids, dm_coords):

@@ -189,6 +189,9 @@ class EmbeddingFile:
             raise EmbeddingSchemaError("ids and coordinates disagree on N")
         if not np.all(np.isfinite(self.coordinates)):
             raise EmbeddingSchemaError("coordinates contain non-finite entries")
+        sv = self.singular_values
+        if sv.ndim != 1 or sv.size > self.coordinates.shape[1] or not np.all(np.isfinite(sv)):
+            raise EmbeddingSchemaError("singular_values must be 1-d, finite and at most r long")
         missing = [k for k in REQUIRED_METADATA if k not in self.metadata]
         if missing:
             raise EmbeddingSchemaError(f"metadata is missing keys {missing}")
@@ -202,12 +205,12 @@ def save_embedding(embedding_file, path):
     """
     doc = {
         "ids": [str(i) for i in embedding_file.ids],
-        "coordinates": embedding_file.coordinates.tolist(),
-        "singular_values": embedding_file.singular_values.tolist(),
-        "metadata": _jsonable(embedding_file.metadata),
+        "coordinates": embedding_file.coordinates,
+        "singular_values": embedding_file.singular_values,
+        "metadata": embedding_file.metadata,
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump(doc, fh, indent=2, default=_plain)
         fh.write("\n")
 
 
@@ -241,13 +244,8 @@ def _numbers(path, name, value):
         raise EmbeddingSchemaError(f"{path}: {name} is not an array of numbers") from None
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, np.ndarray):
+def _plain(value):
+    """``default`` hook of ``json.dump``: numpy arrays and scalars as plain values."""
+    if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificate import check_optimality
-from .extension import _extended_blocks, extend_points
-from .kernels import _degrees
+from .extension import _extended_diagonal, _new_points, extend_points
+from .kernels import _degrees, _weight_blocks
 from .solver import objective
 
 __all__ = [
@@ -144,12 +144,13 @@ def extension_row(base, xbar):
     raises ``ValueError``, and a ``kappa`` below rounding raises
     ``RuntimeError``.
     """
-    _, blocks = _extended_blocks(base, np.reshape(xbar, (1, -1)))
-    ((_, _, kx, prod, kappa),) = blocks
-    dbar = float(prod[0, 0])
-    mixed = np.sqrt(dbar * base.degrees)
+    X = _new_points(base, np.reshape(xbar, (1, -1)))
+    ((_, _, kx),) = _weight_blocks(X, base.points, base.sigma)
+    dbar = kx.sum(axis=1)
+    kappa = _extended_diagonal(base, dbar, 0)
+    mixed = np.sqrt(dbar[0] * base.degrees)
     kvec = kx[0] / mixed - mixed / base.volume
-    return ExtensionRow(kvec=kvec, kappa=float(kappa[0]), dbar=dbar)
+    return ExtensionRow(kvec=kvec, kappa=float(kappa[0]), dbar=float(dbar[0]))
 
 
 def bordered_matrix(rho, b, s):
@@ -251,10 +252,12 @@ def check_volume_inequalities(base, probes=()):
     The slack is reported relative to ``k(x, x) * vol``, where the Gaussian
     ``k(x, x)`` is exactly 1; a value below ``-1e-12`` marks the report as
     failed (the inequality is a theorem, so a failure means the kernel was
-    built incorrectly).
+    built incorrectly).  Probes of the wrong dimension or with non-finite
+    coordinates raise ``ValueError``, as new points do in
+    :func:`sdpembed.extension.extend_points`.
     """
     points = base.points
-    probes = np.asarray(probes, dtype=float).reshape(-1, points.shape[1])
+    probes = _new_points(base, probes) if np.size(probes) else np.empty((0, points.shape[1]))
     degrees = np.concatenate([base.degrees, _degrees(probes, points, base.sigma)])
     slacks = (base.volume - degrees**2) / base.volume
     worst = float(slacks.min())

@@ -10,10 +10,10 @@ configurations can make g vanish; that case is flagged as degenerate rather
 than divided through.
 
 One set of rules decides which new points have an extension: the checks of
-their dimension and finiteness, the error for a point with no kernel weight
-on the training set, and the clamp of kappa to zero within rounding.  They
-live in :func:`_extended_blocks`, which :func:`extend_points` and the
-one-point kernel row of :func:`sdpembed.diagnostics.extension_row` share.
+their dimension and finiteness in :func:`_new_points`, and the error for a
+point with no kernel weight on the training set and the clamp of kappa to
+zero within rounding in :func:`_extended_diagonal`.  :func:`extend_points` and
+:func:`sdpembed.diagnostics.extension_row` call both.
 """
 
 from dataclasses import dataclass
@@ -44,23 +44,10 @@ class ExtendedPoint:
     degenerate: np.ndarray
 
 
-def _extended_blocks(base, X, weights=None):
-    """Check the new points ``X`` and return them as a float array, with an
-    iterator over their row blocks that yields ``(start, stop, kx, prod,
-    kappa)``: the Gaussian weights ``kx`` against the training points (a
-    buffer reused by the next block), ``prod = kx @ weights``, whose last
-    column must be the extended degrees ``dbar = kx @ 1`` (without
-    ``weights``, ``prod`` is that column, summed by numpy), and the extended
-    diagonal ``kappa = 1/dbar - dbar/vol``.
-
-    Points of the wrong dimension or with non-finite coordinates raise
-    ``ValueError`` at once; a point with no kernel weight on the training set
-    (every Gaussian weight underflows, so ``dbar`` is zero or subnormal)
-    raises it in its block.  Each names the first such row.  ``kappa`` is
-    nonnegative up to rounding; values in ``[-1e-12, 0]`` are clamped to zero
-    and anything below that raises ``RuntimeError``, since the inequality
-    ``dbar^2 <= vol`` is a theorem for this construction.
-    """
+def _new_points(base, X):
+    """The new points ``X`` as a float array of shape (M, d), after checking
+    them: points of the wrong dimension or with non-finite coordinates raise
+    ``ValueError``, naming the first such row."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"expected an (M, d) array of points, got shape {X.shape}")
@@ -71,27 +58,34 @@ def _extended_blocks(base, X, weights=None):
     bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
     if bad.size:
         raise ValueError(f"new point at index {bad[0]} has non-finite coordinates")
+    return X
 
-    def blocks():
-        for start, stop, kx in kernels._weight_blocks(X, base.points, base.sigma):
-            prod = kx.sum(axis=1, keepdims=True) if weights is None else kx @ weights
-            dbar = prod[:, -1]
-            empty = np.flatnonzero(dbar < np.finfo(float).tiny)
-            if empty.size:
-                raise ValueError(
-                    f"new point at index {start + empty[0]} has no kernel weight on the "
-                    f"training set (every Gaussian weight underflows at sigma = {base.sigma})"
-                )
-            kappa = 1.0 / dbar - dbar / base.volume
-            worst = int(np.argmin(kappa))
-            if kappa[worst] < _KAPPA_CLAMP:
-                raise RuntimeError(
-                    f"extended diagonal {kappa[worst]:.3e} violates the volume inequality; "
-                    "this indicates an internal error"
-                )
-            yield start, stop, kx, prod, np.maximum(kappa, 0.0, out=kappa)
 
-    return X, blocks()
+def _extended_diagonal(base, dbar, start):
+    """``kappa = 1/dbar - dbar/vol`` of the block of new points that starts at
+    row ``start``, from their extended degrees ``dbar = sum_i k(xbar, x_i)``.
+
+    A point with no kernel weight on the training set (every Gaussian weight
+    underflows, so ``dbar`` is zero or subnormal) raises ``ValueError``,
+    naming the first such row.  ``kappa`` is nonnegative up to rounding;
+    values in ``[-1e-12, 0]`` are clamped to zero and anything below that
+    raises ``RuntimeError``, since the inequality ``dbar^2 <= vol`` is a
+    theorem for this construction.
+    """
+    empty = np.flatnonzero(dbar < np.finfo(float).tiny)
+    if empty.size:
+        raise ValueError(
+            f"new point at index {start + empty[0]} has no kernel weight on the "
+            f"training set (every Gaussian weight underflows at sigma = {base.sigma})"
+        )
+    kappa = 1.0 / dbar - dbar / base.volume
+    worst = int(np.argmin(kappa))
+    if kappa[worst] < _KAPPA_CLAMP:
+        raise RuntimeError(
+            f"extended diagonal {kappa[worst]:.3e} violates the volume inequality; "
+            "this indicates an internal error"
+        )
+    return np.maximum(kappa, 0.0, out=kappa)
 
 
 def extend_points(base, Xi, X):
@@ -135,13 +129,15 @@ def extend_points(base, Xi, X):
     weights = np.hstack([Xi / root_d[:, None], np.ones((Xi.shape[0], 1))])
     center = (root_d @ Xi) / base.volume
     inv_d = 1.0 / base.degrees
-    X, blocks = _extended_blocks(base, X, weights)
+    X = _new_points(base, X)
     m = X.shape[0]
     coords = np.zeros((m, rank))
     kappa = np.empty(m)
     degenerate = np.zeros(m, dtype=bool)
-    for start, stop, kx, prod, k in blocks:
+    for start, stop, kx in kernels._weight_blocks(X, base.points, base.sigma):
+        prod = kx @ weights
         dbar = prod[:, rank]
+        k = _extended_diagonal(base, dbar, start)
         root_dbar = np.sqrt(dbar)
         g = prod[:, :rank] / root_dbar[:, None] - np.outer(root_dbar, center)
         np.square(kx, out=kx)

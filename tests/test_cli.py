@@ -188,11 +188,21 @@ def test_extend_point_without_kernel_weight(two_point_csv, tmp_path, capsys):
     assert not (out / "extended.csv").exists()
 
 
-def test_extend_dimension_mismatch(cluster_csv, two_point_csv, tmp_path):
+def test_extend_dimension_mismatch(cluster_csv, two_point_csv, tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["embed", cluster_csv, "--sigma", "5", "--out", str(out)]) == 0
     code = main(["extend", str(out / "embedding.json"), two_point_csv, "--out", str(out)])
     assert code == 1
+
+    # new points that do not parse as a CSV of numbers
+    bad = tmp_path / "bad.csv"
+    bad.write_text("0,0\n1,oops\n")
+    capsys.readouterr()
+    code = main(["extend", str(out / "embedding.json"), str(bad), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sdpembed: new-points parsing: ") and "row 2" in err
+    assert err.count("\n") == 1
 
 
 def test_certify_stored_embedding(two_point_csv, tmp_path, capsys):
@@ -260,6 +270,27 @@ def _scalar_file(doc):
     return 5
 
 
+def _null_singular_values(doc):
+    doc["singular_values"] = None
+    return doc
+
+
+def _matrix_singular_values(doc):
+    doc["singular_values"] = [[1.0, 2.0]]
+    return doc
+
+
+def _long_singular_values(doc):
+    # more entries than the model has coordinate columns
+    doc["singular_values"] = [1.0, 2.0, 3.0]
+    return doc
+
+
+def _no_training_points(doc):
+    del doc["metadata"]["training_points"]
+    return doc
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -269,6 +300,10 @@ def _scalar_file(doc):
         _scalar_metadata,
         _object_training_points,
         _scalar_file,
+        _null_singular_values,
+        _matrix_singular_values,
+        _long_singular_values,
+        _no_training_points,
     ],
 )
 @pytest.mark.parametrize("command", ["extend", "certify"])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from sdpembed.diagnostics import (
     block_extension_analysis,
     bordered_matrix,
     certificate_matrix,
+    check_volume_inequalities,
     extended_sdp_certificate,
     extension_row,
 )
@@ -81,10 +84,12 @@ def test_extend_points_flags_midpoint_in_a_batch(two_point):
         np.testing.assert_allclose(ext.coords[2 * i], p.coords[0], rtol=1e-14)
 
 
-@pytest.mark.parametrize("extend", ["extend_points", "extension_row"])
+@pytest.mark.parametrize("extend", ["extend_points", "extension_row", "check_volume_inequalities"])
 def test_extend_points_rejects_bad_rows(extend, two_point):
     # one set of new-point rules: extend_points names the first bad row of a
-    # batch, and extension_row, given that row alone, names index 0
+    # batch, and extension_row, given that row alone, names index 0;
+    # check_volume_inequalities checks the dimension and finiteness of its
+    # probes, whose degrees may underflow
     dk, emb = two_point.kernel, two_point.embedding
     cases = [
         (np.zeros((3, 2)), 0, "points have dimension 2"),
@@ -97,9 +102,29 @@ def test_extend_points_rejects_bad_rows(extend, two_point):
         if extend == "extend_points":
             with pytest.raises(ValueError, match=message.format(bad)):
                 extend_points(dk.base, emb.Xi, X)
-        else:
+        elif extend == "extension_row":
             with pytest.raises(ValueError, match=message.format(0)):
                 extension_row(dk.base, X[bad])
+        elif "kernel weight" not in message:
+            with pytest.raises(ValueError, match=message.format(bad)):
+                check_volume_inequalities(dk.base, X)
+
+    # a batch that is not 2-d (extension_row takes one point and reshapes it)
+    if extend == "extend_points":
+        with pytest.raises(ValueError, match=r"expected an \(M, d\) array"):
+            extend_points(dk.base, emb.Xi, np.zeros(3))
+    elif extend == "check_volume_inequalities":
+        with pytest.raises(ValueError, match=r"expected an \(M, d\) array"):
+            check_volume_inequalities(dk.base, np.zeros(3))
+
+    # a volume 1000 times too small breaks dbar^2 <= vol: kappa = -543 at 0.2
+    shrunk = dataclasses.replace(dk.base, volume=dk.base.volume / 1000)
+    if extend == "extend_points":
+        with pytest.raises(RuntimeError, match="volume inequality"):
+            extend_points(shrunk, emb.Xi, [[0.2]])
+    elif extend == "extension_row":
+        with pytest.raises(RuntimeError, match="volume inequality"):
+            extension_row(shrunk, [0.2])
 
 
 def test_norm_preservation(cluster_pipeline):

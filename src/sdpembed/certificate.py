@@ -27,10 +27,9 @@ _N_LEAST = 6
 # relative to max_i K_ii, the scale of the solver's stopping rule
 _RTOL = 1e-8
 
-# below this many points the least eigenvalues of L come from a dense
-# eigvalsh, from this many on from block Lanczos on v -> D v - K v.  On the
-# paper's clusters (2 cores, OpenBLAS) Lanczos took 0.09-0.27 s against the
-# dense 0.24 s at N = 1502 for sigma from 0.3 to 10, but lost at N = 806
+# from this many points on, the least eigenpairs of L come from block Lanczos
+# (0.09-0.27 s against a dense 0.24 s on the clusters at N = 1502, sigma 0.3
+# to 10, on 2 cores; slower at N = 806), below it from a dense solve
 _DENSE_BELOW = 1500
 
 # Lanczos stops once every Ritz residual of the _N_LEAST least Ritz pairs is
@@ -38,11 +37,10 @@ _DENSE_BELOW = 1500
 # that close to an eigenvalue of L
 _LANCZOS_RTOL = 1e-10
 
-# Lanczos gives up, and the dense eigvalsh decides, once its basis holds this
-# fraction of N vectors, about where its steps have cost as much as the dense
-# solve.  The clusters need 17-51 steps of 6 vectors for sigma <= 10 up to
-# N = 3998; at large sigma the bulk of L's spectrum clusters (64 steps at
-# sigma = 20 and 110 at sigma = 50 for N = 1502, 88 at sigma = 50 for 3998)
+# Lanczos gives up, and a dense solve decides, once its basis holds this
+# fraction of N vectors, where it has cost about as much.  The clusters need
+# 17-51 steps of 6 vectors for sigma <= 10 up to N = 3998, and more at large
+# sigma, where L's spectrum clusters (110 at sigma = 50 and N = 1502)
 _LANCZOS_BASIS = 0.2
 
 
@@ -79,12 +77,12 @@ def _slackness(KH, H_Xi, diag):
 
 
 def _lanczos_least(K, D, tol, steps):
-    """The ``_N_LEAST`` least eigenvalues of ``L = diag(D) - K``, ascending,
-    by block Lanczos with full reorthogonalization; None if the Ritz
-    residuals do not all fall to ``tol`` within ``steps`` steps (or before
-    the basis fills R^N).  The residuals are checked on every step up to
-    the 16th and then on every (step // 8)-th, which keeps the cost of the
-    Rayleigh-Ritz eigh, (6 step)^3, to a few times that of the last one.
+    """The ``_N_LEAST`` least eigenpairs of ``L = diag(D) - K`` by block
+    Lanczos with full reorthogonalization: Ritz values ascending and unit
+    Ritz vectors as columns, or None if the residuals ||L v - theta v|| do
+    not all fall to ``tol`` within ``steps`` steps (or the basis fills R^N).
+    They are checked on every step up to the 16th, then on every
+    (step // 8)-th, so the Rayleigh-Ritz eighs cost a few times the last.
 
     The block of ``_N_LEAST`` vectors (rows of ``Q``) reads K once per step
     and resolves a least eigenvalue repeated up to ``_N_LEAST`` times, such
@@ -121,41 +119,41 @@ def _lanczos_least(K, D, tol, steps):
         if len(blocks) % max(1, len(blocks) // 8) == 0:
             theta, S = np.linalg.eigh(T)
             if np.all(np.linalg.norm(B @ S[-b:, :b], axis=0) <= tol):
-                return theta[:b]
+                vectors = sum(V.T @ S[j * b : (j + 1) * b, :b] for j, V in enumerate(blocks))
+                return theta[:b], vectors
     return None
 
 
+def _least_eigenpairs(K, D, scale, vectors=False):
+    """The ``_N_LEAST`` least eigenvalues of ``L = diag(D) - K``, ascending,
+    and their unit eigenvectors as columns: by block Lanczos from
+    ``_DENSE_BELOW`` points on, else (or when Lanczos gives up) by a dense
+    solve, which returns the vectors only when asked for (else None)."""
+    if K.shape[0] >= _DENSE_BELOW:
+        steps = int(_LANCZOS_BASIS * K.shape[0]) // _N_LEAST
+        pairs = _lanczos_least(K, D, _LANCZOS_RTOL * scale, steps)
+        if pairs is not None:
+            return pairs
+    L = np.negative(K)
+    L[np.diag_indices_from(L)] += D
+    if not vectors:
+        return np.linalg.eigvalsh(L)[:_N_LEAST], None
+    w, V = np.linalg.eigh(L)
+    return w[:_N_LEAST], V[:, :_N_LEAST]
+
+
 def check_optimality(K, H_Xi):
-    """Decide global optimality of the candidate ``rho = H_Xi H_Xi^T``.
+    """Decide global optimality of ``rho = H_Xi H_Xi^T`` for the (N, N)
+    kernel ``K``; row i of the (N, r) factor ``H_Xi`` must have squared norm
+    K_ii, to 1e-8 max_i K_ii, or ``PrimalInfeasibilityError`` is raised.
 
-    Parameters
-    ----------
-    K : (N, N) array
-        The kernel defining the program.
-    H_Xi : (N, r0) array
-        Factor of rho; row i must have squared norm K(i, i).
-
-    Returns
-    -------
-    CertificateReport
-        Certification succeeds when the complementary-slackness residual
-        ||L H_Xi||_F / ||H_Xi||_F is at most 1e-8 max_i K(i, i) and the least
-        eigenvalue of L is at least -1e-8 max_i K(i, i).  Failure to certify
-        is a report, not an exception: the solver can legitimately stop at
-        an uncertified critical point.
-
-    The six least eigenvalues of L come from a dense ``eigvalsh`` below
-    N = 1500 and from block Lanczos on ``v -> D v - K v`` above, which
-    forms no N x N array and resolves each of them to 1e-10 max_i K(i, i)
-    (the largest Ritz residual); if Lanczos has not converged by the time
-    its basis holds N / 5 vectors, the dense solve decides.
-
-    Raises
-    ------
-    PrimalInfeasibilityError
-        If some squared row norm deviates from the required diagonal by more
-        than 1e-8 max_i K(i, i); certifying an infeasible candidate would be
-        meaningless.
+    The ``CertificateReport`` certifies when the complementary-slackness
+    residual ||L H_Xi||_F / ||H_Xi||_F is at most 1e-8 max_i K_ii and the
+    least eigenvalue of L at least -1e-8 max_i K_ii; failing is a report,
+    not an exception.  The six least eigenvalues come from a dense
+    ``eigvalsh`` below N = 1500 and from block Lanczos on v -> D v - K v,
+    which forms no N x N array, above (each to 1e-10 max_i K_ii; if Lanczos
+    has not converged with N / 5 basis vectors, the dense solve decides).
     """
     K = np.asarray(K, dtype=float)
     diag = np.diag(K)
@@ -170,14 +168,7 @@ def check_optimality(K, H_Xi):
         )
     k_rho, slackness = _slackness(K @ H_Xi, H_Xi, diag)
     D = k_rho / diag
-    eigenvalues = None
-    if K.shape[0] >= _DENSE_BELOW:
-        steps = int(_LANCZOS_BASIS * K.shape[0]) // _N_LEAST
-        eigenvalues = _lanczos_least(K, D, _LANCZOS_RTOL * scale, steps)
-    if eigenvalues is None:
-        L = np.negative(K)
-        L[np.diag_indices_from(L)] += D
-        eigenvalues = np.linalg.eigvalsh(L)[:_N_LEAST]
+    eigenvalues = _least_eigenpairs(K, D, scale)[0]
     certified = slackness <= _RTOL * scale and eigenvalues[0] >= -_RTOL * scale
     return CertificateReport(
         slackness_residual=slackness,

@@ -211,10 +211,10 @@ def cmd_toy(args):
 def _add_solver_flags(p):
     p.add_argument("--sigma", type=float, required=True, help="Gaussian kernel bandwidth")
     defaults = solver.SolverConfig()
-    p.add_argument("--r0", type=int, default=defaults.r0, help="factor width (default %(default)s)")
+    p.add_argument("--r0", type=int, default=defaults.r0, help="rank cap (default %(default)s)")
     p.add_argument("--tol", type=float, default=defaults.tol_conv,
                    help="stop at slackness residual <= TOL * max K(i,i) (default %(default)s)")
-    p.add_argument("--max-iters", type=int, default=defaults.max_iters, help="iteration cap")
+    p.add_argument("--max-iters", type=int, default=defaults.max_iters, help="step cap")
     p.add_argument("--rank-tol", type=float, default=1e-6, help="relative singular-value cutoff")
     p.add_argument("--seed", type=int, default=0, help="seed for the random start")
 

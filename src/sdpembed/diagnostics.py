@@ -142,8 +142,11 @@ def extension_row(base, xbar):
     :func:`sdpembed.extension.extend_points`: a point of the wrong dimension,
     with non-finite coordinates or whose Gaussian weights all underflow
     raises ``ValueError``, and a ``kappa`` below rounding raises
-    ``RuntimeError``.
+    ``RuntimeError``.  Anything but one point of shape (d,), such as a
+    batch (which ``extend_points`` takes), raises ``ValueError`` too.
     """
+    if np.ndim(xbar) != 1:
+        raise ValueError(f"expected one point of shape (d,), got shape {np.shape(xbar)}")
     X = _new_points(base, np.reshape(xbar, (1, -1)))
     ((_, _, kx),) = _weight_blocks(X, base.points, base.sigma)
     dbar = kx.sum(axis=1)

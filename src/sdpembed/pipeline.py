@@ -16,8 +16,8 @@ class PipelineResult:
 def embed_points(points, sigma, config=None, rank_tol=1e-6):
     """Run the full training pipeline on a point cloud.
 
-    ``config.r0`` is capped at the number of points.  Certification failure
-    is reported in the result, not raised.
+    The rank cap ``config.r0`` is capped at the number of points.  A failed
+    certificate (the solver's last one, if it has one) is reported, not raised.
     """
     cfg = config or solver.SolverConfig()
     base = kernels.gaussian_gram(points, sigma)
@@ -27,5 +27,5 @@ def embed_points(points, sigma, config=None, rank_tol=1e-6):
         cfg = replace(cfg, r0=max(2, n))
     state = solver.solve(dk.K, cfg)
     result = embedding.factor_to_embedding(state.H_Xi, rank_tol=rank_tol)
-    report = certificate.check_optimality(dk.K, state.H_Xi)
+    report = state.certificate or certificate.check_optimality(dk.K, state.H_Xi)
     return PipelineResult(kernel=dk, factor=state, embedding=result, certificate=report)

@@ -1,49 +1,58 @@
-"""Projected power method for the rank-constrained form of the embedding SDP.
+"""Solver for  max Tr(rho K)  s.t.  rho >= 0, diag(rho) = diag(K)  on a
+factor rho = H_Xi H_Xi^T of width p whose row i has length sqrt(K_ii).  The
+rows of Y = R^{-1} H_Xi, R = ddiag(K)^{1/2}, are unit vectors (the oblique
+manifold), and E = Tr(rho K) = Tr(Y^T J Y) with J = R K R.
 
-The program  max Tr(rho K)  s.t.  rho >= 0, diag(rho) = diag(K)  is solved
-on a thin factor  rho = H_Xi H_Xi^T  with H_Xi of shape (N, r0), whose row i
-has length sqrt(K_ii), so that every iterate is feasible.
+1. The paper's projected power steps Y <- P(J Y) at p = 2, P scaling rows to
+   unit length; row i of J Y is sqrt(K_ii) (K H_Xi)_i, so a step is one
+   product with K, and E never falls for p.s.d. K.
+2. Once they are too slow, a Riemannian trust region (Absil, Baker &
+   Gallivan 2007): with D_i = (K rho)_ii, the gradient of -E is
+   2 (D Y - J Y) and the Hessian U -> 2 proj_Y(D U - J U); truncated CG
+   solves each step on it shifted by ||grad||, one product with K a step.
+3. A rank staircase (Boumal 2015): where ``check_optimality`` finds
+   lambda_min(L) < -1e-8 max_i K_ii at a stationary point, a column along
+   its eigenvector is added, up to width ``cfg.r0``, and step 2 resumes.
 
-The paper iterates on the standardized factor H = ddiag(K)^{-1/2} H_Xi, which
-has unit rows, with the coupling matrix  J = ddiag(K)^{1/2} K ddiag(K)^{1/2}:
-H <- P(J H), where P scales every row to unit length.  Row i of J H is
-sqrt(K_ii) (K H_Xi)_i, a positive multiple of row i of K H_Xi, and P cancels
-positive row scalings, so  P(J H) = P(K H_Xi).  The same iterates therefore
-come from  H_Xi <- rows of K H_Xi scaled to length sqrt(K_ii),  one product
-with K per step and no second N x N matrix.  For p.s.d. K the objective
-E = Tr(H_Xi^T K H_Xi) = Tr(rho K) is nondecreasing along the iterates.
-
-The iteration stops on the ``slackness_residual`` ||L(rho) H_Xi||_F / ||H_Xi||_F
-of ``check_optimality``, computed by the same code from the K H_Xi of the next
-step.  It and E are evaluated on every tenth iterate and on the last.
+All stop on the ``slackness_residual`` of ``check_optimality``.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .certificate import _slackness
+from .certificate import _RTOL, CertificateReport, _least_eigenpairs, _slackness, check_optimality
 
-# a row whose norm is below this is treated as zero and re-randomized
+# rows of norm below this are re-randomized; a power step that lowers E by
+# more than _MONOTONE_RTOL Tr(K)^2 (which bounds |E|) is an internal error
 _ZERO_ROW = 1e-300
-
-# an objective decrease beyond this much of Tr(K)^2, which bounds |E| for
-# p.s.d. K, breaks the monotonicity guarantee and is reported as an internal
-# error
 _MONOTONE_RTOL = 1e-9
 
-# E and the residual (a sixth of a step at N = 308, r0 = 10) are evaluated
-# on every this many iterates and on the last
-_CHECK_EVERY = 10
+# power steps end once the residual's rate over the last _WINDOW steps needs
+# more than _POWER_BUDGET steps to reach the tolerance (about 50 in all on
+# the clusters at sigma = 5, whose first ten steps can be slow)
+_WINDOW = 20
+_POWER_BUDGET = 200
+
+# truncated CG stops at a residual of _TCG_KAPPA ||grad||; Absil et al.'s
+# min(||grad||, 0.1) ||grad|| took 1.3-3.1 times the products on the paper's
+# 308 points at sigma = 0.5 and 0.3 (seeds 0-5)
+_TCG_KAPPA = 0.1
+
+# a step is taken when E gains at least _ACCEPT of the model's gain, both
+# with a slack of _RATIO_SLACK eps |E| for gains lost in the rounding of E
+# (Manopt uses 1e3).  At sigma = 0.3 the trust region walks a long path on
+# which E rises by 5e-12 of itself: 1e5 took 2k-8k products, 1e3 8k-34k
+_ACCEPT = 0.1
+_RATIO_SLACK = 1e5
 
 
 @dataclass
 class SolverConfig:
-    """Knobs of the projected power method.
-
-    The iteration stops once the slackness residual is at most ``tol_conv``
-    times max_i K_ii; it bottoms out at 1e-16 to 1e-14 of max K_ii.
-    """
+    """Settings of the solver: ``r0`` caps the width of the staircase, which
+    starts at 2; it stops at a slackness residual of ``tol_conv`` max_i K_ii
+    (the floor is 1e-16 to 1e-14 of it) or after ``max_iters`` steps, power
+    and trust-region steps together."""
 
     r0: int = 10
     max_iters: int = 15000
@@ -61,24 +70,23 @@ class SolverConfig:
 
 @dataclass
 class FactorState:
-    """Result of the projected power method.  ``H_Xi`` has rows of length
-    sqrt(K_ii); ``converged`` means that ``slackness_residual`` reached
-    ``tol_conv * max K_ii`` within ``max_iters``."""
+    """``H_Xi`` has rows of length sqrt(K_ii) and 2 to ``r0`` columns;
+    ``converged``: the residual reached ``tol_conv`` max K_ii in ``max_iters``
+    steps (``iterations``), which took ``products`` products of K with an
+    N x p block; ``certificate``: the report on ``H_Xi`` if it is stationary."""
 
     H_Xi: np.ndarray
     objective: float
     iterations: int
     converged: bool
     slackness_residual: float
+    products: int
+    certificate: CertificateReport | None
 
 
-def _scale_rows(M, lengths, rng):
-    """Scale row i of M to Euclidean length ``lengths[i]`` (or ``lengths``).
-
-    Rows of norm below 1e-300 are replaced by a fresh random vector drawn
-    from ``rng`` (a zero row has no direction to keep, and any fixed
-    replacement would bias the iteration).
-    """
+def _unit_rows(M, rng):
+    """M with unit rows; a zero row has no direction to keep, and a fixed
+    one would bias the iteration, so it gets a random one from ``rng``."""
     norms = np.sqrt(np.einsum("ij,ij->i", M, M))
     zero = norms < _ZERO_ROW
     if np.any(zero):
@@ -86,66 +94,96 @@ def _scale_rows(M, lengths, rng):
             raise ValueError("zero row encountered and no rng supplied")
         M = M.copy()
         for i in np.flatnonzero(zero):
-            row = rng.standard_normal(M.shape[1])
-            while np.linalg.norm(row) < _ZERO_ROW:
-                row = rng.standard_normal(M.shape[1])
-            M[i] = row
+            M[i] = rng.standard_normal(M.shape[1])
         norms = np.sqrt(np.einsum("ij,ij->i", M, M))
-    return M / (norms / lengths)[:, None]
+    return M / norms[:, None]
 
 
 def project_rows(M, rng=None):
-    """Scale every row of M to unit Euclidean norm; rows of norm below 1e-300
-    are replaced by a random unit vector drawn from ``rng``."""
-    return _scale_rows(np.asarray(M, dtype=float), 1.0, rng)
+    """M with unit rows; rows of norm below 1e-300 get a random direction."""
+    return _unit_rows(np.asarray(M, dtype=float), rng)
 
 
 def init_factor(n_points, cfg, rng=None):
     """Random start with unit rows: entries uniform in [-1, 1], rows normalized.
-
-    Deterministic given ``cfg.seed`` (unless an external rng is supplied).
-    """
+    Deterministic given ``cfg.seed`` (unless an external rng is supplied)."""
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    return project_rows(rng.uniform(-1.0, 1.0, (n_points, cfg.r0)), rng)
+    return _unit_rows(rng.uniform(-1.0, 1.0, (n_points, cfg.r0)), rng)
 
 
 def objective(K, H_Xi):
-    """Quadratic objective ``Tr(H_Xi^T K H_Xi)``, which is Tr(rho K) for
-    rho = H_Xi H_Xi^T."""
+    """``Tr(H_Xi^T K H_Xi)``, which is Tr(rho K) for rho = H_Xi H_Xi^T."""
     K = np.asarray(K, dtype=float)
     if H_Xi.shape[0] != K.shape[0]:
         raise ValueError(f"shape mismatch: K is {K.shape}, H_Xi is {H_Xi.shape}")
     return float(np.einsum("ij,ij->", H_Xi, K @ H_Xi))
 
 
+class _Point:
+    """Y with H_Xi, K H_Xi, (K rho)_ii, E, the residual and the gradient of
+    -E, whose terms cancel near the optimum: the normal part of their
+    rounding error is projected out."""
+
+    def __init__(self, K, root, Y):
+        self.Y, self.H = Y, root[:, None] * Y
+        self.KH = K @ self.H
+        self.k_rho, self.residual = _slackness(self.KH, self.H, root * root)
+        self.energy = float(self.k_rho.sum())
+        grad = 2.0 * (self.k_rho[:, None] * Y - root[:, None] * self.KH)
+        self.grad = grad - np.einsum("ij,ij->i", Y, grad)[:, None] * Y
+        self.grad_norm = float(np.sqrt(np.vdot(self.grad, self.grad)))
+
+
+def _tcg(K, root, x, radius):
+    """Truncated CG (Steihaug-Toint) for the step at ``x`` within ``radius``: the
+    step, the shifted model's decrease (from the CG scalars) and the products."""
+    Y = x.Y
+    scaled = np.repeat(root[:, None], Y.shape[1], axis=1)
+    shifted = np.repeat((2.0 * x.k_rho + x.grad_norm)[:, None], Y.shape[1], axis=1)
+    r = x.grad.copy()
+    delta, eta = -r, np.zeros_like(Y)
+    r_r = d_pd = x.grad_norm**2
+    e_pe = e_pd = decrease = 0.0
+    products = 0
+    while products < Y.size:
+        # proj(2 D delta - 2 J delta + mu delta): the projection also keeps
+        # rounding in delta off the normal space, where D is large
+        hd = shifted * delta - 2.0 * scaled * (K @ (scaled * delta))
+        hd -= np.einsum("ij,ij->i", Y, hd)[:, None] * Y
+        products += 1
+        curv = np.vdot(delta, hd)
+        alpha = r_r / curv if curv > 0 else np.inf
+        if curv <= 0 or e_pe + 2 * alpha * e_pd + alpha**2 * d_pd >= radius**2:
+            tau = (np.sqrt(e_pd**2 + d_pd * (radius**2 - e_pe)) - e_pd) / d_pd
+            eta += tau * delta
+            decrease += tau * r_r - 0.5 * tau**2 * curv
+            break
+        eta += alpha * delta
+        decrease += 0.5 * alpha * r_r
+        e_pe += 2 * alpha * e_pd + alpha**2 * d_pd
+        r += alpha * hd
+        r_r_next = np.vdot(r, r)
+        if np.sqrt(r_r_next) <= _TCG_KAPPA * x.grad_norm:
+            break
+        beta, r_r = r_r_next / r_r, r_r_next
+        delta *= beta
+        delta -= r
+        e_pd = beta * (e_pd + alpha * d_pd)
+        d_pd = r_r + beta**2 * d_pd
+    return eta, decrease, products
+
+
 def solve(K, cfg):
-    """Run the projected power method until the slackness residual is small.
+    """Solve for the (N, N) p.s.d. kernel ``K``; returns a ``FactorState``.
 
-    Parameters
-    ----------
-    K : (N, N) array
-        Symmetric p.s.d. kernel matrix with strictly positive diagonal.
-    cfg : SolverConfig
-
-    Returns
-    -------
-    FactorState
-        The factor, its objective and slackness residual, the number of
-        steps taken, and the convergence flag.
-
-    Raises
-    ------
-    ValueError
-        If some diagonal entry of K is not strictly positive (that point
-        cannot carry an embedding constraint), or if ``cfg.r0`` exceeds N.
-    RuntimeError
-        If the objective decreases by more than 1e-9 Tr(K)^2, which cannot
-        happen for p.s.d. K and therefore signals a corrupted input.
+    Raises ``ValueError`` if some K_ii is not positive (that point cannot
+    carry an embedding constraint) or ``cfg.r0`` exceeds N, and
+    ``RuntimeError`` if a power step lowers E by more than 1e-9 Tr(K)^2,
+    which cannot happen for p.s.d. K and so signals a corrupted input.
     """
     K = np.asarray(K, dtype=float)
-    n = K.shape[0]
-    diag = np.diag(K)
+    n, diag = K.shape[0], np.diag(K)
     bad = np.flatnonzero(diag <= 0)
     if bad.size:
         raise ValueError(
@@ -154,27 +192,49 @@ def solve(K, cfg):
         )
     if cfg.r0 > n:
         raise ValueError(f"r0 = {cfg.r0} exceeds the number of points {n}")
-    root = np.sqrt(diag)
-    threshold = cfg.tol_conv * diag.max()
-    max_decrease = _MONOTONE_RTOL * diag.sum() ** 2
-    rng = np.random.default_rng(cfg.seed)
-    H_Xi = root[:, None] * init_factor(n, cfg, rng)
-    iterations = 0
-    previous = -np.inf
-    while True:
-        KH = K @ H_Xi
-        if iterations % _CHECK_EVERY == 0 or iterations == cfg.max_iters:
-            k_rho, residual = _slackness(KH, H_Xi, diag)
-            energy = float(k_rho.sum())
-            if energy < previous - max_decrease:
-                raise RuntimeError(
-                    f"objective decreased from {previous!r} to {energy!r}; "
-                    "the kernel is not p.s.d."
-                )
-            previous = energy
-            converged = bool(residual <= threshold)
-            if converged or iterations == cfg.max_iters:
+    root, scale, rng = np.sqrt(diag), diag.max(), np.random.default_rng(cfg.seed)
+    threshold = cfg.tol_conv * scale
+    x = _Point(K, root, init_factor(n, replace(cfg, r0=2), rng))
+    steps, products, history = 0, 1, [x.residual]
+    while x.residual > threshold and steps < cfg.max_iters:
+        if steps >= _WINDOW:
+            rate = (x.residual / history[-1 - _WINDOW]) ** (1.0 / _WINDOW)
+            if rate >= 1 or np.log(threshold / x.residual) < _POWER_BUDGET * np.log(rate):
                 break
-        H_Xi = _scale_rows(KH, root, rng)
-        iterations += 1
-    return FactorState(H_Xi, energy, iterations, converged, residual)
+        y = _Point(K, root, _unit_rows(x.KH, rng))
+        if y.energy < x.energy - _MONOTONE_RTOL * diag.sum() ** 2:
+            raise RuntimeError(f"objective decreased from {x.energy!r} to {y.energy!r}; "
+                               "the kernel is not p.s.d.")
+        x, steps, products = y, steps + 1, products + 1
+        history.append(x.residual)
+    radius_max = np.pi * np.sqrt(n)
+    radius, report = radius_max / 8, None
+    while steps < cfg.max_iters or x.residual <= threshold:
+        if x.residual <= threshold:
+            report = check_optimality(K, x.H)
+            if report.least_eigenvalues[0] >= -_RTOL * scale or x.Y.shape[1] >= cfg.r0:
+                break
+            # a column along the least eigenvector v of L, with a step from
+            # max_i |v_i| / sqrt(K_ii) = 1 halved until E rises
+            u = _least_eigenpairs(K, report.D_diagonal, scale, vectors=True)[1][:, 0] / root
+            step = 1.0 / np.max(np.abs(u))
+            for _ in range(60):
+                y = _Point(K, root, _unit_rows(np.column_stack([x.Y, step * u]), rng))
+                products, step = products + 1, step / 2
+                if y.energy > x.energy:
+                    break
+            x, radius, report = y, radius_max / 8, None
+            continue
+        eta, decrease, spent = _tcg(K, root, x, radius)
+        y = _Point(K, root, _unit_rows(x.Y + eta, None))
+        products, steps = products + spent + 1, steps + 1
+        slack = _RATIO_SLACK * np.finfo(float).eps * abs(x.energy)
+        ratio = (y.energy - x.energy + slack) / max(decrease + slack, np.finfo(float).tiny)
+        if ratio < 0.25:
+            radius /= 4
+        elif ratio > 0.75 and np.vdot(eta, eta) >= (0.99 * radius) ** 2:
+            radius = min(2 * radius, radius_max)
+        if ratio > _ACCEPT:
+            x = y
+    done = bool(x.residual <= threshold)
+    return FactorState(x.H, x.energy, steps, done, x.residual, products, report)

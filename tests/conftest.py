@@ -37,6 +37,13 @@ def cluster_pipeline(clusters):
 
 
 @pytest.fixture(scope="session")
+def clusters_2k():
+    """The clusters at N = 2000 (664 per cluster, seed 3) and sigma = 1, solved
+    under defaults."""
+    return embed_points(gen_three_clusters(664, 8, 3).points, 1.0)
+
+
+@pytest.fixture(scope="session")
 def interval_results():
     """Interval experiments, (report, pipeline result) cached by (n, sigma)."""
     cache = {}
@@ -55,9 +62,9 @@ def interval_results():
 def random_pipelines():
     """100 solved-and-certified pipelines on random Gaussian clouds.
 
-    The family (N in [10, 24], d in [1, 3], sigma in [1, 2.5]) is chosen so
-    the power method converges deep enough to certify on every seed; the
-    base seed is logged so failures are reproducible.
+    The family is N in [10, 24], d in [1, 3] and sigma in [0.3, 2.5]; at the
+    small bandwidths some optima need a factor wider than 2, so the rank
+    staircase climbs.  The base seed is logged so failures are reproducible.
     """
     base_seed = 20240
     print(f"\n[random_pipelines] base seed {base_seed}, trials 100")
@@ -67,7 +74,7 @@ def random_pipelines():
         n = int(rng.integers(10, 25))
         d = int(rng.integers(1, 4))
         points = rng.standard_normal((n, d))
-        sigma = float(rng.uniform(1.0, 2.5))
+        sigma = float(rng.uniform(0.3, 2.5))
         results.append(
             (trial, embed_points(points, sigma, config=tight_config(seed=trial)))
         )

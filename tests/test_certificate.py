@@ -16,8 +16,9 @@ from sdpembed import (
 )
 
 from sdpembed import certificate
-from sdpembed.certificate import _LANCZOS_RTOL, _RTOL, _lanczos_least
+from sdpembed.certificate import _LANCZOS_BASIS, _LANCZOS_RTOL, _N_LEAST, _RTOL, _lanczos_least
 from sdpembed.diagnostics import certificate_matrix, nuclear_equivalence_check
+from sdpembed.solver import _unit_rows
 
 from conftest import C, tight_config
 
@@ -163,7 +164,8 @@ def _lanczos_against_dense(K, H_Xi):
     D = np.einsum("ij,ij->i", K @ H_Xi, H_Xi) / diag
     bound = _LANCZOS_RTOL * diag.max()
     dense = np.linalg.eigvalsh(np.diag(D) - K)[:6]
-    return _lanczos_least(K, D, bound, 100), dense, bound
+    pairs = _lanczos_least(K, D, bound, 100)
+    return None if pairs is None else pairs[0], dense, bound
 
 
 def _assert_same_least_eigenvalues(lanczos, dense, bound, scale):
@@ -175,11 +177,16 @@ def _assert_same_least_eigenvalues(lanczos, dense, bound, scale):
 
 @pytest.mark.parametrize("sigma", [1.0, 0.5, 0.3])
 def test_lanczos_matches_dense_on_paper_points(clusters, sigma):
-    # 500 power steps leave L uncertified, with the least eigenvalues of the
-    # small-sigma cases clustered within 1e-7 max K_ii of zero
+    # 500 power steps at width 10 leave L uncertified, with the least
+    # eigenvalues of the small-sigma cases clustered within 1e-7 max K_ii of
+    # zero
     K = diffusion_kernel(gaussian_gram(clusters.points, sigma)).K
-    state = solve(K, SolverConfig(max_iters=500))
-    lanczos, dense, bound = _lanczos_against_dense(K, state.H_Xi)
+    root = np.sqrt(np.diag(K))[:, None]
+    rng = np.random.default_rng(0)
+    H_Xi = root * init_factor(K.shape[0], SolverConfig(), rng)
+    for _ in range(500):
+        H_Xi = root * _unit_rows(K @ H_Xi, rng)
+    lanczos, dense, bound = _lanczos_against_dense(K, H_Xi)
     _assert_same_least_eigenvalues(lanczos, dense, bound, np.diag(K).max())
     assert dense[0] < -_RTOL * np.diag(K).max()
 
@@ -213,7 +220,7 @@ def test_check_optimality_takes_lanczos_above_the_cutoff_and_falls_back(
     monkeypatch.setattr(certificate, "_DENSE_BELOW", 300)
     monkeypatch.setattr(certificate, "_LANCZOS_BASIS", 1.0)
     lanczos = check_optimality(K, H_Xi)
-    assert runs[0] is not None and np.array_equal(lanczos.least_eigenvalues, runs[0])
+    assert runs[0] is not None and np.array_equal(lanczos.least_eigenvalues, runs[0][0])
     assert lanczos.is_certified and dense.is_certified
     assert np.max(np.abs(lanczos.least_eigenvalues - dense.least_eigenvalues)) <= (
         _LANCZOS_RTOL * np.diag(K).max()
@@ -225,6 +232,22 @@ def test_check_optimality_takes_lanczos_above_the_cutoff_and_falls_back(
     assert np.array_equal(fallback.least_eigenvalues, dense.least_eigenvalues)
 
 
+def test_lanczos_ritz_pairs_are_eigenpairs_on_the_2k_clusters(clusters_2k):
+    # at the certified optimum (the rank-2 null space of L) and at a random
+    # feasible factor (negative eigenvalues, as where the staircase climbs)
+    K = clusters_2k.kernel.K
+    scale = np.diag(K).max()
+    steps = int(_LANCZOS_BASIS * K.shape[0]) // _N_LEAST
+    for H_Xi in (clusters_2k.factor.H_Xi, _random_feasible_factor(K)):
+        D = np.einsum("ij,ij->i", K @ H_Xi, H_Xi) / np.diag(K)
+        theta, V = _lanczos_least(K, D, _LANCZOS_RTOL * scale, steps)
+        assert V.shape == (K.shape[0], _N_LEAST)
+        assert np.allclose(np.linalg.norm(V, axis=0), 1.0, atol=1e-12)
+        residuals = np.linalg.norm(D[:, None] * V - K @ V - V * theta, axis=0)
+        assert np.all(residuals <= _LANCZOS_RTOL * scale)
+        assert np.array_equal(theta, check_optimality(K, H_Xi).least_eigenvalues)
+
+
 def test_lanczos_breakdown_on_a_repeated_least_eigenvalue():
     # L has eigenvalue 0 three times and 1 elsewhere, so the Krylov space of
     # the first block is invariant after one step and fresh vectors continue
@@ -233,8 +256,10 @@ def test_lanczos_breakdown_on_a_repeated_least_eigenvalue():
     U = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :3]
     L = np.eye(n) - U @ U.T
     K = np.eye(n) - (L + L.T) / 2
-    least = _lanczos_least(K, np.ones(n), 1e-10, 100)
+    least, vectors = _lanczos_least(K, np.ones(n), 1e-10, 100)
     assert np.max(np.abs(least - [0, 0, 0, 1, 1, 1])) <= 1e-10
+    # the Ritz vectors of the zero eigenvalue span the null space of L
+    assert np.max(np.abs(L @ vectors[:, :3])) <= 1e-10
 
 
 def test_certified_random_instance_invariants():

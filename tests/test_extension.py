@@ -109,10 +109,16 @@ def test_extend_points_rejects_bad_rows(extend, two_point):
             with pytest.raises(ValueError, match=message.format(bad)):
                 check_volume_inequalities(dk.base, X)
 
-    # a batch that is not 2-d (extension_row takes one point and reshapes it)
+    # a batch that is not 2-d, and for extension_row anything but one point:
+    # a batch of two d = 1 points is not the point (0.1, 0.2) of a d = 2 base
     if extend == "extend_points":
         with pytest.raises(ValueError, match=r"expected an \(M, d\) array"):
             extend_points(dk.base, emb.Xi, np.zeros(3))
+    elif extend == "extension_row":
+        plane = gaussian_gram(np.random.default_rng(0).standard_normal((20, 2)), 1.0)
+        for batch in ([[0.1], [0.2]], [[0.1, 0.2]], 0.1):
+            with pytest.raises(ValueError, match=r"expected one point of shape \(d,\)"):
+                extension_row(plane, batch)
     elif extend == "check_volume_inequalities":
         with pytest.raises(ValueError, match=r"expected an \(M, d\) array"):
             check_volume_inequalities(dk.base, np.zeros(3))

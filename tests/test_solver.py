@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from sdpembed import (
     solve,
 )
 
-from sdpembed.solver import _scale_rows
+from sdpembed.solver import _WINDOW, _unit_rows
 
 from conftest import C, tight_config
 
@@ -181,34 +183,49 @@ def test_iteration_preserves_feasibility_and_monotonicity():
         energy = new_energy
 
 
+def _power_steps(K, k, cfg):
+    """k bare power steps at width 2 from the solver's start."""
+    root = np.sqrt(np.diag(K))[:, None]
+    rng = np.random.default_rng(cfg.seed)
+    Y = init_factor(K.shape[0], replace(cfg, r0=2), rng)
+    for _ in range(k):
+        Y = _unit_rows(K @ (root * Y), rng)
+    return root * Y
+
+
 def test_solve_replays_the_bare_iteration():
-    # with a tolerance no iterate can reach, solve() is exactly k plain steps
+    # with a tolerance no iterate can reach, the residual never falls fast
+    # enough, so solve() takes exactly _WINDOW plain steps at width 2 before
+    # the trust region, and max_iters = k <= _WINDOW stops it after k
     rng = np.random.default_rng(10)
     dk = diffusion_kernel(gaussian_gram(rng.standard_normal((14, 2)), 1.0))
-    root = np.sqrt(np.diag(dk.K))
-    for k in (1, 7, 300):
+    for k in (1, 7, _WINDOW):
         cfg = SolverConfig(seed=1, max_iters=k, tol_conv=1e-300)
         state = solve(dk.K, cfg)
         assert not state.converged and state.iterations == k
-        step_rng = np.random.default_rng(cfg.seed)
-        H_Xi = root[:, None] * init_factor(14, cfg, step_rng)
-        for _ in range(k):
-            H_Xi = _scale_rows(dk.K @ H_Xi, root, step_rng)
+        assert state.products == k + 1
+        H_Xi = _power_steps(dk.K, k, cfg)
         assert np.array_equal(state.H_Xi, H_Xi)
         assert state.objective == pytest.approx(objective(dk.K, H_Xi), rel=1e-13)
+    # the next step is a trust-region step, which costs more than one product
+    cfg = SolverConfig(seed=1, max_iters=_WINDOW + 1, tol_conv=1e-300)
+    state = solve(dk.K, cfg)
+    assert state.iterations == _WINDOW + 1 and state.products > _WINDOW + 2
+    assert not np.array_equal(state.H_Xi, _power_steps(dk.K, _WINDOW + 1, cfg))
+    assert state.objective >= objective(dk.K, _power_steps(dk.K, _WINDOW, cfg))
 
 
 def test_solve_follows_the_paper_coupling_iteration():
     # the paper's form: unit rows H <- P(J H) with J = ddiag(K)^1/2 K ddiag(K)^1/2;
-    # solve() runs on H_Xi = ddiag(K)^1/2 H and never forms J
+    # the power steps of solve() run on H_Xi = ddiag(K)^1/2 H and never form J
     rng = np.random.default_rng(11)
     dk = diffusion_kernel(gaussian_gram(rng.standard_normal((20, 2)), 0.8))
     root = np.sqrt(np.diag(dk.K))
     J = np.outer(root, root) * dk.K
-    for k in (1, 7, 300):
+    for k in (1, 7, _WINDOW):
         cfg = SolverConfig(seed=2, max_iters=k, tol_conv=1e-300)
         state = solve(dk.K, cfg)
-        H = init_factor(20, cfg)
+        H = init_factor(20, replace(cfg, r0=2))
         for _ in range(k):
             H = project_rows(J @ H)
         assert np.max(np.abs(state.H_Xi - root[:, None] * H)) <= 1e-12 * root.max()

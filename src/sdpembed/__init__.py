@@ -2,9 +2,10 @@
 
 The pipeline: build a degree-normalized, centered Gaussian kernel on the
 training points; maximize Tr(rho K) over p.s.d. rho with diag(rho) = diag(K)
-by a projected power method on a row-scaled factor; certify global
-optimality with a Laplacian-like dual matrix; read embedding coordinates off
-the SVD of the factor; and extend coordinates and kernel to new points with a
+on a row-scaled factor of rho, by projected power steps, then a Riemannian
+trust region and a rank staircase; certify global optimality with a
+Laplacian-like dual matrix; read embedding coordinates off the SVD of the
+factor; and extend coordinates and kernel to new points with a
 projected Nystrom formula.  The research checks of the paper's claims live
 in ``sdpembed.diagnostics``, which this namespace does not import.
 """

@@ -9,7 +9,6 @@ timestamps), so identical invocations produce byte-identical files.
 """
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import asdict
@@ -140,11 +139,11 @@ def cmd_extend(args):
         return _fail("extension", exc)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = zip(new.ids, ext.coords.tolist(), ext.kappa.tolist(), ext.degenerate.tolist())
-    with open(out / "extended.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for pid, coords, kappa, flag in rows:
-            writer.writerow([pid, *map(repr, coords), repr(kappa), int(flag)])
+    coords = (map(repr, column) for column in ext.coords.T.tolist())
+    flags = map(str, ext.degenerate.astype(int).tolist())
+    dataio._write_columns(
+        out / "extended.csv", [new.ids, *coords, map(repr, ext.kappa.tolist()), flags]
+    )
     return 0
 
 
@@ -183,10 +182,8 @@ def cmd_compare(args):
     out.mkdir(parents=True, exist_ok=True)
     dataio.save_embedding(_embedding_file(result, args, ds), out / "embedding.json")
     _write_json(out / "certificate.json", asdict(result.certificate))
-    with open(out / "dm_embedding.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for pid, row in zip(ds.ids, dm_coords):
-            writer.writerow([pid, *[repr(float(c)) for c in row]])
+    dm_columns = (map(repr, column) for column in dm_coords.T.tolist())
+    dataio._write_columns(out / "dm_embedding.csv", [ds.ids, *dm_columns])
     _write_json(
         out / "dm_eigenvalues.json",
         {"eigenvalues": list(basis.eigenvalues[: min(6, ds.n_points)])},

@@ -83,6 +83,14 @@ def load_csv(path):
         rows = rows[1:]
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
+    # numpy parses a string exactly as float() does; the cell-by-cell pass
+    # below only runs to name the offending cell
+    try:
+        points = np.array([row for _, row in rows], dtype=float)
+    except ValueError:
+        points = None
+    if points is not None and np.isfinite(points).all():
+        return Dataset(points=points)
     arity = len(rows[0][1])
     points = []
     for line, row in rows:
@@ -106,12 +114,17 @@ def load_csv(path):
     return Dataset(points=np.asarray(points, dtype=float))
 
 
+def _write_columns(path, columns):
+    """Write a CSV file row by row from ``columns``, iterables of cells that
+    are strings needing no quoting; each line ends in CR LF, as with
+    ``csv.writer``."""
+    with open(path, "w", newline="") as fh:
+        fh.write("".join(f"{line}\r\n" for line in map(",".join, zip(*columns))))
+
+
 def save_csv(ds, path):
     """Write the points of ``ds`` (no labels, no header) as CSV."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in ds.points:
-            writer.writerow([repr(float(v)) for v in row])
+    _write_columns(path, [map(repr, column) for column in ds.points.T.tolist()])
 
 
 def standardize(ds):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .certificate import check_optimality
 from .extension import _extended_diagonal, _new_points, extend_points
-from .kernels import _degrees, _weight_blocks
+from .kernels import _degrees, _map_blocks
 from .solver import objective
 
 __all__ = [
@@ -148,9 +148,14 @@ def extension_row(base, xbar):
     if np.ndim(xbar) != 1:
         raise ValueError(f"expected one point of shape (d,), got shape {np.shape(xbar)}")
     X = _new_points(base, np.reshape(xbar, (1, -1)))
-    ((_, _, kx),) = _weight_blocks(X, base.points, base.sigma)
+    kx = np.empty((1, base.points.shape[0]))
+
+    def copy(start, stop, weights, scratch):
+        kx[:] = weights
+
+    _map_blocks(X, base.points, base.sigma, copy)
     dbar = kx.sum(axis=1)
-    kappa = _extended_diagonal(base, dbar, 0)
+    kappa = _extended_diagonal(base, dbar)
     mixed = np.sqrt(dbar[0] * base.degrees)
     kvec = kx[0] / mixed - mixed / base.volume
     return ExtensionRow(kvec=kvec, kappa=float(kappa[0]), dbar=float(dbar[0]))

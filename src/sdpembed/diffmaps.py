@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _weight_blocks
+from .kernels import _map_blocks
 
 
 @dataclass
@@ -32,8 +32,11 @@ def _gram(base):
     """The N x N Gaussian gram of the training points."""
     n = base.points.shape[0]
     gram = np.empty((n, n))
-    for start, stop, weights in _weight_blocks(base.points, base.points, base.sigma):
+
+    def copy(start, stop, weights, scratch):
         gram[start:stop] = weights
+
+    _map_blocks(base.points, base.points, base.sigma, copy)
     return gram
 
 

@@ -18,7 +18,7 @@ from .diffmaps import fix_signs
 
 @dataclass
 class EmbeddingResult:
-    """Embedding coordinates ``Xi`` (N x r), all ``r0`` singular values of
+    """Embedding coordinates ``Xi`` (N x r), all ``p`` singular values of
     H_Xi descending, the effective rank ``r``, and the factor itself."""
 
     Xi: np.ndarray
@@ -32,8 +32,9 @@ def factor_to_embedding(H_Xi, rank_tol=1e-6):
 
     Parameters
     ----------
-    H_Xi : (N, r0) array
-        Factor of rho* = H_Xi H_Xi^T, as returned by ``solver.solve``.
+    H_Xi : (N, p) array
+        Factor of rho* = H_Xi H_Xi^T, as returned by ``solver.solve``, whose
+        width p runs from 2 up to the solver's cap ``r0``.
     rank_tol : float
         Relative singular-value cutoff for the effective rank.
 

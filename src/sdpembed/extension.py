@@ -61,9 +61,9 @@ def _new_points(base, X):
     return X
 
 
-def _extended_diagonal(base, dbar, start):
-    """``kappa = 1/dbar - dbar/vol`` of the block of new points that starts at
-    row ``start``, from their extended degrees ``dbar = sum_i k(xbar, x_i)``.
+def _extended_diagonal(base, dbar):
+    """``kappa = 1/dbar - dbar/vol`` of new points, from their extended
+    degrees ``dbar = sum_i k(xbar, x_i)``.
 
     A point with no kernel weight on the training set (every Gaussian weight
     underflows, so ``dbar`` is zero or subnormal) raises ``ValueError``,
@@ -75,7 +75,7 @@ def _extended_diagonal(base, dbar, start):
     empty = np.flatnonzero(dbar < np.finfo(float).tiny)
     if empty.size:
         raise ValueError(
-            f"new point at index {start + empty[0]} has no kernel weight on the "
+            f"new point at index {empty[0]} has no kernel weight on the "
             f"training set (every Gaussian weight underflows at sigma = {base.sigma})"
         )
     kappa = 1.0 / dbar - dbar / base.volume
@@ -118,9 +118,11 @@ def extend_points(base, Xi, X):
         rounding, which is an internal error.
 
     The points are processed in row blocks of Gaussian weights ``kx`` (see
-    ``kernels._BLOCK_BYTES``).  Per block, one product ``kx @ [Xi / sqrt(d), 1]``
+    ``kernels._map_blocks``).  Per block, one product ``kx @ [Xi / sqrt(d), 1]``
     gives both ``A = kx @ (Xi / sqrt(d))`` and the extended degrees ``dbar``,
-    from which the Nystrom sums follow as
+    and ``kx**2 @ (1/d)`` gives ``dbar ||u||^2`` for the degeneracy test; the
+    rest runs once over all rows, so the runner's threads hold the GIL for
+    little more than those products.  The Nystrom sums follow as
     ``g = A / sqrt(dbar) - sqrt(dbar) (sqrt(d) @ Xi) / vol``; the kernel rows
     ``kvec`` of :func:`sdpembed.diagnostics.extension_row` are never formed.
     """
@@ -131,23 +133,25 @@ def extend_points(base, Xi, X):
     inv_d = 1.0 / base.degrees
     X = _new_points(base, X)
     m = X.shape[0]
-    coords = np.zeros((m, rank))
-    kappa = np.empty(m)
-    degenerate = np.zeros(m, dtype=bool)
-    for start, stop, kx in kernels._weight_blocks(X, base.points, base.sigma):
-        prod = kx @ weights
-        dbar = prod[:, rank]
-        k = _extended_diagonal(base, dbar, start)
-        root_dbar = np.sqrt(dbar)
-        g = prod[:, :rank] / root_dbar[:, None] - np.outer(root_dbar, center)
+    prod = np.empty((m, rank + 1))
+    squares = np.empty(m)
+
+    def products(start, stop, kx, scratch):
+        prod[start:stop] = kx @ weights
         np.square(kx, out=kx)
-        norm_u = np.sqrt((kx @ inv_d) / dbar)
-        norm_g = np.sqrt(np.einsum("ij,ij->i", g, g))
-        flat = norm_g <= _DEGENERATE_RTOL * np.sqrt(k) * norm_u
-        ok = ~flat
-        coords[start:stop][ok] = (np.sqrt(k[ok]) / norm_g[ok])[:, None] * g[ok]
-        kappa[start:stop] = k
-        degenerate[start:stop] = flat
+        squares[start:stop] = kx @ inv_d
+
+    kernels._map_blocks(X, base.points, base.sigma, products)
+    dbar = prod[:, rank]
+    kappa = _extended_diagonal(base, dbar)
+    root_dbar = np.sqrt(dbar)
+    g = prod[:, :rank] / root_dbar[:, None] - np.outer(root_dbar, center)
+    norm_u = np.sqrt(squares / dbar)
+    norm_g = np.sqrt(np.einsum("ij,ij->i", g, g))
+    degenerate = norm_g <= _DEGENERATE_RTOL * np.sqrt(kappa) * norm_u
+    ok = ~degenerate
+    coords = np.zeros((m, rank))
+    coords[ok] = (np.sqrt(kappa[ok]) / norm_g[ok])[:, None] * g[ok]
     return ExtendedPoint(coords=coords, kappa=kappa, degenerate=degenerate)
 
 

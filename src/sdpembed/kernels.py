@@ -12,22 +12,27 @@ which is positive semi-definite on the training set, annihilates the vector
 has top eigenvalue < 1.  The base-kernel state keeps the points, sigma, the
 degrees and the volume, never the N x N gram: ``K`` is evaluated from the
 points in row blocks.  One evaluator, ``_gaussian_weights``, gives every
-Gaussian weight in the package (the degrees, ``K``, the extension to new
-points, the volume probes and the diffusion-maps gram) from the training
-points held as contiguous columns, writing into the caller's block with one
-scratch block that the caller reuses across blocks.  The degree of a new
+Gaussian weight in the package from the training points held as contiguous
+columns, and one runner, ``_map_blocks``, hands its row blocks to the
+consumers: the degrees, ``K``, the extension to new points, the volume
+probes and the diffusion-maps gram.  From 8 blocks on, the runner deals the
+blocks to up to one thread per CPU, each with its own weight and scratch
+blocks; the results do not depend on the number of threads.  The degree of a new
 point is a row sum of the same weights; the module ``extension`` turns it
 into the new point's kernel row and diagonal value.
 """
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 # Gaussian weights are evaluated in row blocks whose weights and one scratch
 # block of the same shape (coordinate differences, then in diffusion_kernel
-# the products of root degrees) take about this many bytes together, which
-# keeps them in cache and the working memory beside the N x N K small
+# the products of root degrees) take about this many bytes together in each
+# thread, which keeps them in cache and the working memory beside the N x N K
+# small
 _BLOCK_BYTES = 1 << 20
 
 
@@ -85,25 +90,77 @@ def _gaussian_weights(X, columns, sigma, out, scratch):
     return np.exp(out, out=out)
 
 
-def _weight_blocks(X, points, sigma):
-    """Yield ``(start, stop, weights)`` over row blocks of ``X`` against the
-    training points; ``weights`` is a buffer reused by the next block."""
+def _cores():
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _map_blocks(X, points, sigma, fn, target=None):
+    """Call ``fn(start, stop, weights, scratch)`` on every row block of the
+    Gaussian weights of ``X`` against the training points; ``scratch`` is a
+    spare array shaped like ``weights`` that ``fn`` may overwrite.
+
+    With ``target``, the (N, N) array of the training points against
+    themselves (``X`` is ``points``), each row block is evaluated from its
+    diagonal on, straight into ``target[start:stop, start:]``.
+
+    The blocks are dealt round-robin to ``min(cores, blocks // 4)`` threads,
+    the calling one included, each with its own buffers; numpy releases the
+    GIL in the evaluator's ufuncs and in BLAS.  Below 8 blocks (the 2 blocks
+    of ``K`` at N = 308) the calling thread runs them alone, since a thread
+    would cost more than it saves.  ``fn`` of different blocks may run at
+    once, so it writes only rows ``start:stop`` of shared arrays, and it
+    calls no public function of the package, which a tracer may wrap with
+    unsynchronized state.  The threads are started per call and joined
+    before the return, so none outlives a call or meets a ``fork()``.  If
+    blocks raise, the exception of the lowest one is raised.
+    """
     columns = np.ascontiguousarray(points.T)
     n, m = points.shape[0], X.shape[0]
     rows = _block_rows(n)
-    out = np.empty((min(rows, m), n))
-    scratch = np.empty_like(out)
-    for start in range(0, m, rows):
-        stop = min(start + rows, m)
-        k = stop - start
-        yield start, stop, _gaussian_weights(X[start:stop], columns, sigma, out[:k], scratch[:k])
+    starts = range(0, m, rows)
+    failures = []
+
+    def run(share):
+        spare = np.empty((2 if target is None else 1) * min(rows, m) * n)
+        for start in share:
+            stop = min(start + rows, m)
+            first = 0 if target is None else start
+            size = (stop - start) * (n - first)
+            scratch = spare[:size].reshape(stop - start, n - first)
+            if target is None:
+                out = spare[size : 2 * size].reshape(scratch.shape)
+            else:
+                out = target[start:stop, start:]
+            try:
+                weights = _gaussian_weights(X[start:stop], columns[:, first:], sigma, out, scratch)
+                fn(start, stop, weights, scratch)
+            except Exception as exc:
+                failures.append((start, exc))
+                return
+
+    workers = max(1, min(_cores(), len(starts) // 4))
+    threads = [threading.Thread(target=run, args=(starts[t::workers],)) for t in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    run(starts[::workers])
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
 
 
 def _degrees(X, points, sigma):
     """Row sums of the Gaussian weights of ``X`` against the training points."""
     degrees = np.empty(X.shape[0])
-    for start, stop, weights in _weight_blocks(X, points, sigma):
+
+    def row_sums(start, stop, weights, scratch):
         degrees[start:stop] = weights.sum(axis=1)
+
+    _map_blocks(X, points, sigma, row_sums)
     return degrees
 
 
@@ -157,19 +214,15 @@ def diffusion_kernel(base):
         the diagonal, so the build holds ``K`` and a few block buffers.
     """
     points, n = base.points, base.points.shape[0]
-    columns = np.ascontiguousarray(points.T)
     root_d = np.sqrt(base.degrees)
     K = np.empty((n, n))
-    rows = _block_rows(n)
-    spare = np.empty(min(rows, n) * n)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        blk = K[start:stop, start:]
-        scratch = spare[: blk.size].reshape(blk.shape)
-        _gaussian_weights(points[start:stop], columns[:, start:], base.sigma, blk, scratch)
+
+    def normalize(start, stop, blk, scratch):
         outer = np.multiply.outer(root_d[start:stop], root_d[start:], out=scratch)
         blk /= outer
         outer /= base.volume
         blk -= outer
         K[stop:, start:stop] = K[start:stop, stop:].T
+
+    _map_blocks(points, points, base.sigma, normalize, target=K)
     return DiffusionKernel(K=K, base=base)

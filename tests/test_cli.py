@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sdpembed import gen_three_clusters, load_embedding, save_csv
-from sdpembed.cli import main
+from sdpembed import extend_points, gen_three_clusters, load_csv, load_embedding, save_csv
+from sdpembed.cli import _load_model, main
 
 from conftest import C
 
@@ -155,6 +155,30 @@ def test_extend_byte_identical_artifacts(cluster_csv, tmp_path):
     for dest in (out_a, out_b):
         assert main(["extend", str(out / "embedding.json"), cluster_csv, "--out", str(dest)]) == 0
     assert (out_a / "extended.csv").read_bytes() == (out_b / "extended.csv").read_bytes()
+
+
+@pytest.mark.parametrize("model", ["two_point", "clusters"])
+def test_extended_csv_matches_csv_writer(model, cluster_csv, two_point_csv, tmp_path):
+    # the column-wise writer gives the bytes of csv.writer, flags included
+    if model == "clusters":
+        train, new, sigma = cluster_csv, cluster_csv, "5"
+    else:
+        train, new, sigma = two_point_csv, tmp_path / "new.csv", "1"
+        new.write_text("-0.5\n0.5\n-0.35\n2.0\n")
+    out = tmp_path / "run"
+    assert main(["embed", train, "--sigma", sigma, "--r0", "2", "--out", str(out)]) == 0
+    assert main(["extend", str(out / "embedding.json"), str(new), "--out", str(out)]) == 0
+    Xi, base = _load_model(out / "embedding.json")
+    ds = load_csv(new)
+    ext = extend_points(base, Xi, ds.points)
+    with open(tmp_path / "reference.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        for pid, coords, kappa, flag in zip(
+            ds.ids, ext.coords.tolist(), ext.kappa.tolist(), ext.degenerate.tolist()
+        ):
+            writer.writerow([pid, *map(repr, coords), repr(kappa), int(flag)])
+    assert (out / "extended.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert ext.degenerate.any() == (model == "two_point")
 
 
 def test_extend_allocates_no_square_array(tmp_path):

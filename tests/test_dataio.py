@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -13,6 +14,7 @@ from sdpembed import (
     gen_three_clusters,
     load_csv,
     load_embedding,
+    save_csv,
     save_embedding,
     standardize,
 )
@@ -60,6 +62,46 @@ def test_load_csv_reports_file_lines_after_blank_lines(tmp_path):
     ragged.write_text("x,y\n\n1,2\n\n3\n")
     with pytest.raises(CsvFormatError, match=r"row 5 has 1 cells"):
         load_csv(ragged)
+
+
+def test_load_csv_names_a_bad_cell_deep_in_a_long_file(tmp_path):
+    # the whole file parses in one call; the cell-by-cell pass names the
+    # first offending cell in file order
+    lines = [f"{i * 0.25!r},{-i * 0.5!r}" for i in range(20000)]
+    for row, column, cell, message in [
+        (17345, 2, "0.5x", "cannot parse '0.5x' as a real number"),
+        (19999, 1, "1e400", "non-finite value '1e400'"),
+    ]:
+        bad = list(lines)
+        cells = bad[row - 1].split(",")
+        cells[column - 1] = cell
+        bad[row - 1] = ",".join(cells)
+        path = tmp_path / "pts.csv"
+        path.write_text("\n".join(bad) + "\n")
+        with pytest.raises(CsvFormatError, match=rf"row {row}, column {column}: {message}"):
+            load_csv(path)
+    bad = list(lines)
+    bad[12000 - 1] = "1e400,0"
+    bad[15000 - 1] = "0,x"
+    path.write_text("\n".join(bad) + "\n")
+    with pytest.raises(CsvFormatError, match=r"row 12000, column 1: non-finite"):
+        load_csv(path)
+    path.write_text("x,y\n" + "\n".join(lines) + "\n")
+    ds = load_csv(path)
+    assert np.array_equal(ds.points, [[i * 0.25, -i * 0.5] for i in range(20000)])
+
+
+def test_save_csv_matches_csv_writer(tmp_path):
+    ds = gen_swiss_roll(50, 3)
+    ds.points[0, 0] = -0.0
+    ds.points[1, 1] = 1e-300
+    save_csv(ds, tmp_path / "pts.csv")
+    with open(tmp_path / "reference.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        for row in ds.points:
+            writer.writerow([repr(float(v)) for v in row])
+    assert (tmp_path / "pts.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert np.array_equal(load_csv(tmp_path / "pts.csv").points, ds.points)
 
 
 def test_dataset_rejects_nonfinite():

@@ -14,6 +14,7 @@ from sdpembed import (
     init_factor,
 )
 from sdpembed import kernels
+from sdpembed.extension import _extended_diagonal
 from sdpembed.diagnostics import (
     block_extension_analysis,
     bordered_matrix,
@@ -82,6 +83,61 @@ def test_extend_points_flags_midpoint_in_a_batch(two_point):
     for i, x in enumerate([-0.5, -0.35]):
         p = extend_points(two_point.kernel.base, two_point.embedding.Xi, [[x]])
         np.testing.assert_allclose(ext.coords[2 * i], p.coords[0], rtol=1e-14)
+
+
+def _square_pass_extension(base, Xi, X):
+    """Reference for ``extend_points``: its coordinates and degeneracy flags
+    computed block by block, inside the runner."""
+    rank = Xi.shape[1]
+    root_d = np.sqrt(base.degrees)
+    weights = np.hstack([Xi / root_d[:, None], np.ones((Xi.shape[0], 1))])
+    center = (root_d @ Xi) / base.volume
+    inv_d = 1.0 / base.degrees
+    coords = np.zeros((X.shape[0], rank))
+    degenerate = np.zeros(X.shape[0], dtype=bool)
+
+    def extend(start, stop, kx, scratch):
+        prod = kx @ weights
+        dbar = prod[:, rank]
+        k = _extended_diagonal(base, dbar)
+        root_dbar = np.sqrt(dbar)
+        g = prod[:, :rank] / root_dbar[:, None] - np.outer(root_dbar, center)
+        np.square(kx, out=kx)
+        norm_u = np.sqrt((kx @ inv_d) / dbar)
+        norm_g = np.sqrt(np.einsum("ij,ij->i", g, g))
+        flat = norm_g <= 1e-12 * np.sqrt(k) * norm_u
+        ok = ~flat
+        coords[start:stop][ok] = (np.sqrt(k[ok]) / norm_g[ok])[:, None] * g[ok]
+        degenerate[start:stop] = flat
+
+    kernels._map_blocks(X, base.points, base.sigma, extend)
+    return coords, degenerate
+
+
+def test_degeneracy_over_all_rows_matches_the_per_block_rule():
+    # a training set symmetric under x -> -x with the odd coordinate
+    # sign(x) sqrt(K_ii): every new point on the axis x = 0 is an exact
+    # symmetry midpoint; these sit in several row blocks, the shorter last
+    # one included, among ordinary points and points so far out that their
+    # Nystrom sums are rounding noise too
+    rng = np.random.default_rng(6)
+    half = rng.uniform([0.2, -3.0], [3.0, 3.0], (500, 2))
+    base = gaussian_gram(np.vstack([half, half * [-1.0, 1.0]]), 1.0)
+    radius = np.sqrt(1.0 / base.degrees - base.degrees / base.volume)
+    Xi = (np.sign(base.points[:, 0]) * radius)[:, None]
+    rows = kernels._block_rows(base.points.shape[0])
+    X = rng.uniform([-3.0, -3.0], [3.0, 3.0], (10 * rows + rows // 2, 2))
+    mid = np.r_[np.arange(5, 10 * rows, 2 * rows + 11), X.shape[0] - 3]
+    X[mid, 0] = 0.0
+    far = np.arange(7, X.shape[0], rows // 2 + 1)
+    X[far] = np.sign(X[far]) * rng.uniform(5.0, 14.0, (far.size, 2))
+    ext = extend_points(base, Xi, X)
+    coords, degenerate = _square_pass_extension(base, Xi, X)
+    assert np.array_equal(ext.degenerate, degenerate)
+    assert np.array_equal(ext.coords, coords)
+    assert ext.degenerate[mid].all() and not ext.coords[mid].any()
+    assert 0 < ext.degenerate[far].sum() < far.size
+    assert ext.degenerate.sum() < mid.size + far.size
 
 
 @pytest.mark.parametrize("extend", ["extend_points", "extension_row", "check_volume_inequalities"])

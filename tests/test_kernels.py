@@ -1,4 +1,8 @@
+import sys
+import threading
+import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -141,10 +145,15 @@ def test_weights_match_the_reference_evaluator_bitwise(d, offset):
     X = np.vstack([points, rng.standard_normal((260, d)) * 2.0 + offset])
     expected = _reference_weights(X, points, 1.3)
     sizes = []
-    for start, stop, weights in kernels._weight_blocks(X, points, 1.3):
+
+    def check(start, stop, weights, scratch):
         assert np.array_equal(weights, expected[start:stop])
         sizes.append(stop - start)
-    assert len(sizes) > 2 and sizes[-1] < sizes[0] == kernels._block_rows(points.shape[0])
+
+    kernels._map_blocks(X, points, 1.3, check)
+    sizes.sort()
+    assert sum(sizes) == X.shape[0]
+    assert len(sizes) > 2 and sizes[0] < sizes[-1] == kernels._block_rows(points.shape[0])
     assert np.array_equal(_weights(X[:1], points, 1.3), expected[:1])
     assert np.array_equal(_weights(X, points, 1.3), expected)
     # k(x, x) == 1 and k(x, y) == k(y, x) bit for bit across the row blocks
@@ -166,6 +175,117 @@ def test_weights_allocate_no_block_sized_buffer():
     finally:
         tracemalloc.stop()
     assert peak < 0.25 * out.nbytes
+
+
+def _count_threads(monkeypatch, cores, delay=0.0):
+    """Patch the block runner to see ``cores`` CPUs, its threads to begin
+    work ``delay`` seconds late; return a list that records each thread it
+    starts."""
+    started = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+        def run(self):
+            time.sleep(delay)
+            super().run()
+
+    monkeypatch.setattr(kernels, "_cores", lambda: cores)
+    monkeypatch.setattr(kernels, "threading", SimpleNamespace(Thread=Thread))
+    return started
+
+
+def _multi_block_set(name):
+    """Training points, sigma and new points that take many row blocks."""
+    if name == "d10":
+        points, sigma = np.random.default_rng(10).standard_normal((700, 10)) * 2.0, 1.3
+    else:
+        points, sigma = gen_three_clusters(664, 8, 3).points, 5.0
+    rng = np.random.default_rng(1)
+    X = rng.uniform(points.min(axis=0), points.max(axis=0), (3000, points.shape[1]))
+    X[::50] = points[rng.choice(points.shape[0], 60, replace=False)]
+    return points, sigma, X
+
+
+@pytest.mark.parametrize("name", ["d10", "clusters_2k"])
+def test_one_and_two_workers_give_the_same_bits(name, monkeypatch):
+    points, sigma, X = _multi_block_set(name)
+    Xi = np.random.default_rng(2).standard_normal((points.shape[0], 3)) * 0.1
+    results = {}
+    for workers in (1, 2):
+        started = _count_threads(monkeypatch, workers)
+        base = gaussian_gram(points, sigma)
+        ext = extend_points(base, Xi, X)
+        K = diffusion_kernel(base).K
+        # the degrees, the extension and K each start one thread with 2 workers
+        assert len(started) == 3 * (workers - 1)
+        results[workers] = (base.degrees, base.volume, K, ext.coords, ext.kappa, ext.degenerate)
+    for one, two in zip(results[1], results[2]):
+        assert np.array_equal(one, two)
+
+
+def test_more_workers_than_cores_with_fast_switching_give_the_same_bits(monkeypatch):
+    # six threads that switch every microsecond write disjoint rows of the
+    # shared outputs: a lost or misplaced block changes the bits
+    points, sigma, X = _multi_block_set("d10")
+    Xi = np.random.default_rng(2).standard_normal((points.shape[0], 2)) * 0.1
+    results = {}
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for workers in (1, 6):
+            started = _count_threads(monkeypatch, workers)
+            base = gaussian_gram(points, sigma)
+            ext = extend_points(base, Xi, X)
+            K = diffusion_kernel(base).K
+            # the 8 blocks of the degrees and of K take 2 threads each, the 33
+            # blocks of new points 6
+            assert len(started) == (0 if workers == 1 else 1 + 5 + 1)
+            assert not any(thread.is_alive() for thread in started)
+            results[workers] = (base.degrees, K, ext.coords, ext.kappa, ext.degenerate)
+    finally:
+        sys.setswitchinterval(interval)
+    for one, many in zip(results[1], results[6]):
+        assert np.array_equal(one, many)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_failures_in_several_threads_name_the_lowest_row(workers, monkeypatch):
+    # blocks are dealt round-robin, so the two failing blocks belong to
+    # different threads; the started threads begin late, so the calling
+    # thread fails first, and whichever block fails first, the exception of
+    # the lower one is raised
+    points, sigma, X = _multi_block_set("d10")
+    rows = kernels._block_rows(points.shape[0])
+    X = X[: 12 * rows]
+    # (a block of the second thread, a later one of the calling thread), then
+    # (a block of the calling thread, a later one of the second thread)
+    for low, high in [(workers + 1, 2 * workers), (workers, workers + 1)]:
+        started = _count_threads(monkeypatch, workers, delay=0.2)
+
+        def fail(start, stop, weights, scratch):
+            if start // rows in (low, high):
+                raise ValueError(f"block {start // rows}")
+
+        with pytest.raises(ValueError, match=f"^block {low}$"):
+            kernels._map_blocks(X, points, sigma, fail)
+        assert len(started) == workers - 1
+        assert not any(thread.is_alive() for thread in started)
+    # points with no kernel weight in blocks of different threads: the
+    # lower row is named
+    far = X.copy()
+    far[[3 * rows + 5, 6 * rows + 7]] = 1e3
+    with pytest.raises(ValueError, match=f"index {3 * rows + 5} has no kernel weight"):
+        extend_points(gaussian_gram(points, sigma), np.ones((points.shape[0], 1)), far)
+
+
+def test_kernel_of_the_paper_points_starts_no_thread(clusters, monkeypatch):
+    # two row blocks at N = 308: threads would cost more than they save
+    started = _count_threads(monkeypatch, 64)
+    diffusion_kernel(gaussian_gram(clusters.points, 1.0))
+    assert started == []
 
 
 def test_kernel_diagonal_formula():

@@ -9,28 +9,38 @@ timestamps), so identical invocations produce byte-identical files.
 """
 
 import argparse
-import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from . import dataio, diffmaps, interval, kernels, pipeline, solver
+from . import dataio, diffmaps, embedding, interval, kernels, pipeline, solver
 from .certificate import PrimalInfeasibilityError, check_optimality
-from .dataio import CsvFormatError, EmbeddingSchemaError
+from .dataio import CsvFormatError, EmbeddingSchemaError, _write_csv, _write_json
 from .extension import extend_points
 
 
-def _fail(stage, exc):
-    print(f"sdpembed: {stage}: {exc}", file=sys.stderr)
-    return 1
+class _Failed(Exception):
+    """A stage failed and has said so on stderr; the command exits 1."""
 
 
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, default=dataio._plain)
-        fh.write("\n")
+@contextmanager
+def _stage(name, *errors):
+    """Turn ``errors`` raised in the block into one stderr line,
+    ``sdpembed: {name}: {exc}``, and an exit code of 1."""
+    try:
+        yield
+    except errors as exc:
+        print(f"sdpembed: {name}: {exc}", file=sys.stderr)
+        raise _Failed from None
+
+
+def _out_dir(args):
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _solver_config(args):
@@ -39,9 +49,18 @@ def _solver_config(args):
     )
 
 
-def _embedding_file(result, args, ds):
+def _train(args):
+    """The training path of ``embed`` and ``compare``: load the CSV, embed
+    its points and write ``embedding.json`` and ``certificate.json``.
+    Returns the data set, the pipeline result and the output directory."""
+    with _stage("input parsing", CsvFormatError, OSError):
+        ds = dataio.load_csv(args.input)
+    with _stage("solve", ValueError, RuntimeError):
+        result = pipeline.embed_points(
+            ds.points, args.sigma, config=_solver_config(args), rank_tol=args.rank_tol
+        )
     emb = result.embedding
-    return dataio.EmbeddingFile(
+    model = dataio.EmbeddingFile(
         ids=list(ds.ids),
         coordinates=emb.Xi,
         singular_values=emb.singular_values[: emb.rank],
@@ -57,6 +76,10 @@ def _embedding_file(result, args, ds):
             "training_points": ds.points,
         },
     )
+    out = _out_dir(args)
+    dataio.save_embedding(model, out / "embedding.json")
+    _write_json(out / "certificate.json", asdict(result.certificate))
+    return ds, result, out
 
 
 def _load_model(path):
@@ -107,54 +130,27 @@ def _exit_code(report, K, factor=None, tol=None):
 
 
 def cmd_embed(args):
-    try:
-        ds = dataio.load_csv(args.input)
-    except (CsvFormatError, OSError) as exc:
-        return _fail("input parsing", exc)
-    try:
-        result = pipeline.embed_points(
-            ds.points, args.sigma, config=_solver_config(args), rank_tol=args.rank_tol
-        )
-    except (ValueError, RuntimeError) as exc:
-        return _fail("solve", exc)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    dataio.save_embedding(_embedding_file(result, args, ds), out / "embedding.json")
-    _write_json(out / "certificate.json", asdict(result.certificate))
+    _, result, _ = _train(args)
     return _exit_code(result.certificate, result.kernel.K, result.factor, args.tol)
 
 
 def cmd_extend(args):
-    try:
+    with _stage("embedding loading", EmbeddingSchemaError, OSError, ValueError):
         Xi, base = _load_model(args.embedding)
-    except (EmbeddingSchemaError, OSError, ValueError) as exc:
-        return _fail("embedding loading", exc)
-    try:
+    with _stage("new-points parsing", CsvFormatError, OSError):
         new = dataio.load_csv(args.points)
-    except (CsvFormatError, OSError) as exc:
-        return _fail("new-points parsing", exc)
-    try:
+    with _stage("extension", ValueError, RuntimeError):
         ext = extend_points(base, Xi, new.points)
-    except (ValueError, RuntimeError) as exc:
-        return _fail("extension", exc)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    coords = (map(repr, column) for column in ext.coords.T.tolist())
-    flags = map(str, ext.degenerate.astype(int).tolist())
-    dataio._write_columns(
-        out / "extended.csv", [new.ids, *coords, map(repr, ext.kappa.tolist()), flags]
-    )
+    columns = [new.ids, *ext.coords.T, ext.kappa, ext.degenerate.astype(int)]
+    _write_csv(_out_dir(args) / "extended.csv", columns)
     return 0
 
 
 def cmd_certify(args):
-    try:
+    with _stage("embedding loading", EmbeddingSchemaError, OSError, ValueError):
         Xi, base = _load_model(args.embedding)
         K = kernels.diffusion_kernel(base).K
-    except (EmbeddingSchemaError, OSError, ValueError) as exc:
-        return _fail("embedding loading", exc)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     try:
         report = check_optimality(K, Xi)
     except PrimalInfeasibilityError as exc:
@@ -165,43 +161,22 @@ def cmd_certify(args):
 
 
 def cmd_compare(args):
-    try:
-        ds = dataio.load_csv(args.input)
-    except (CsvFormatError, OSError) as exc:
-        return _fail("input parsing", exc)
-    try:
-        result = pipeline.embed_points(
-            ds.points, args.sigma, config=_solver_config(args), rank_tol=args.rank_tol
-        )
+    ds, result, out = _train(args)
+    with _stage("solve", ValueError, RuntimeError):
         basis = diffmaps.spectral_basis(result.kernel.base)
-        m = min(2, ds.n_points - 1)
-        dm_coords = diffmaps.diffusion_map(basis, t=1.0, m=m)
-    except (ValueError, RuntimeError) as exc:
-        return _fail("solve", exc)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    dataio.save_embedding(_embedding_file(result, args, ds), out / "embedding.json")
-    _write_json(out / "certificate.json", asdict(result.certificate))
-    dm_columns = (map(repr, column) for column in dm_coords.T.tolist())
-    dataio._write_columns(out / "dm_embedding.csv", [ds.ids, *dm_columns])
-    _write_json(
-        out / "dm_eigenvalues.json",
-        {"eigenvalues": list(basis.eigenvalues[: min(6, ds.n_points)])},
-    )
+        dm_coords = diffmaps.diffusion_map(basis, t=1.0, m=min(2, ds.n_points - 1))
+    _write_csv(out / "dm_embedding.csv", [ds.ids, *dm_coords.T])
+    _write_json(out / "dm_eigenvalues.json", {"eigenvalues": basis.eigenvalues[:6]})
     return _exit_code(result.certificate, result.kernel.K, result.factor, args.tol)
 
 
 def cmd_toy(args):
-    try:
+    with _stage("toy experiment", ValueError, RuntimeError):
         problem = interval.build_interval_problem(args.n, args.sigma)
         report, result = interval.run_interval_experiment(
             problem, cfg=_solver_config(args), rank_tol=args.rank_tol
         )
-    except (ValueError, RuntimeError) as exc:
-        return _fail("toy experiment", exc)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "toy_report.json", asdict(report))
+    _write_json(_out_dir(args) / "toy_report.json", asdict(report))
     return _exit_code(result.certificate, result.kernel.K, result.factor, args.tol)
 
 
@@ -212,8 +187,9 @@ def _add_solver_flags(p):
     p.add_argument("--tol", type=float, default=defaults.tol_conv,
                    help="stop at slackness residual <= TOL * max K(i,i) (default %(default)s)")
     p.add_argument("--max-iters", type=int, default=defaults.max_iters, help="step cap")
-    p.add_argument("--rank-tol", type=float, default=1e-6, help="relative singular-value cutoff")
-    p.add_argument("--seed", type=int, default=0, help="seed for the random start")
+    p.add_argument("--rank-tol", type=float, default=embedding._RANK_TOL,
+                   help="relative singular-value cutoff")
+    p.add_argument("--seed", type=int, default=defaults.seed, help="seed for the random start")
 
 
 def build_parser():
@@ -255,7 +231,10 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Failed:
+        return 1
 
 
 def entrypoint():

@@ -114,17 +114,19 @@ def load_csv(path):
     return Dataset(points=np.asarray(points, dtype=float))
 
 
-def _write_columns(path, columns):
-    """Write a CSV file row by row from ``columns``, iterables of cells that
-    are strings needing no quoting; each line ends in CR LF, as with
-    ``csv.writer``."""
+def _write_csv(path, columns):
+    """Write a CSV file from ``columns``: lists of ids, which need no
+    quoting, and 1-d arrays of ints or floats.  Every cell is written by
+    ``str``, which gives a float's shortest exact decimal, its ``repr``; each
+    line ends in CR LF, as with ``csv.writer``."""
+    cells = (map(str, c.tolist() if isinstance(c, np.ndarray) else c) for c in columns)
     with open(path, "w", newline="") as fh:
-        fh.write("".join(f"{line}\r\n" for line in map(",".join, zip(*columns))))
+        fh.write("".join(f"{line}\r\n" for line in map(",".join, zip(*cells))))
 
 
 def save_csv(ds, path):
     """Write the points of ``ds`` (no labels, no header) as CSV."""
-    _write_columns(path, [map(repr, column) for column in ds.points.T.tolist()])
+    _write_csv(path, ds.points.T)
 
 
 def standardize(ds):
@@ -222,9 +224,7 @@ def save_embedding(embedding_file, path):
         "singular_values": embedding_file.singular_values,
         "metadata": embedding_file.metadata,
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, default=_plain)
-        fh.write("\n")
+    _write_json(path, doc)
 
 
 def load_embedding(path):
@@ -255,6 +255,13 @@ def _numbers(path, name, value):
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise EmbeddingSchemaError(f"{path}: {name} is not an array of numbers") from None
+
+
+def _write_json(path, payload):
+    """Write ``payload`` as JSON indented by 2, with a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, default=_plain)
+        fh.write("\n")
 
 
 def _plain(value):

@@ -15,6 +15,9 @@ import numpy as np
 
 from .diffmaps import fix_signs
 
+# the default relative singular-value cutoff of every entry point
+_RANK_TOL = 1e-6
+
 
 @dataclass
 class EmbeddingResult:
@@ -27,7 +30,7 @@ class EmbeddingResult:
     H_Xi: np.ndarray
 
 
-def factor_to_embedding(H_Xi, rank_tol=1e-6):
+def factor_to_embedding(H_Xi, rank_tol=_RANK_TOL):
     """Convert a solved factor into embedding coordinates.
 
     Parameters
@@ -36,7 +39,7 @@ def factor_to_embedding(H_Xi, rank_tol=1e-6):
         Factor of rho* = H_Xi H_Xi^T, as returned by ``solver.solve``, whose
         width p runs from 2 up to the solver's cap ``r0``.
     rank_tol : float
-        Relative singular-value cutoff for the effective rank.
+        Relative singular-value cutoff for the effective rank, in [0, 1).
 
     Returns
     -------
@@ -45,6 +48,8 @@ def factor_to_embedding(H_Xi, rank_tol=1e-6):
         first index of the largest-magnitude entry), each column flipped so
         its largest-magnitude entry is positive.
     """
+    if not 0 <= rank_tol < 1:
+        raise ValueError(f"rank_tol must be in [0, 1), got {rank_tol}")
     H_Xi = np.asarray(H_Xi, dtype=float)
     U, sv, _ = np.linalg.svd(H_Xi, full_matrices=False)
     if sv[0] <= 0:

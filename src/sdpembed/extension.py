@@ -7,7 +7,8 @@ sqrt(kappa) gives coordinates that (a) reduce exactly to the stored ones on
 training points, (b) keep the squared length equal to kappa, and (c) maximize
 the extended objective among all feasible one-point completions.  Symmetric
 configurations can make g vanish; that case is flagged as degenerate rather
-than divided through.
+than divided through; g counts as vanishing at 1e-12 of the size of the
+terms it is summed from, near the data and far from it alike.
 
 One set of rules decides which new points have an extension: the checks of
 their dimension and finiteness in :func:`_new_points`, and the error for a
@@ -22,10 +23,11 @@ import numpy as np
 
 from . import kernels
 
-# ||g|| at or below 1e-12 * sqrt(kappa) * ||u|| counts as degenerate, where
-# u = kx / sqrt(dbar d) is the uncentered kernel row (kvec is u minus its
-# projection onto sqrt(d)); g is computed from terms of that size, so below
-# it g is rounding noise
+# ||g|| at or below 1e-12 of the size of the terms g is computed from,
+# (kx @ (||Xi_i|| / sqrt(d_i))) / sqrt(dbar) + sqrt(dbar) ||center||, counts
+# as degenerate: below it g is rounding noise.  Both terms scale like
+# sqrt(dbar), as g does, so the test holds far from the data too, where the
+# weights are tiny
 _DEGENERATE_RTOL = 1e-12
 
 # tiny negative extended-diagonal values are rounding noise; anything below
@@ -120,35 +122,35 @@ def extend_points(base, Xi, X):
     The points are processed in row blocks of Gaussian weights ``kx`` (see
     ``kernels._map_blocks``).  Per block, one product ``kx @ [Xi / sqrt(d), 1]``
     gives both ``A = kx @ (Xi / sqrt(d))`` and the extended degrees ``dbar``,
-    and ``kx**2 @ (1/d)`` gives ``dbar ||u||^2`` for the degeneracy test; the
-    rest runs once over all rows, so the runner's threads hold the GIL for
-    little more than those products.  The Nystrom sums follow as
-    ``g = A / sqrt(dbar) - sqrt(dbar) (sqrt(d) @ Xi) / vol``; the kernel rows
-    ``kvec`` of :func:`sdpembed.diagnostics.extension_row` are never formed.
+    and ``kx @ (||Xi_i|| / sqrt(d_i))`` bounds ``||A||`` for the degeneracy
+    test; the rest runs once over all rows, so the runner's threads hold the
+    GIL for little more than those products.  The Nystrom sums follow as
+    ``g = A / sqrt(dbar) - sqrt(dbar) center`` with
+    ``center = (sqrt(d) @ Xi) / vol``; the kernel rows ``kvec`` of
+    :func:`sdpembed.diagnostics.extension_row` are never formed.
     """
     rank = Xi.shape[1]
     root_d = np.sqrt(base.degrees)
     weights = np.hstack([Xi / root_d[:, None], np.ones((Xi.shape[0], 1))])
     center = (root_d @ Xi) / base.volume
-    inv_d = 1.0 / base.degrees
+    row_sizes = np.linalg.norm(Xi, axis=1) / root_d
     X = _new_points(base, X)
     m = X.shape[0]
     prod = np.empty((m, rank + 1))
-    squares = np.empty(m)
+    sizes = np.empty(m)
 
     def products(start, stop, kx, scratch):
         prod[start:stop] = kx @ weights
-        np.square(kx, out=kx)
-        squares[start:stop] = kx @ inv_d
+        sizes[start:stop] = kx @ row_sizes
 
     kernels._map_blocks(X, base.points, base.sigma, products)
     dbar = prod[:, rank]
     kappa = _extended_diagonal(base, dbar)
     root_dbar = np.sqrt(dbar)
     g = prod[:, :rank] / root_dbar[:, None] - np.outer(root_dbar, center)
-    norm_u = np.sqrt(squares / dbar)
     norm_g = np.sqrt(np.einsum("ij,ij->i", g, g))
-    degenerate = norm_g <= _DEGENERATE_RTOL * np.sqrt(kappa) * norm_u
+    size = sizes / root_dbar + root_dbar * np.linalg.norm(center)
+    degenerate = norm_g <= _DEGENERATE_RTOL * size
     ok = ~degenerate
     coords = np.zeros((m, rank))
     coords[ok] = (np.sqrt(kappa[ok]) / norm_g[ok])[:, None] * g[ok]

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dataio, pipeline, solver
+from . import dataio, embedding, pipeline, solver
 
 
 @dataclass
@@ -81,7 +81,7 @@ def sign_solution(problem):
     return np.outer(v, v)
 
 
-def run_interval_experiment(problem, cfg=None, rank_tol=1e-6):
+def run_interval_experiment(problem, cfg=None, rank_tol=embedding._RANK_TOL):
     """Solve, certify, and embed the discretized interval.
 
     Returns the report and the ``pipeline.PipelineResult`` it is read from,

@@ -13,7 +13,7 @@ class PipelineResult:
     certificate: certificate.CertificateReport
 
 
-def embed_points(points, sigma, config=None, rank_tol=1e-6):
+def embed_points(points, sigma, config=None, rank_tol=embedding._RANK_TOL):
     """Run the full training pipeline on a point cloud.
 
     The rank cap ``config.r0`` is capped at the number of points.  A failed

@@ -64,8 +64,8 @@ class SolverConfig:
             raise ValueError("r0 must be at least 2")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.tol_conv <= 0:
-            raise ValueError("tol_conv must be positive")
+        if not 0 < self.tol_conv < np.inf:
+            raise ValueError(f"tol_conv must be positive and finite, got {self.tol_conv}")
 
 
 @dataclass

@@ -51,6 +51,25 @@ def test_embed_malformed_csv(tmp_path, capsys):
     assert "row 2" in err and "column 2" in err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--sigma", "nan"], "solve: sigma must be finite, got nan"),
+        (["--sigma", "inf"], "solve: sigma must be finite, got inf"),
+        (["--sigma", "1", "--tol", "nan"], "solve: tol_conv must be positive and finite, got nan"),
+        (["--sigma", "1", "--rank-tol", "1.5"], "solve: rank_tol must be in [0, 1), got 1.5"),
+        (["--sigma", "1", "--rank-tol", "nan"], "solve: rank_tol must be in [0, 1), got nan"),
+    ],
+)
+def test_embed_rejects_settings_out_of_range(flags, message, two_point_csv, tmp_path, capsys):
+    # a setting out of range is one stderr line and exit 1, not a traceback
+    # or a run to the step cap
+    out = tmp_path / "run"
+    assert main(["embed", two_point_csv, *flags, "--r0", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"sdpembed: {message}\n"
+    assert not out.exists()
+
+
 def test_extend_and_certify_take_only_out(tmp_path, capsys):
     for argv in (
         ["extend", "model.json", "new.csv", "--r0", "5"],
@@ -354,6 +373,11 @@ def test_compare_artifacts(cluster_csv, tmp_path):
     code = main(["compare", cluster_csv, "--sigma", "5", "--out", str(out)])
     assert code == 0
     load_embedding(out / "embedding.json")
+    # compare trains on the path of embed: the same input and flags give the
+    # same embedding and certificate files
+    assert main(["embed", cluster_csv, "--sigma", "5", "--out", str(tmp_path / "emb")]) == 0
+    for name in ("embedding.json", "certificate.json"):
+        assert (out / name).read_bytes() == (tmp_path / "emb" / name).read_bytes()
     eigs = _read_json(out / "dm_eigenvalues.json")["eigenvalues"]
     assert len(eigs) == 6
     with open(out / "dm_embedding.csv", newline="") as fh:

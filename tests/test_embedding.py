@@ -34,6 +34,10 @@ def test_rank_tol_separates_scales():
     H_Xi = np.array([[1.0, 0.0], [0.0, 1e-7]])
     assert factor_to_embedding(H_Xi, rank_tol=1e-6).rank == 1
     assert factor_to_embedding(H_Xi, rank_tol=1e-8).rank == 2
+    assert factor_to_embedding(H_Xi, rank_tol=0.0).rank == 2
+    for rank_tol in (-1e-6, 1.0, 1.5, np.nan):
+        with pytest.raises(ValueError, match=r"rank_tol must be in \[0, 1\)"):
+            factor_to_embedding(H_Xi, rank_tol=rank_tol)
 
 
 def test_rigidity_and_spherical_shell(cluster_pipeline):

@@ -85,14 +85,14 @@ def test_extend_points_flags_midpoint_in_a_batch(two_point):
         np.testing.assert_allclose(ext.coords[2 * i], p.coords[0], rtol=1e-14)
 
 
-def _square_pass_extension(base, Xi, X):
+def _per_block_extension(base, Xi, X):
     """Reference for ``extend_points``: its coordinates and degeneracy flags
     computed block by block, inside the runner."""
     rank = Xi.shape[1]
     root_d = np.sqrt(base.degrees)
     weights = np.hstack([Xi / root_d[:, None], np.ones((Xi.shape[0], 1))])
     center = (root_d @ Xi) / base.volume
-    inv_d = 1.0 / base.degrees
+    row_sizes = np.linalg.norm(Xi, axis=1) / root_d
     coords = np.zeros((X.shape[0], rank))
     degenerate = np.zeros(X.shape[0], dtype=bool)
 
@@ -102,10 +102,9 @@ def _square_pass_extension(base, Xi, X):
         k = _extended_diagonal(base, dbar)
         root_dbar = np.sqrt(dbar)
         g = prod[:, :rank] / root_dbar[:, None] - np.outer(root_dbar, center)
-        np.square(kx, out=kx)
-        norm_u = np.sqrt((kx @ inv_d) / dbar)
+        size = (kx @ row_sizes) / root_dbar + root_dbar * np.linalg.norm(center)
         norm_g = np.sqrt(np.einsum("ij,ij->i", g, g))
-        flat = norm_g <= 1e-12 * np.sqrt(k) * norm_u
+        flat = norm_g <= 1e-12 * size
         ok = ~flat
         coords[start:stop][ok] = (np.sqrt(k[ok]) / norm_g[ok])[:, None] * g[ok]
         degenerate[start:stop] = flat
@@ -114,17 +113,22 @@ def _square_pass_extension(base, Xi, X):
     return coords, degenerate
 
 
-def test_degeneracy_over_all_rows_matches_the_per_block_rule():
-    # a training set symmetric under x -> -x with the odd coordinate
-    # sign(x) sqrt(K_ii): every new point on the axis x = 0 is an exact
-    # symmetry midpoint; these sit in several row blocks, the shorter last
-    # one included, among ordinary points and points so far out that their
-    # Nystrom sums are rounding noise too
-    rng = np.random.default_rng(6)
+def _mirrored_model(rng):
+    """A training set symmetric under x -> -x, 500 mirrored pairs in
+    [-3, 3]^2 at sigma = 1, with the odd coordinate sign(x) sqrt(K_ii)."""
     half = rng.uniform([0.2, -3.0], [3.0, 3.0], (500, 2))
     base = gaussian_gram(np.vstack([half, half * [-1.0, 1.0]]), 1.0)
     radius = np.sqrt(1.0 / base.degrees - base.degrees / base.volume)
-    Xi = (np.sign(base.points[:, 0]) * radius)[:, None]
+    return base, (np.sign(base.points[:, 0]) * radius)[:, None]
+
+
+def test_degeneracy_over_all_rows_matches_the_per_block_rule():
+    # every new point on the axis x = 0 of the mirrored set is an exact
+    # symmetry midpoint; these sit in several row blocks, the shorter last
+    # one included, among ordinary points and points far out, whose weights
+    # are tiny but whose Nystrom sums are not rounding noise
+    rng = np.random.default_rng(6)
+    base, Xi = _mirrored_model(rng)
     rows = kernels._block_rows(base.points.shape[0])
     X = rng.uniform([-3.0, -3.0], [3.0, 3.0], (10 * rows + rows // 2, 2))
     mid = np.r_[np.arange(5, 10 * rows, 2 * rows + 11), X.shape[0] - 3]
@@ -132,12 +136,25 @@ def test_degeneracy_over_all_rows_matches_the_per_block_rule():
     far = np.arange(7, X.shape[0], rows // 2 + 1)
     X[far] = np.sign(X[far]) * rng.uniform(5.0, 14.0, (far.size, 2))
     ext = extend_points(base, Xi, X)
-    coords, degenerate = _square_pass_extension(base, Xi, X)
+    coords, degenerate = _per_block_extension(base, Xi, X)
     assert np.array_equal(ext.degenerate, degenerate)
     assert np.array_equal(ext.coords, coords)
     assert ext.degenerate[mid].all() and not ext.coords[mid].any()
-    assert 0 < ext.degenerate[far].sum() < far.size
+    assert not ext.degenerate[far].any()
     assert ext.degenerate.sum() < mid.size + far.size
+
+
+def test_no_degeneracy_along_a_ray_out_of_the_data():
+    # the points (3 + t, 0.5) leave the mirrored set; their Nystrom sums point
+    # along the odd coordinate until every Gaussian weight underflows
+    base, Xi = _mirrored_model(np.random.default_rng(6))
+    t = np.arange(27.0)
+    ext = extend_points(base, Xi, np.column_stack([3.0 + t, np.full(t.size, 0.5)]))
+    assert not ext.degenerate.any()
+    assert (ext.coords[:, 0] > 0).all()
+    np.testing.assert_allclose(ext.coords[:, 0] ** 2, ext.kappa, rtol=1e-12)
+    with pytest.raises(ValueError, match="index 0 has no kernel weight"):
+        extend_points(base, Xi, [[30.0, 0.5]])
 
 
 @pytest.mark.parametrize("extend", ["extend_points", "extension_row", "check_volume_inequalities"])

@@ -89,6 +89,9 @@ def test_translated_points_give_the_same_kernel_and_extension():
 def test_gram_rejects_bad_input():
     with pytest.raises(ValueError, match="sigma"):
         gaussian_gram(np.zeros((2, 1)), 0.0)
+    for sigma in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            gaussian_gram(np.zeros((2, 1)), sigma)
     with pytest.raises(ValueError, match="non-finite"):
         gaussian_gram(np.array([[np.nan]]), 1.0)
     with pytest.raises(ValueError, match="d >= 1"):

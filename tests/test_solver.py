@@ -27,8 +27,9 @@ def _two_point_kernel():
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(r0=1)
-    with pytest.raises(ValueError):
-        SolverConfig(tol_conv=0.0)
+    for tol in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tol_conv must be positive and finite"):
+            SolverConfig(tol_conv=tol)
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
 

@@ -40,13 +40,7 @@ from .interval import (
 )
 from .kernels import diffusion_kernel, gaussian_gram
 from .pipeline import embed_points
-from .solver import (
-    SolverConfig,
-    init_factor,
-    objective,
-    project_rows,
-    solve,
-)
+from .solver import SolverConfig, objective, solve
 
 __version__ = "0.1.0"
 
@@ -70,11 +64,9 @@ __all__ = [
     "gen_interval_grid",
     "gen_swiss_roll",
     "gen_three_clusters",
-    "init_factor",
     "load_csv",
     "load_embedding",
     "objective",
-    "project_rows",
     "run_interval_experiment",
     "save_csv",
     "save_embedding",

@@ -30,6 +30,11 @@ class EmbeddingResult:
     H_Xi: np.ndarray
 
 
+def _check_rank_tol(rank_tol):
+    if not 0 <= rank_tol < 1:
+        raise ValueError(f"rank_tol must be in [0, 1), got {rank_tol}")
+
+
 def factor_to_embedding(H_Xi, rank_tol=_RANK_TOL):
     """Convert a solved factor into embedding coordinates.
 
@@ -48,8 +53,7 @@ def factor_to_embedding(H_Xi, rank_tol=_RANK_TOL):
         first index of the largest-magnitude entry), each column flipped so
         its largest-magnitude entry is positive.
     """
-    if not 0 <= rank_tol < 1:
-        raise ValueError(f"rank_tol must be in [0, 1), got {rank_tol}")
+    _check_rank_tol(rank_tol)
     H_Xi = np.asarray(H_Xi, dtype=float)
     U, sv, _ = np.linalg.svd(H_Xi, full_matrices=False)
     if sv[0] <= 0:

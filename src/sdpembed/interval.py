@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dataio, embedding, pipeline, solver
+from . import dataio, embedding, kernels, pipeline, solver
 
 
 @dataclass
@@ -55,9 +55,8 @@ def build_interval_problem(n, sigma):
     kernel module produces for it; the two agree to ~1e-12 and the
     experiment cross-checks that.
     """
+    kernels._check_sigma(sigma)
     grid = dataio.gen_interval_grid(n).points[:, 0]
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
     gram = np.exp(-((grid[:, None] - grid[None, :]) ** 2) / sigma**2)
     degree = gram.sum(axis=1)
     volume = degree.sum()

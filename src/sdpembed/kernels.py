@@ -164,12 +164,16 @@ def _degrees(X, points, sigma):
     return degrees
 
 
-def _checked_points(points, sigma):
-    """The training points as a float array, after checking them and sigma."""
+def _check_sigma(sigma):
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     if not np.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma}")
+
+
+def _checked_points(points, sigma):
+    """The training points as a float array, after checking them and sigma."""
+    _check_sigma(sigma)
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or min(points.shape) < 1:
         raise ValueError("need an (N, d) array of points with N, d >= 1")

@@ -2,7 +2,13 @@
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import certificate, embedding, kernels, solver
+
+# a bandwidth path goes up at most this many doublings of sigma; the top
+# level is solved cold in full
+_MAX_DOUBLINGS = 6
 
 
 @dataclass
@@ -18,14 +24,44 @@ def embed_points(points, sigma, config=None, rank_tol=embedding._RANK_TOL):
 
     The rank cap ``config.r0`` is capped at the number of points.  A failed
     certificate (the solver's last one, if it has one) is reported, not raised.
+
+    Where the solver's power steps stall on the cold start at ``sigma``,
+    it takes a bandwidth path instead of the trust region: it probes
+    2 sigma, 4 sigma, ... with the same cold power steps up to the first
+    level where they converge (or 2^6 sigma, which is solved cold in full),
+    then solves each lower level, ``sigma`` last, from the unit rows of the
+    level above.  One ``K`` is held at a time, ``config.max_iters`` caps the
+    steps of the whole path, and the factor's ``iterations`` and
+    ``products`` count them all; the rest comes from ``sigma`` itself.
     """
+    embedding._check_rank_tol(rank_tol)
     cfg = config or solver.SolverConfig()
-    base = kernels.gaussian_gram(points, sigma)
-    dk = kernels.diffusion_kernel(base)
-    n = dk.K.shape[0]
+    dk = _kernel(points, sigma)
+    points, n = dk.base.points, dk.K.shape[0]
     if cfg.r0 > n:
         cfg = replace(cfg, r0=max(2, n))
-    state = solver.solve(dk.K, cfg)
+    steps = products = level = 0
+    while True:
+        state, stalled = solver._solve(
+            dk.K, cfg, None, cfg.max_iters - steps, probe=level < _MAX_DOUBLINGS
+        )
+        steps, products = steps + state.iterations, products + state.products
+        if not stalled:
+            break
+        level += 1
+        dk = None  # one K at a time
+        dk = _kernel(points, sigma * 2**level)
+    for level in range(level - 1, -1, -1):
+        start = state.H_Xi / np.sqrt(np.diag(dk.K))[:, None]
+        dk = None
+        dk = _kernel(points, sigma * 2**level)
+        state, _ = solver._solve(dk.K, cfg, start, cfg.max_iters - steps)
+        steps, products = steps + state.iterations, products + state.products
+    state = replace(state, iterations=steps, products=products)
     result = embedding.factor_to_embedding(state.H_Xi, rank_tol=rank_tol)
     report = state.certificate or certificate.check_optimality(dk.K, state.H_Xi)
     return PipelineResult(kernel=dk, factor=state, embedding=result, certificate=report)
+
+
+def _kernel(points, sigma):
+    return kernels.diffusion_kernel(kernels.gaussian_gram(points, sigma))

@@ -3,13 +3,15 @@ factor rho = H_Xi H_Xi^T of width p whose row i has length sqrt(K_ii).  The
 rows of Y = R^{-1} H_Xi, R = ddiag(K)^{1/2}, are unit vectors (the oblique
 manifold), and E = Tr(rho K) = Tr(Y^T J Y) with J = R K R.
 
-1. The paper's projected power steps Y <- P(J Y) at p = 2, P scaling rows to
-   unit length; row i of J Y is sqrt(K_ii) (K H_Xi)_i, so a step is one
-   product with K, and E never falls for p.s.d. K.
+1. The paper's projected power steps Y <- P(J Y), P scaling rows to unit
+   length, from a random start at p = 2 or a given one; row i of J Y is
+   sqrt(K_ii) (K H_Xi)_i, so a step is one product with K, and E never
+   falls for p.s.d. K.
 2. Once they are too slow, a Riemannian trust region (Absil, Baker &
    Gallivan 2007): with D_i = (K rho)_ii, the gradient of -E is
    2 (D Y - J Y) and the Hessian U -> 2 proj_Y(D U - J U); truncated CG
    solves each step on it shifted by ||grad||, one product with K a step.
+   (The probes of ``pipeline.embed_points``'s bandwidth path stop there.)
 3. A rank staircase (Boumal 2015): where ``check_optimality`` finds
    lambda_min(L) < -1e-8 max_i K_ii at a stationary point, a column along
    its eigenvector is added, up to width ``cfg.r0``, and step 2 resumes.
@@ -17,7 +19,7 @@ manifold), and E = Tr(rho K) = Tr(Y^T J Y) with J = R K R.
 All stop on the ``slackness_residual`` of ``check_optimality``.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,14 +101,11 @@ def _unit_rows(M, rng):
     return M / norms[:, None]
 
 
-def project_rows(M, rng=None):
-    """M with unit rows; rows of norm below 1e-300 get a random direction."""
-    return _unit_rows(np.asarray(M, dtype=float), rng)
-
-
 def init_factor(n_points, cfg, rng=None):
-    """Random start with unit rows: entries uniform in [-1, 1], rows normalized.
-    Deterministic given ``cfg.seed`` (unless an external rng is supplied)."""
+    """Random factor of ``cfg.r0`` unit rows, entries uniform in [-1, 1]
+    before scaling, from ``cfg.seed`` unless ``rng`` is given.  ``solve``
+    draws its cold start the same way at width 2; the benchmark's tests
+    (``bench/tests``) take random feasible factors from it."""
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     return _unit_rows(rng.uniform(-1.0, 1.0, (n_points, cfg.r0)), rng)
@@ -174,14 +173,26 @@ def _tcg(K, root, x, radius):
     return eta, decrease, products
 
 
-def solve(K, cfg):
+def solve(K, cfg, start=None):
     """Solve for the (N, N) p.s.d. kernel ``K``; returns a ``FactorState``.
 
+    ``start`` is an (N, p) factor with 2 <= p <= ``cfg.r0`` whose rows,
+    scaled to unit length, are the first iterate; by default it is random
+    at width 2, drawn from ``cfg.seed``.
+
     Raises ``ValueError`` if some K_ii is not positive (that point cannot
-    carry an embedding constraint) or ``cfg.r0`` exceeds N, and
-    ``RuntimeError`` if a power step lowers E by more than 1e-9 Tr(K)^2,
-    which cannot happen for p.s.d. K and so signals a corrupted input.
+    carry an embedding constraint), ``cfg.r0`` exceeds N or ``start`` does
+    not fit, and ``RuntimeError`` if a power step lowers E by more than
+    1e-9 Tr(K)^2, which cannot happen for p.s.d. K and so signals a
+    corrupted input.
     """
+    return _solve(K, cfg, start, cfg.max_iters)[0]
+
+
+def _solve(K, cfg, start, budget, probe=False):
+    """``solve`` within ``budget`` steps (0 only evaluates the start), and
+    whether the power steps stalled: with ``probe`` a run whose power steps
+    stall stops there, unconverged, before the trust region."""
     K = np.asarray(K, dtype=float)
     n, diag = K.shape[0], np.diag(K)
     bad = np.flatnonzero(diag <= 0)
@@ -193,13 +204,24 @@ def solve(K, cfg):
     if cfg.r0 > n:
         raise ValueError(f"r0 = {cfg.r0} exceeds the number of points {n}")
     root, scale, rng = np.sqrt(diag), diag.max(), np.random.default_rng(cfg.seed)
+    if start is None:
+        start = rng.uniform(-1.0, 1.0, (n, 2))
+    start = np.asarray(start, dtype=float)
+    if start.ndim != 2 or start.shape[0] != n or not 2 <= start.shape[1] <= cfg.r0:
+        raise ValueError(f"start must be (N, p) with N = {n} and 2 <= p <= r0 = {cfg.r0}, "
+                         f"got shape {start.shape}")
+    if not np.all(np.isfinite(start)):
+        raise ValueError("start must be finite")
     threshold = cfg.tol_conv * scale
-    x = _Point(K, root, init_factor(n, replace(cfg, r0=2), rng))
+    x = _Point(K, root, _unit_rows(start, rng))
     steps, products, history = 0, 1, [x.residual]
-    while x.residual > threshold and steps < cfg.max_iters:
+    while x.residual > threshold and steps < budget:
         if steps >= _WINDOW:
             rate = (x.residual / history[-1 - _WINDOW]) ** (1.0 / _WINDOW)
             if rate >= 1 or np.log(threshold / x.residual) < _POWER_BUDGET * np.log(rate):
+                if probe:
+                    stalled = FactorState(x.H, x.energy, steps, False, x.residual, products, None)
+                    return stalled, True
                 break
         y = _Point(K, root, _unit_rows(x.KH, rng))
         if y.energy < x.energy - _MONOTONE_RTOL * diag.sum() ** 2:
@@ -209,7 +231,7 @@ def solve(K, cfg):
         history.append(x.residual)
     radius_max = np.pi * np.sqrt(n)
     radius, report = radius_max / 8, None
-    while steps < cfg.max_iters or x.residual <= threshold:
+    while steps < budget or x.residual <= threshold:
         if x.residual <= threshold:
             report = check_optimality(K, x.H)
             if report.least_eigenvalues[0] >= -_RTOL * scale or x.Y.shape[1] >= cfg.r0:
@@ -237,4 +259,4 @@ def solve(K, cfg):
         if ratio > _ACCEPT:
             x = y
     done = bool(x.residual <= threshold)
-    return FactorState(x.H, x.energy, steps, done, x.residual, products, report)
+    return FactorState(x.H, x.energy, steps, done, x.residual, products, report), False

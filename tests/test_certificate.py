@@ -11,14 +11,13 @@ from sdpembed import (
     embed_points,
     gaussian_gram,
     gen_three_clusters,
-    init_factor,
     solve,
 )
 
 from sdpembed import certificate
 from sdpembed.certificate import _LANCZOS_BASIS, _LANCZOS_RTOL, _N_LEAST, _RTOL, _lanczos_least
 from sdpembed.diagnostics import certificate_matrix, nuclear_equivalence_check
-from sdpembed.solver import _unit_rows
+from sdpembed.solver import _unit_rows, init_factor
 
 from conftest import C, tight_config
 

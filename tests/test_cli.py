@@ -70,6 +70,27 @@ def test_embed_rejects_settings_out_of_range(flags, message, two_point_csv, tmp_
     assert not out.exists()
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("a kernel was built")
+
+
+def test_embed_rejects_rank_tol_before_any_kernel(two_point_csv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("sdpembed.kernels.gaussian_gram", _refuse)
+    out = tmp_path / "run"
+    argv = ["embed", two_point_csv, "--sigma", "1", "--rank-tol", "1.5", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "sdpembed: solve: rank_tol must be in [0, 1), got 1.5\n"
+    assert not out.exists()
+
+
+def test_toy_rejects_sigma_before_the_grid(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("sdpembed.dataio.gen_interval_grid", _refuse)
+    out = tmp_path / "toy"
+    assert main(["toy", "21", "--sigma", "nan", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "sdpembed: toy experiment: sigma must be finite, got nan\n"
+    assert not out.exists()
+
+
 def test_extend_and_certify_take_only_out(tmp_path, capsys):
     for argv in (
         ["extend", "model.json", "new.csv", "--r0", "5"],

@@ -11,9 +11,9 @@ from sdpembed import (
     extend_points,
     factor_to_embedding,
     gaussian_gram,
-    init_factor,
 )
 from sdpembed import kernels
+from sdpembed.solver import init_factor
 from sdpembed.extension import _extended_diagonal
 from sdpembed.diagnostics import (
     block_extension_analysis,

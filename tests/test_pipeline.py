@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from sdpembed import (
     diffusion_kernel,
     embed_points,
     gaussian_gram,
+    gen_three_clusters,
+    kernels,
     solve,
 )
 
@@ -55,12 +59,83 @@ def _assert_converged_and_certified(result):
     assert np.array_equal(fresh.least_eigenvalues, result.certificate.least_eigenvalues)
 
 
+def _assert_matches_a_cold_solve(result):
+    cold = solve(result.kernel.K, SolverConfig())
+    assert cold.converged
+    assert result.factor.objective == pytest.approx(cold.objective, rel=1e-12, abs=0)
+
+
 @pytest.mark.parametrize("sigma", [1.0, 0.5, 0.3])
 def test_paper_points_certify_at_small_sigma(clusters, sigma):
-    # the power method alone stopped at its 15000-step cap on all three
+    # the power method alone stopped at its 15000-step cap on all three;
+    # its steps stall on the cold start at each, so each takes the path
     result = embed_points(clusters.points, sigma)
     _assert_converged_and_certified(result)
     assert result.embedding.rank == 2
+    _assert_matches_a_cold_solve(result)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_other_data_seeds_match_a_cold_solve_at_sigma_0_2(seed):
+    # a cold solve takes 14.6k and 14.1k products here
+    result = embed_points(gen_three_clusters(100, 8, seed).points, 0.2)
+    _assert_converged_and_certified(result)
+    _assert_matches_a_cold_solve(result)
+
+
+def _built_kernels(monkeypatch):
+    """The sigma of every kernel that ``embed_points`` builds; each build
+    also checks that no ``K`` built before it is still alive."""
+    sigmas, alive = [], []
+    build = kernels.diffusion_kernel
+
+    def spy(base):
+        assert all(ref() is None for ref in alive), "two kernels alive at once"
+        sigmas.append(base.sigma)
+        dk = build(base)
+        alive.append(weakref.ref(dk.K))
+        return dk
+
+    monkeypatch.setattr(kernels, "diffusion_kernel", spy)
+    return sigmas
+
+
+def test_paper_points_at_sigma_0_1_take_a_short_path(clusters, monkeypatch):
+    # a cold solve takes 2.24M products here (about 90 s); the power steps
+    # stall up to sigma = 1.6 and converge at 3.2, and the path comes back
+    # down with one K at a time
+    sigmas = _built_kernels(monkeypatch)
+    result = embed_points(clusters.points, 0.1)
+    assert sigmas == [0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 1.6, 0.8, 0.4, 0.2, 0.1]
+    _assert_converged_and_certified(result)
+    assert result.embedding.rank == 2
+    assert result.kernel.base.sigma == 0.1
+    assert result.factor.products < 20000
+
+
+def test_path_shares_one_step_budget(clusters, monkeypatch):
+    # the power steps stall at sigma = 0.3 after about 30 steps; the rest of
+    # the 50 go to the probes, and the result is sigma's own, unconverged
+    sigmas = _built_kernels(monkeypatch)
+    result = embed_points(clusters.points, 0.3, config=SolverConfig(max_iters=50))
+    assert sigmas[0] == sigmas[-1] == 0.3 and len(sigmas) > 1
+    assert result.factor.iterations == 50 and not result.factor.converged
+    assert result.kernel.base.sigma == 0.3
+    row_sq = np.einsum("ij,ij->i", result.factor.H_Xi, result.factor.H_Xi)
+    assert np.allclose(row_sq, np.diag(result.kernel.K), rtol=1e-12)
+
+
+def test_clusters_at_sigma_5_take_no_path(clusters, monkeypatch):
+    # the power steps converge on their own, so the result is a cold solve's
+    # bit for bit, built on one kernel, with one product per step
+    sigmas = _built_kernels(monkeypatch)
+    result = embed_points(clusters.points, 5.0)
+    assert sigmas == [5.0]
+    cold = solve(result.kernel.K, SolverConfig())
+    assert np.array_equal(result.factor.H_Xi, cold.H_Xi)
+    assert result.factor.objective == cold.objective
+    assert result.factor.products == cold.products == result.factor.iterations + 1
+    _assert_converged_and_certified(result)
 
 
 def test_far_outlier_certifies():

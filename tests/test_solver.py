@@ -9,13 +9,11 @@ from sdpembed import (
     check_optimality,
     diffusion_kernel,
     gaussian_gram,
-    init_factor,
     objective,
-    project_rows,
     solve,
 )
 
-from sdpembed.solver import _WINDOW, _unit_rows
+from sdpembed.solver import _WINDOW, _solve, _unit_rows, init_factor
 
 from conftest import C, tight_config
 
@@ -34,25 +32,25 @@ def test_config_validation():
         SolverConfig(max_iters=0)
 
 
-def test_project_rows_three_four_five():
-    out = project_rows(np.array([[3.0, 4.0]]))
+def test_unit_rows_three_four_five():
+    out = _unit_rows(np.array([[3.0, 4.0]]), None)
     assert np.allclose(out, [[0.6, 0.8]], atol=1e-15)
 
 
-def test_project_rows_idempotent_on_unit_rows():
+def test_unit_rows_idempotent_on_unit_rows():
     rng = np.random.default_rng(1)
-    H = project_rows(rng.standard_normal((10, 4)))
-    assert np.allclose(project_rows(H), H, atol=1e-15)
+    H = _unit_rows(rng.standard_normal((10, 4)), None)
+    assert np.allclose(_unit_rows(H, None), H, atol=1e-15)
 
 
-def test_project_rows_zero_row_policy():
+def test_unit_rows_zero_row_policy():
     rng = np.random.default_rng(2)
     M = np.zeros((3, 5))
     M[0, 0] = 2.0
-    out = project_rows(M, rng)
+    out = _unit_rows(M, rng)
     assert np.allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
     with pytest.raises(ValueError, match="zero row"):
-        project_rows(np.zeros((2, 3)))
+        _unit_rows(np.zeros((2, 3)), None)
 
 
 def test_init_factor_unit_rows_and_determinism():
@@ -177,7 +175,7 @@ def test_iteration_preserves_feasibility_and_monotonicity():
     H_Xi = root[:, None] * init_factor(16, cfg)
     energy = objective(dk.K, H_Xi)
     for _ in range(200):
-        H_Xi = root[:, None] * project_rows(dk.K @ H_Xi)
+        H_Xi = root[:, None] * _unit_rows(dk.K @ H_Xi, None)
         assert np.max(np.abs(np.linalg.norm(H_Xi, axis=1) / root - 1.0)) < 1e-12
         new_energy = objective(dk.K, H_Xi)
         assert new_energy >= energy - 1e-12 * max(1.0, abs(new_energy))
@@ -216,6 +214,49 @@ def test_solve_replays_the_bare_iteration():
     assert state.objective >= objective(dk.K, _power_steps(dk.K, _WINDOW, cfg))
 
 
+def test_probe_stops_where_the_power_steps_stall():
+    # the same run as above: with probe it returns the iterate its power
+    # steps stalled at, bit for bit, before any trust-region step
+    rng = np.random.default_rng(10)
+    dk = diffusion_kernel(gaussian_gram(rng.standard_normal((14, 2)), 1.0))
+    cfg = SolverConfig(seed=1, tol_conv=1e-300)
+    state, stalled = _solve(dk.K, cfg, None, cfg.max_iters, probe=True)
+    assert stalled and not state.converged and state.certificate is None
+    assert state.iterations == _WINDOW and state.products == _WINDOW + 1
+    assert np.array_equal(state.H_Xi, _power_steps(dk.K, _WINDOW, cfg))
+    # a run that does not stall is solve()'s own
+    K = _two_point_kernel()
+    state, stalled = _solve(K, tight_config(r0=2), None, 20000, probe=True)
+    assert not stalled
+    assert np.array_equal(state.H_Xi, solve(K, tight_config(r0=2)).H_Xi)
+
+
+def test_solve_from_a_start_factor():
+    rng = np.random.default_rng(4)
+    K = diffusion_kernel(gaussian_gram(rng.standard_normal((18, 2)), 1.5)).K
+    cold = solve(K, tight_config())
+    # rows of any length are scaled to unit length; the optimum's own rows
+    # are a stationary start, so the run stops at once
+    warm = solve(K, tight_config(), start=3.0 * cold.H_Xi)
+    assert warm.converged and warm.iterations == 0 and warm.products == 1
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
+    # a random start of width 3 keeps its width
+    start = rng.standard_normal((18, 3))
+    wide = solve(K, tight_config(r0=3), start=start)
+    assert wide.converged and wide.H_Xi.shape == (18, 3)
+    assert wide.objective == pytest.approx(cold.objective, rel=1e-12)
+    # a budget of 0 steps only evaluates the start
+    state, _ = _solve(K, tight_config(r0=3), start, 0)
+    assert state.iterations == 0 and state.products == 1
+    root = np.sqrt(np.diag(K))[:, None]
+    assert np.array_equal(state.H_Xi, root * _unit_rows(start, None))
+    for shape in ((18, 1), (18, 4), (17, 3), (18,)):
+        with pytest.raises(ValueError, match="start must be"):
+            solve(K, tight_config(r0=3), start=np.ones(shape))
+    with pytest.raises(ValueError, match="start must be finite"):
+        solve(K, tight_config(r0=3), start=np.full((18, 2), np.nan))
+
+
 def test_solve_follows_the_paper_coupling_iteration():
     # the paper's form: unit rows H <- P(J H) with J = ddiag(K)^1/2 K ddiag(K)^1/2;
     # the power steps of solve() run on H_Xi = ddiag(K)^1/2 H and never form J
@@ -228,7 +269,7 @@ def test_solve_follows_the_paper_coupling_iteration():
         state = solve(dk.K, cfg)
         H = init_factor(20, replace(cfg, r0=2))
         for _ in range(k):
-            H = project_rows(J @ H)
+            H = _unit_rows(J @ H, None)
         assert np.max(np.abs(state.H_Xi - root[:, None] * H)) <= 1e-12 * root.max()
         assert state.objective == pytest.approx(objective(J, H), rel=1e-12)
 

@@ -82,8 +82,9 @@ def _train(args):
     return ds, result, out
 
 
-def _load_model(path):
-    """A stored embedding's coordinates and its training points' kernel state."""
+def _load_model(path, kernel=False):
+    """A stored embedding's coordinates and its training points' kernel
+    state, or with ``kernel`` their ``DiffusionKernel``."""
     ef = dataio.load_embedding(path)
     meta = ef.metadata
     if "training_points" not in meta:
@@ -97,7 +98,8 @@ def _load_model(path):
     sigma = dataio._numbers(path, "sigma", meta["sigma"])
     if sigma.ndim != 0 or not np.isfinite(sigma):
         raise EmbeddingSchemaError(f"{path}: sigma {meta['sigma']!r} is not a finite number")
-    return ef.coordinates, kernels.gaussian_gram(points, float(sigma))
+    build = kernels._build_kernel if kernel else kernels.gaussian_gram
+    return ef.coordinates, build(points, float(sigma))
 
 
 def _exit_code(report, K, factor=None, tol=None):
@@ -148,8 +150,8 @@ def cmd_extend(args):
 
 def cmd_certify(args):
     with _stage("embedding loading", EmbeddingSchemaError, OSError, ValueError):
-        Xi, base = _load_model(args.embedding)
-        K = kernels.diffusion_kernel(base).K
+        Xi, dk = _load_model(args.embedding, kernel=True)
+    K = dk.K
     out = _out_dir(args)
     try:
         report = check_optimality(K, Xi)

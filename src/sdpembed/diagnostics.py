@@ -149,11 +149,7 @@ def extension_row(base, xbar):
         raise ValueError(f"expected one point of shape (d,), got shape {np.shape(xbar)}")
     X = _new_points(base, np.reshape(xbar, (1, -1)))
     kx = np.empty((1, base.points.shape[0]))
-
-    def copy(start, stop, weights, scratch):
-        kx[:] = weights
-
-    _map_blocks(X, base.points, base.sigma, copy)
+    _map_blocks(X, base.points, base.sigma, lambda *block: None, target=kx)
     dbar = kx.sum(axis=1)
     kappa = _extended_diagonal(base, dbar)
     mixed = np.sqrt(dbar[0] * base.degrees)

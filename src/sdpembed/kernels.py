@@ -10,16 +10,18 @@ handed to the semi-definite program is the centered, degree-normalized kernel
 which is positive semi-definite on the training set, annihilates the vector
 ``sqrt(d)`` exactly, has strictly positive diagonal (for distinct points), and
 has top eigenvalue < 1.  The base-kernel state keeps the points, sigma, the
-degrees and the volume, never the N x N gram: ``K`` is evaluated from the
-points in row blocks.  One evaluator, ``_gaussian_weights``, gives every
-Gaussian weight in the package from the training points held as contiguous
-columns, and one runner, ``_map_blocks``, hands its row blocks to the
-consumers: the degrees, ``K``, the extension to new points, the volume
-probes and the diffusion-maps gram.  From 8 blocks on, the runner deals the
-blocks to up to one thread per CPU, each with its own weight and scratch
-blocks; the results do not depend on the number of threads.  The degree of a new
-point is a row sum of the same weights; the module ``extension`` turns it
-into the new point's kernel row and diagonal value.
+degrees and the volume, never the N x N gram.  One evaluator,
+``_gaussian_weights``, gives every Gaussian weight in the package from the
+training points held as contiguous columns, and one runner, ``_map_blocks``,
+hands its row blocks to the consumers: the degrees, ``K``, the extension to
+new points, the volume probes and the diffusion-maps gram.  ``K`` takes one
+weight pass: its rows of weights are written in place, the degrees are
+summed from them, and the rows are then normalized where they lie.  From 8
+blocks on, the runner deals the blocks to up to one thread per CPU, each
+with its own scratch block; the results do not depend on the number of
+threads.  The degree of a new point is a row sum of the same weights; the
+module ``extension`` turns it into the new point's kernel row and diagonal
+value.
 """
 
 import os
@@ -29,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # Gaussian weights are evaluated in row blocks whose weights and one scratch
-# block of the same shape (coordinate differences, then in diffusion_kernel
-# the products of root degrees) take about this many bytes together in each
+# block of the same shape (coordinate differences, then in the build of K the
+# products of root degrees) take about this many bytes together in each
 # thread, which keeps them in cache and the working memory beside the N x N K
 # small
 _BLOCK_BYTES = 1 << 20
@@ -98,51 +100,72 @@ def _cores():
         return os.cpu_count() or 1
 
 
-def _map_blocks(X, points, sigma, fn, target=None):
+def _map_blocks(X, points, sigma, fn, target=None, then=None):
     """Call ``fn(start, stop, weights, scratch)`` on every row block of the
     Gaussian weights of ``X`` against the training points; ``scratch`` is a
     spare array shaped like ``weights`` that ``fn`` may overwrite.
 
-    With ``target``, the (N, N) array of the training points against
-    themselves (``X`` is ``points``), each row block is evaluated from its
-    diagonal on, straight into ``target[start:stop, start:]``.
+    With ``target``, an (M, N) array, each row block is evaluated straight
+    into ``target[start:stop]``.  With ``then``, once ``fn`` has returned on
+    every block, ``then()`` is called once and returns ``g``, and each
+    thread calls ``g(start, stop, scratch)`` on its own blocks again, so
+    ``g`` may read what ``fn`` wrote for any block.
 
     The blocks are dealt round-robin to ``min(cores, blocks // 4)`` threads,
     the calling one included, each with its own buffers; numpy releases the
     GIL in the evaluator's ufuncs and in BLAS.  Below 8 blocks (the 2 blocks
     of ``K`` at N = 308) the calling thread runs them alone, since a thread
-    would cost more than it saves.  ``fn`` of different blocks may run at
-    once, so it writes only rows ``start:stop`` of shared arrays, and it
-    calls no public function of the package, which a tracer may wrap with
-    unsynchronized state.  The threads are started per call and joined
-    before the return, so none outlives a call or meets a ``fork()``.  If
-    blocks raise, the exception of the lowest one is raised.
+    would cost more than it saves.  ``fn`` and ``g`` of different blocks may
+    run at once, so they write only rows ``start:stop`` of shared arrays,
+    and they call no public function of the package, which a tracer may
+    wrap with unsynchronized state.  The threads are started per call and
+    joined before the return, so none outlives a call or meets a
+    ``fork()``.  If blocks raise, the exception of the lowest one is raised,
+    and ``then`` is not called.
     """
     columns = np.ascontiguousarray(points.T)
     n, m = points.shape[0], X.shape[0]
     rows = _block_rows(n)
     starts = range(0, m, rows)
-    failures = []
+    workers = max(1, min(_cores(), len(starts) // 4))
+    failures, second = [], []
+
+    def between():
+        if not failures:
+            second.append(then())
+
+    barrier = threading.Barrier(workers, action=between)
 
     def run(share):
-        spare = np.empty((2 if target is None else 1) * min(rows, m) * n)
-        for start in share:
-            stop = min(start + rows, m)
-            first = 0 if target is None else start
-            size = (stop - start) * (n - first)
-            scratch = spare[:size].reshape(stop - start, n - first)
-            if target is None:
-                out = spare[size : 2 * size].reshape(scratch.shape)
-            else:
-                out = target[start:stop, start:]
-            try:
-                weights = _gaussian_weights(X[start:stop], columns[:, first:], sigma, out, scratch)
-                fn(start, stop, weights, scratch)
-            except Exception as exc:
-                failures.append((start, exc))
-                return
+        def blocks(call):
+            for start in share:
+                stop = min(start + rows, m)
+                scratch = spare[: (stop - start) * n].reshape(stop - start, n)
+                try:
+                    call(start, stop, scratch)
+                except Exception as exc:
+                    failures.append((start, exc))
+                    return
 
-    workers = max(1, min(_cores(), len(starts) // 4))
+        def weights(start, stop, scratch):
+            if target is None:
+                out = spare[scratch.size : 2 * scratch.size].reshape(scratch.shape)
+            else:
+                out = target[start:stop]
+            fn(start, stop, _gaussian_weights(X[start:stop], columns, sigma, out, scratch), scratch)
+
+        try:
+            spare = np.empty((2 if target is None else 1) * min(rows, m) * n)
+            blocks(weights)
+            if then is not None:
+                barrier.wait()
+                if second:
+                    blocks(second[0])
+        except BaseException:
+            # such as KeyboardInterrupt: no thread may wait for this one
+            barrier.abort()
+            raise
+
     threads = [threading.Thread(target=run, args=(starts[t::workers],)) for t in range(1, workers)]
     for thread in threads:
         thread.start()
@@ -198,10 +221,15 @@ def gaussian_gram(points, sigma):
         The points, sigma, per-point degrees ``d_i = sum_j k(x_i, x_j)`` and
         total volume.  Each degree is the row sum of one row block of
         Gaussian weights at a time (see ``_BLOCK_BYTES``), so no N x N gram
-        is formed; :func:`diffusion_kernel` evaluates the weights again.
+        is formed.  This is the degree pass of out-of-sample extension; a
+        build of ``K`` (:func:`diffusion_kernel`) sums the same degrees, bit
+        for bit, from the rows of ``K`` itself.
     """
     points = _checked_points(points, sigma)
-    degrees = _degrees(points, points, sigma)
+    return _base(points, sigma, _degrees(points, points, sigma))
+
+
+def _base(points, sigma, degrees):
     return BaseKernelState(
         sigma=float(sigma), points=points, degrees=degrees, volume=float(degrees.sum())
     )
@@ -213,22 +241,41 @@ def diffusion_kernel(base):
     Returns
     -------
     DiffusionKernel
-        ``K(i, j) = k(x_i, x_j)/sqrt(d_i d_j) - sqrt(d_i d_j)/vol``, which
-        annihilates ``sqrt(d)`` and is exactly symmetric.  Each row block of
-        ``K`` is evaluated from its diagonal on, straight from the Gaussian
-        weights of ``base.points``, normalized in place and mirrored below
-        the diagonal, so the build holds ``K`` and a few block buffers.
+        ``K(i, j) = k(x_i, x_j)/sqrt(d_i d_j) - sqrt(d_i d_j)/vol`` and
+        ``base``.  ``K`` annihilates ``sqrt(d)`` and is exactly symmetric.
+        It is built from ``base.points`` and ``base.sigma`` in one pass over
+        the weights (``_build_kernel``), whose degrees are bitwise those of
+        :func:`gaussian_gram`.
     """
-    points, n = base.points, base.points.shape[0]
-    root_d = np.sqrt(base.degrees)
-    K = np.empty((n, n))
+    return DiffusionKernel(K=_build_kernel(base.points, base.sigma).K, base=base)
 
-    def normalize(start, stop, blk, scratch):
-        outer = np.multiply.outer(root_d[start:stop], root_d[start:], out=scratch)
-        blk /= outer
-        outer /= base.volume
-        blk -= outer
-        K[stop:, start:stop] = K[start:stop, stop:].T
 
-    _map_blocks(points, points, base.sigma, normalize, target=K)
-    return DiffusionKernel(K=K, base=base)
+def _build_kernel(points, sigma):
+    """``DiffusionKernel`` of the training points from one pass over the
+    Gaussian weights: full row blocks of weights go into ``K``, their row
+    sums are the degrees (the blocks and sums of :func:`gaussian_gram`, so
+    the same bits), and then the same threads normalize the blocks in
+    place.  ``K`` is symmetric bit for bit without a mirror copy, since
+    ``k(x_i, x_j) == k(x_j, x_i)`` and multiplication commutes.
+    """
+    points = _checked_points(points, sigma)
+    n = points.shape[0]
+    K, degrees = np.empty((n, n)), np.empty(n)
+
+    def row_sums(start, stop, weights, scratch):
+        degrees[start:stop] = weights.sum(axis=1)
+
+    def normalizer():
+        root_d, volume = np.sqrt(degrees), float(degrees.sum())
+
+        def normalize(start, stop, outer):
+            blk = K[start:stop]
+            np.multiply.outer(root_d[start:stop], root_d, out=outer)
+            blk /= outer
+            outer /= volume
+            blk -= outer
+
+        return normalize
+
+    _map_blocks(points, points, sigma, row_sums, target=K, then=normalizer)
+    return DiffusionKernel(K=K, base=_base(points, sigma, degrees))

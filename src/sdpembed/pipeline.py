@@ -33,35 +33,36 @@ def embed_points(points, sigma, config=None, rank_tol=embedding._RANK_TOL):
     level above.  One ``K`` is held at a time, ``config.max_iters`` caps the
     steps of the whole path, and the factor's ``iterations`` and
     ``products`` count them all; the rest comes from ``sigma`` itself.
+    Only ``sigma``'s own level is certified, and only there does the rank
+    staircase run: the levels above stop at the stopping rule, since their
+    factors only serve as starts.  So a call runs one certificate, unless
+    the staircase climbs at ``sigma``.
     """
     embedding._check_rank_tol(rank_tol)
     cfg = config or solver.SolverConfig()
-    dk = _kernel(points, sigma)
+    dk = kernels._build_kernel(points, sigma)
     points, n = dk.base.points, dk.K.shape[0]
     if cfg.r0 > n:
         cfg = replace(cfg, r0=max(2, n))
     steps = products = level = 0
     while True:
         state, stalled = solver._solve(
-            dk.K, cfg, None, cfg.max_iters - steps, probe=level < _MAX_DOUBLINGS
+            dk.K, cfg, None, cfg.max_iters - steps, probe=level < _MAX_DOUBLINGS,
+            certify=level == 0,
         )
         steps, products = steps + state.iterations, products + state.products
         if not stalled:
             break
         level += 1
         dk = None  # one K at a time
-        dk = _kernel(points, sigma * 2**level)
+        dk = kernels._build_kernel(points, sigma * 2**level)
     for level in range(level - 1, -1, -1):
         start = state.H_Xi / np.sqrt(np.diag(dk.K))[:, None]
         dk = None
-        dk = _kernel(points, sigma * 2**level)
-        state, _ = solver._solve(dk.K, cfg, start, cfg.max_iters - steps)
+        dk = kernels._build_kernel(points, sigma * 2**level)
+        state, _ = solver._solve(dk.K, cfg, start, cfg.max_iters - steps, certify=level == 0)
         steps, products = steps + state.iterations, products + state.products
     state = replace(state, iterations=steps, products=products)
     result = embedding.factor_to_embedding(state.H_Xi, rank_tol=rank_tol)
     report = state.certificate or certificate.check_optimality(dk.K, state.H_Xi)
     return PipelineResult(kernel=dk, factor=state, embedding=result, certificate=report)
-
-
-def _kernel(points, sigma):
-    return kernels.diffusion_kernel(kernels.gaussian_gram(points, sigma))

@@ -15,11 +15,14 @@ manifold), and E = Tr(rho K) = Tr(Y^T J Y) with J = R K R.
 3. A rank staircase (Boumal 2015): where ``check_optimality`` finds
    lambda_min(L) < -1e-8 max_i K_ii at a stationary point, a column along
    its eigenvector is added, up to width ``cfg.r0``, and step 2 resumes.
+   (The levels of the bandwidth path above its sigma stop at the stationary
+   point, with neither certificate nor staircase.)
 
 All stop on the ``slackness_residual`` of ``check_optimality``.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -122,16 +125,23 @@ def objective(K, H_Xi):
 class _Point:
     """Y with H_Xi, K H_Xi, (K rho)_ii, E, the residual and the gradient of
     -E, whose terms cancel near the optimum: the normal part of their
-    rounding error is projected out."""
+    rounding error is projected out.  The gradient is formed when first
+    read, which the power steps never do."""
 
     def __init__(self, K, root, Y):
-        self.Y, self.H = Y, root[:, None] * Y
+        self.Y, self.H, self.root = Y, root[:, None] * Y, root
         self.KH = K @ self.H
         self.k_rho, self.residual = _slackness(self.KH, self.H, root * root)
         self.energy = float(self.k_rho.sum())
-        grad = 2.0 * (self.k_rho[:, None] * Y - root[:, None] * self.KH)
-        self.grad = grad - np.einsum("ij,ij->i", Y, grad)[:, None] * Y
-        self.grad_norm = float(np.sqrt(np.vdot(self.grad, self.grad)))
+
+    @cached_property
+    def grad(self):
+        grad = 2.0 * (self.k_rho[:, None] * self.Y - self.root[:, None] * self.KH)
+        return grad - np.einsum("ij,ij->i", self.Y, grad)[:, None] * self.Y
+
+    @cached_property
+    def grad_norm(self):
+        return float(np.sqrt(np.vdot(self.grad, self.grad)))
 
 
 def _tcg(K, root, x, radius):
@@ -189,10 +199,12 @@ def solve(K, cfg, start=None):
     return _solve(K, cfg, start, cfg.max_iters)[0]
 
 
-def _solve(K, cfg, start, budget, probe=False):
+def _solve(K, cfg, start, budget, probe=False, certify=True):
     """``solve`` within ``budget`` steps (0 only evaluates the start), and
     whether the power steps stalled: with ``probe`` a run whose power steps
-    stall stops there, unconverged, before the trust region."""
+    stall stops there, unconverged, before the trust region.  Without
+    ``certify`` a run stops at the stopping rule, uncertified, and never
+    climbs the staircase."""
     K = np.asarray(K, dtype=float)
     n, diag = K.shape[0], np.diag(K)
     bad = np.flatnonzero(diag <= 0)
@@ -233,6 +245,8 @@ def _solve(K, cfg, start, budget, probe=False):
     radius, report = radius_max / 8, None
     while steps < budget or x.residual <= threshold:
         if x.residual <= threshold:
+            if not certify:
+                break
             report = check_optimality(K, x.H)
             if report.least_eigenvalues[0] >= -_RTOL * scale or x.Y.shape[1] >= cfg.r0:
                 break

@@ -13,9 +13,11 @@ from sdpembed import (
     extend_points,
     gaussian_gram,
     gen_three_clusters,
+    save_csv,
 )
 
 from sdpembed import kernels
+from sdpembed.cli import main
 from sdpembed.diagnostics import check_volume_inequalities, extension_row
 
 from conftest import A, C
@@ -126,18 +128,34 @@ def test_kernel_exact_symmetry_and_spectrum():
         assert eigs[0] >= -1e-10 * eigs[-1]
 
 
-def test_blocked_builds_match_the_whole_matrix_forms():
-    # the degrees summed over row blocks of weights, and K evaluated in
-    # mirrored upper row blocks, are bitwise equal to the whole-matrix forms
-    for seed, (n, d) in enumerate([(1, 2), (425, 2), (300, 10)]):
-        points = np.random.default_rng(seed).standard_normal((n, d)) * 2.0 + 50.0
-        base = gaussian_gram(points, 1.5)
-        gram = _weights(points, points, 1.5)
-        degrees = gram.sum(axis=1)
-        assert np.array_equal(base.degrees, degrees)
-        assert base.volume == float(degrees.sum())
-        outer = np.outer(np.sqrt(degrees), np.sqrt(degrees))
-        assert np.array_equal(diffusion_kernel(base).K, gram / outer - outer / base.volume)
+def test_blocked_builds_match_the_whole_matrix_forms(monkeypatch):
+    # the degrees summed over row blocks of weights, and K evaluated and
+    # normalized in row blocks in one weight pass, are bitwise equal to the
+    # whole-matrix forms: 1, 2, 3 and 8 row blocks (N = 1, 308, 425, 700),
+    # on both sides of the 8-block threshold for threads, and 16 blocks
+    # (N = 1000), which 3 workers share
+    for d in (1, 2, 10):
+        rng = np.random.default_rng(d)
+        sigma = 1.5 * np.sqrt(d)
+        for offset in (0.0, 1e6):
+            for n in (1, 308, 425, 700, 1000):
+                points = rng.standard_normal((n, d)) * 2.0 + offset
+                base = gaussian_gram(points, sigma)
+                gram = _weights(points, points, sigma)
+                degrees = gram.sum(axis=1)
+                assert np.array_equal(base.degrees, degrees)
+                assert base.volume == float(degrees.sum())
+                outer = np.outer(np.sqrt(degrees), np.sqrt(degrees))
+                expected = gram / outer - outer / base.volume
+                blocks = -(-n // kernels._block_rows(n))
+                for workers in (1, 2, 3):
+                    started = _count_threads(monkeypatch, workers)
+                    dk = kernels._build_kernel(points, sigma)
+                    assert len(started) == max(1, min(workers, blocks // 4)) - 1
+                    assert np.array_equal(dk.base.degrees, base.degrees)
+                    assert dk.base.volume == base.volume
+                    assert np.array_equal(dk.K, expected)
+                assert np.array_equal(diffusion_kernel(base).K, expected)
 
 
 @pytest.mark.parametrize("d, offset", [(1, 0.0), (2, 0.0), (10, 0.0), (2, 1e6), (10, 1e6)])
@@ -196,8 +214,27 @@ def _count_threads(monkeypatch, cores, delay=0.0):
             super().run()
 
     monkeypatch.setattr(kernels, "_cores", lambda: cores)
-    monkeypatch.setattr(kernels, "threading", SimpleNamespace(Thread=Thread))
+    monkeypatch.setattr(kernels, "threading", SimpleNamespace(Thread=Thread, Barrier=threading.Barrier))
     return started
+
+
+def test_each_kernel_build_evaluates_every_weight_once(clusters, monkeypatch, tmp_path):
+    # the degrees come from the rows of K, not from a pass of their own
+    counts = []
+    evaluate = kernels._gaussian_weights
+
+    def spy(X, columns, sigma, out, scratch):
+        counts.append(out.size)
+        return evaluate(X, columns, sigma, out, scratch)
+
+    monkeypatch.setattr(kernels, "_gaussian_weights", spy)
+    embed_points(clusters.points, 5.0)
+    assert sum(counts) == 308**2
+    save_csv(clusters, tmp_path / "train.csv")
+    assert main(["embed", str(tmp_path / "train.csv"), "--sigma", "5", "--out", str(tmp_path)]) == 0
+    counts.clear()
+    assert main(["certify", str(tmp_path / "embedding.json"), "--out", str(tmp_path)]) == 0
+    assert sum(counts) == 308**2
 
 
 def _multi_block_set(name):

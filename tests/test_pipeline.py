@@ -5,6 +5,7 @@ import pytest
 
 from sdpembed import (
     SolverConfig,
+    certificate,
     check_optimality,
     diffusion_kernel,
     embed_points,
@@ -12,6 +13,7 @@ from sdpembed import (
     gen_three_clusters,
     kernels,
     solve,
+    solver,
 )
 
 
@@ -87,17 +89,32 @@ def _built_kernels(monkeypatch):
     """The sigma of every kernel that ``embed_points`` builds; each build
     also checks that no ``K`` built before it is still alive."""
     sigmas, alive = [], []
-    build = kernels.diffusion_kernel
+    build = kernels._build_kernel
 
-    def spy(base):
+    def spy(points, sigma):
         assert all(ref() is None for ref in alive), "two kernels alive at once"
-        sigmas.append(base.sigma)
-        dk = build(base)
+        sigmas.append(sigma)
+        dk = build(points, sigma)
         alive.append(weakref.ref(dk.K))
         return dk
 
-    monkeypatch.setattr(kernels, "diffusion_kernel", spy)
+    monkeypatch.setattr(kernels, "_build_kernel", spy)
     return sigmas
+
+
+def _certificates(monkeypatch):
+    """The kernel size of every certificate that the solver or the pipeline
+    computes."""
+    sizes = []
+    check = certificate.check_optimality
+
+    def spy(K, H_Xi):
+        sizes.append(K.shape[0])
+        return check(K, H_Xi)
+
+    monkeypatch.setattr(solver, "check_optimality", spy)
+    monkeypatch.setattr(certificate, "check_optimality", spy)
+    return sizes
 
 
 def test_paper_points_at_sigma_0_1_take_a_short_path(clusters, monkeypatch):
@@ -105,8 +122,12 @@ def test_paper_points_at_sigma_0_1_take_a_short_path(clusters, monkeypatch):
     # stall up to sigma = 1.6 and converge at 3.2, and the path comes back
     # down with one K at a time
     sigmas = _built_kernels(monkeypatch)
+    certified = _certificates(monkeypatch)
     result = embed_points(clusters.points, 0.1)
     assert sigmas == [0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 1.6, 0.8, 0.4, 0.2, 0.1]
+    # only sigma's own level is certified: the levels above stop at the
+    # stopping rule
+    assert certified == [308]
     _assert_converged_and_certified(result)
     assert result.embedding.rank == 2
     assert result.kernel.base.sigma == 0.1
@@ -129,8 +150,10 @@ def test_clusters_at_sigma_5_take_no_path(clusters, monkeypatch):
     # the power steps converge on their own, so the result is a cold solve's
     # bit for bit, built on one kernel, with one product per step
     sigmas = _built_kernels(monkeypatch)
+    certified = _certificates(monkeypatch)
     result = embed_points(clusters.points, 5.0)
     assert sigmas == [5.0]
+    assert certified == [308]
     cold = solve(result.kernel.K, SolverConfig())
     assert np.array_equal(result.factor.H_Xi, cold.H_Xi)
     assert result.factor.objective == cold.objective
@@ -151,3 +174,17 @@ def test_2k_clusters_at_sigma_1_converge_within_a_product_budget(clusters_2k):
     # 80 products with K
     _assert_converged_and_certified(clusters_2k)
     assert clusters_2k.factor.products <= 400
+
+
+def test_2k_clusters_at_sigma_1_certify_once(clusters_2k, monkeypatch):
+    # the path takes several kernels at N = 2000 and one certificate, which
+    # at this size comes from block Lanczos; the result is the fixture's
+    # bit for bit
+    sigmas = _built_kernels(monkeypatch)
+    certified = _certificates(monkeypatch)
+    result = embed_points(gen_three_clusters(664, 8, 3).points, 1.0)
+    assert sigmas[0] == sigmas[-1] == 1.0 and len(sigmas) > 1
+    assert certified == [2000]
+    assert np.array_equal(result.factor.H_Xi, clusters_2k.factor.H_Xi)
+    assert result.factor.products == clusters_2k.factor.products
+    _assert_converged_and_certified(result)

@@ -38,7 +38,7 @@ from .interval import (
     run_interval_experiment,
     sign_solution,
 )
-from .kernels import diffusion_kernel, gaussian_gram
+from .kernels import build_kernel, diffusion_kernel, gaussian_gram
 from .pipeline import embed_points
 from .solver import SolverConfig, objective, solve
 
@@ -52,6 +52,7 @@ __all__ = [
     "PrimalInfeasibilityError",
     "SolverConfig",
     "build_interval_problem",
+    "build_kernel",
     "check_optimality",
     "diffusion_distance",
     "diffusion_kernel",

@@ -82,9 +82,8 @@ def _train(args):
     return ds, result, out
 
 
-def _load_model(path, kernel=False):
-    """A stored embedding's coordinates and its training points' kernel
-    state, or with ``kernel`` their ``DiffusionKernel``."""
+def _load_model(path):
+    """A stored embedding's coordinates, training points and sigma."""
     ef = dataio.load_embedding(path)
     meta = ef.metadata
     if "training_points" not in meta:
@@ -98,8 +97,7 @@ def _load_model(path, kernel=False):
     sigma = dataio._numbers(path, "sigma", meta["sigma"])
     if sigma.ndim != 0 or not np.isfinite(sigma):
         raise EmbeddingSchemaError(f"{path}: sigma {meta['sigma']!r} is not a finite number")
-    build = kernels._build_kernel if kernel else kernels.gaussian_gram
-    return ef.coordinates, build(points, float(sigma))
+    return ef.coordinates, points, float(sigma)
 
 
 def _exit_code(report, K, factor=None, tol=None):
@@ -138,7 +136,8 @@ def cmd_embed(args):
 
 def cmd_extend(args):
     with _stage("embedding loading", EmbeddingSchemaError, OSError, ValueError):
-        Xi, base = _load_model(args.embedding)
+        Xi, points, sigma = _load_model(args.embedding)
+        base = kernels.gaussian_gram(points, sigma)
     with _stage("new-points parsing", CsvFormatError, OSError):
         new = dataio.load_csv(args.points)
     with _stage("extension", ValueError, RuntimeError):
@@ -150,8 +149,8 @@ def cmd_extend(args):
 
 def cmd_certify(args):
     with _stage("embedding loading", EmbeddingSchemaError, OSError, ValueError):
-        Xi, dk = _load_model(args.embedding, kernel=True)
-    K = dk.K
+        Xi, points, sigma = _load_model(args.embedding)
+        K = kernels.build_kernel(points, sigma).K
     out = _out_dir(args)
     try:
         report = check_optimality(K, Xi)

@@ -15,8 +15,9 @@ degrees and the volume, never the N x N gram.  One evaluator,
 training points held as contiguous columns, and one runner, ``_map_blocks``,
 hands its row blocks to the consumers: the degrees, ``K``, the extension to
 new points, the volume probes and the diffusion-maps gram.  ``K`` takes one
-weight pass: its rows of weights are written in place, the degrees are
-summed from them, and the rows are then normalized where they lie.  From 8
+weight pass (``build_kernel``): its rows of weights are written in place,
+the degrees are summed from them, and the rows are then normalized where
+they lie.  From 8
 blocks on, the runner deals the blocks to up to one thread per CPU, each
 with its own scratch block; the results do not depend on the number of
 threads.  The degree of a new point is a row sum of the same weights; the
@@ -222,8 +223,8 @@ def gaussian_gram(points, sigma):
         total volume.  Each degree is the row sum of one row block of
         Gaussian weights at a time (see ``_BLOCK_BYTES``), so no N x N gram
         is formed.  This is the degree pass of out-of-sample extension; a
-        build of ``K`` (:func:`diffusion_kernel`) sums the same degrees, bit
-        for bit, from the rows of ``K`` itself.
+        build of ``K`` (:func:`build_kernel`) sums the same degrees, bit for
+        bit, from the rows of ``K`` itself.
     """
     points = _checked_points(points, sigma)
     return _base(points, sigma, _degrees(points, points, sigma))
@@ -243,20 +244,37 @@ def diffusion_kernel(base):
     DiffusionKernel
         ``K(i, j) = k(x_i, x_j)/sqrt(d_i d_j) - sqrt(d_i d_j)/vol`` and
         ``base``.  ``K`` annihilates ``sqrt(d)`` and is exactly symmetric.
-        It is built from ``base.points`` and ``base.sigma`` in one pass over
-        the weights (``_build_kernel``), whose degrees are bitwise those of
-        :func:`gaussian_gram`.
+        ``base.degrees`` and ``base.volume`` are not read: ``K`` comes from
+        :func:`build_kernel` of ``base.points`` and ``base.sigma``, which
+        sums its own degrees, bitwise those of :func:`gaussian_gram`.  So
+        ``diffusion_kernel(gaussian_gram(points, sigma))`` evaluates every
+        weight twice, and ``build_kernel(points, sigma)`` gives the same
+        bits in one pass.
     """
-    return DiffusionKernel(K=_build_kernel(base.points, base.sigma).K, base=base)
+    return DiffusionKernel(K=build_kernel(base.points, base.sigma).K, base=base)
 
 
-def _build_kernel(points, sigma):
-    """``DiffusionKernel`` of the training points from one pass over the
-    Gaussian weights: full row blocks of weights go into ``K``, their row
-    sums are the degrees (the blocks and sums of :func:`gaussian_gram`, so
-    the same bits), and then the same threads normalize the blocks in
-    place.  ``K`` is symmetric bit for bit without a mirror copy, since
-    ``k(x_i, x_j) == k(x_j, x_i)`` and multiplication commutes.
+def build_kernel(points, sigma):
+    """Centered kernel ``K`` of a point cloud, with its base-kernel state,
+    from one pass over the Gaussian weights.
+
+    Parameters
+    ----------
+    points : array of shape (N, d)
+        Training points.
+    sigma : float
+        Kernel bandwidth, in the units of the feature distances.
+
+    Returns
+    -------
+    DiffusionKernel
+        ``K`` as in :func:`diffusion_kernel` and the state of
+        :func:`gaussian_gram`, bit for bit.  Full row blocks of weights go
+        into ``K``, their row sums are the degrees (the blocks and sums of
+        :func:`gaussian_gram`, so the same bits), and then the same threads
+        normalize the blocks in place.  ``K`` is symmetric bit for bit
+        without a mirror copy, since ``k(x_i, x_j) == k(x_j, x_i)`` and
+        multiplication commutes.
     """
     points = _checked_points(points, sigma)
     n = points.shape[0]

@@ -40,7 +40,7 @@ def embed_points(points, sigma, config=None, rank_tol=embedding._RANK_TOL):
     """
     embedding._check_rank_tol(rank_tol)
     cfg = config or solver.SolverConfig()
-    dk = kernels._build_kernel(points, sigma)
+    dk = kernels.build_kernel(points, sigma)
     points, n = dk.base.points, dk.K.shape[0]
     if cfg.r0 > n:
         cfg = replace(cfg, r0=max(2, n))
@@ -55,11 +55,11 @@ def embed_points(points, sigma, config=None, rank_tol=embedding._RANK_TOL):
             break
         level += 1
         dk = None  # one K at a time
-        dk = kernels._build_kernel(points, sigma * 2**level)
+        dk = kernels.build_kernel(points, sigma * 2**level)
     for level in range(level - 1, -1, -1):
         start = state.H_Xi / np.sqrt(np.diag(dk.K))[:, None]
         dk = None
-        dk = kernels._build_kernel(points, sigma * 2**level)
+        dk = kernels.build_kernel(points, sigma * 2**level)
         state, _ = solver._solve(dk.K, cfg, start, cfg.max_iters - steps, certify=level == 0)
         steps, products = steps + state.iterations, products + state.products
     state = replace(state, iterations=steps, products=products)

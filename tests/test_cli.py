@@ -5,7 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sdpembed import extend_points, gen_three_clusters, load_csv, load_embedding, save_csv
+from sdpembed import (
+    extend_points,
+    gaussian_gram,
+    gen_three_clusters,
+    load_csv,
+    load_embedding,
+    save_csv,
+)
 from sdpembed.cli import _load_model, main
 
 from conftest import C
@@ -76,6 +83,7 @@ def _refuse(*args, **kwargs):
 
 def test_embed_rejects_rank_tol_before_any_kernel(two_point_csv, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("sdpembed.kernels.gaussian_gram", _refuse)
+    monkeypatch.setattr("sdpembed.kernels.build_kernel", _refuse)
     out = tmp_path / "run"
     argv = ["embed", two_point_csv, "--sigma", "1", "--rank-tol", "1.5", "--out", str(out)]
     assert main(argv) == 1
@@ -208,7 +216,8 @@ def test_extended_csv_matches_csv_writer(model, cluster_csv, two_point_csv, tmp_
     out = tmp_path / "run"
     assert main(["embed", train, "--sigma", sigma, "--r0", "2", "--out", str(out)]) == 0
     assert main(["extend", str(out / "embedding.json"), str(new), "--out", str(out)]) == 0
-    Xi, base = _load_model(out / "embedding.json")
+    Xi, points, sigma = _load_model(out / "embedding.json")
+    base = gaussian_gram(points, sigma)
     ds = load_csv(new)
     ext = extend_points(base, Xi, ds.points)
     with open(tmp_path / "reference.csv", "w", newline="") as fh:

@@ -150,7 +150,7 @@ def test_blocked_builds_match_the_whole_matrix_forms(monkeypatch):
                 blocks = -(-n // kernels._block_rows(n))
                 for workers in (1, 2, 3):
                     started = _count_threads(monkeypatch, workers)
-                    dk = kernels._build_kernel(points, sigma)
+                    dk = kernels.build_kernel(points, sigma)
                     assert len(started) == max(1, min(workers, blocks // 4)) - 1
                     assert np.array_equal(dk.base.degrees, base.degrees)
                     assert dk.base.volume == base.volume

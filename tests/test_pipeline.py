@@ -89,7 +89,7 @@ def _built_kernels(monkeypatch):
     """The sigma of every kernel that ``embed_points`` builds; each build
     also checks that no ``K`` built before it is still alive."""
     sigmas, alive = [], []
-    build = kernels._build_kernel
+    build = kernels.build_kernel
 
     def spy(points, sigma):
         assert all(ref() is None for ref in alive), "two kernels alive at once"
@@ -98,7 +98,7 @@ def _built_kernels(monkeypatch):
         alive.append(weakref.ref(dk.K))
         return dk
 
-    monkeypatch.setattr(kernels, "_build_kernel", spy)
+    monkeypatch.setattr(kernels, "build_kernel", spy)
     return sigmas
 
 

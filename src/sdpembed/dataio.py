@@ -3,7 +3,9 @@
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -59,6 +61,15 @@ class Dataset:
         return self.points.shape[1]
 
 
+# rows formatted per write of _write_csv
+_CSV_CHUNK_ROWS = 1024
+# characters per read when load_csv scans a file numpy's reader accepted
+_SCAN_CHARS = 1 << 16
+# ASCII information separators: whitespace around a number to numpy's reader,
+# not to float()
+_INFO_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
 def _is_number(cell):
     try:
         float(cell)
@@ -70,16 +81,59 @@ def _is_number(cell):
 def load_csv(path):
     """Load a comma-separated point cloud.
 
-    A first row with a cell that is not a number is a header and is skipped.
+    A first row none of whose cells is a number is a header and is skipped.
     Other cells must parse as finite reals; rows must all have the same
     number of cells.  Blank lines are skipped and row order is preserved.
     Errors name the file's 1-based line (as "row") and column of the
     offending cell.
+
+    A file is first parsed by numpy's C reader (``np.loadtxt``), which makes
+    no Python object per cell.  A file it refuses (a header, quoted cells,
+    float syntax only Python reads such as ``1_000``, a ragged or malformed
+    row), or that holds a non-finite value, is read again row by row with
+    the ``csv`` module, which applies the rules above and names the
+    offending cell; so is a file that cannot be read twice, such as a pipe.
+    Both readers decode the file as ``open`` does and parse a cell as
+    ``float`` does, so they give the same bits.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [(reader.line_num, row) for row in reader if row]
-    if rows and not all(_is_number(cell) for cell in rows[0][1]):
+        if fh.seekable():
+            points = _load_csv_fast(fh)
+            if points is not None:
+                return Dataset(points=points)
+            fh.seek(0)
+        return _load_csv_rows(path, fh)
+
+
+def _load_csv_fast(fh):
+    """The points of ``fh`` by numpy's reader, or None where that reader
+    refuses the file or might accept one :func:`_load_csv_rows` refuses."""
+    with warnings.catch_warnings():
+        # an empty file is load_csv's "no data rows" error, not a warning
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            points = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return None
+    if not points.size or not np.isfinite(points).all():
+        return None
+    fh.seek(0)
+    for chunk in iter(partial(fh.read, _SCAN_CHARS), ""):
+        # a whole chunk without a line break may hold a cell longer than the
+        # csv module's field limit (131,072 characters), which it refuses
+        if any(sep in chunk for sep in _INFO_SEPARATORS) or (
+            len(chunk) == _SCAN_CHARS and "\n" not in chunk and "\r" not in chunk
+        ):
+            return None
+    return points
+
+
+def _load_csv_rows(path, fh):
+    """:func:`load_csv` of the open file ``fh`` through the ``csv`` module:
+    every rule checked, and the first offending cell in file order named."""
+    reader = csv.reader(fh)
+    rows = [(reader.line_num, row) for row in reader if row]
+    if rows and not any(_is_number(cell) for cell in rows[0][1]):
         rows = rows[1:]
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
@@ -118,10 +172,15 @@ def _write_csv(path, columns):
     """Write a CSV file from ``columns``: lists of ids, which need no
     quoting, and 1-d arrays of ints or floats.  Every cell is written by
     ``str``, which gives a float's shortest exact decimal, its ``repr``; each
-    line ends in CR LF, as with ``csv.writer``."""
-    cells = (map(str, c.tolist() if isinstance(c, np.ndarray) else c) for c in columns)
+    line ends in CR LF, as with ``csv.writer``.  Rows are formatted and
+    written ``_CSV_CHUNK_ROWS`` at a time, so the text of the whole file is
+    never held at once."""
+    n = min(map(len, columns), default=0)
     with open(path, "w", newline="") as fh:
-        fh.write("".join(f"{line}\r\n" for line in map(",".join, zip(*cells))))
+        for start in range(0, n, _CSV_CHUNK_ROWS):
+            chunk = [c[start : start + _CSV_CHUNK_ROWS] for c in columns]
+            cells = (map(str, c.tolist() if isinstance(c, np.ndarray) else c) for c in chunk)
+            fh.write("".join(f"{line}\r\n" for line in map(",".join, zip(*cells))))
 
 
 def save_csv(ds, path):

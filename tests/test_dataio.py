@@ -1,9 +1,15 @@
 import csv
 import json
+import math
+import os
+import threading
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from sdpembed import dataio
 from sdpembed import (
     CsvFormatError,
     Dataset,
@@ -91,17 +97,184 @@ def test_load_csv_names_a_bad_cell_deep_in_a_long_file(tmp_path):
     assert np.array_equal(ds.points, [[i * 0.25, -i * 0.5] for i in range(20000)])
 
 
+@pytest.mark.parametrize(
+    "text, column",
+    [("1,\n3,4\n", 2), ("0x10,2\n3,4\n", 1), ("\u22121,2\n3,4\n", 1)],
+    ids=["empty-cell", "hex", "unicode-minus"],
+)
+def test_load_csv_first_row_with_a_number_is_data(tmp_path, text, column):
+    # a first row is a header only when none of its cells is a number, so a
+    # malformed first data row is named, not dropped
+    path = tmp_path / "pts.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(CsvFormatError, match=rf"row 1, column {column}: cannot parse"):
+        load_csv(path)
+
+
+def _reference_load_csv(path):
+    """The cell-by-cell ``csv``-module reader that ``load_csv`` must agree
+    with: every cell parsed by ``float``, errors in file order.  It is the
+    reader the package had before numpy's C reader, except for the header
+    rule (a first row is a header only when none of its cells is a number)."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader if row]
+    if rows and not any(_parses(cell) for cell in rows[0][1]):
+        rows = rows[1:]
+    if not rows:
+        raise CsvFormatError(f"{path}: no data rows")
+    arity = len(rows[0][1])
+    points = []
+    for line, row in rows:
+        if len(row) != arity:
+            raise CsvFormatError(f"{path}: row {line} has {len(row)} cells, expected {arity}")
+        values = []
+        for j, cell in enumerate(row):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise CsvFormatError(
+                    f"{path}: row {line}, column {j + 1}: cannot parse {cell!r} as a real number"
+                ) from None
+            if not math.isfinite(value):
+                raise CsvFormatError(f"{path}: row {line}, column {j + 1}: non-finite value {cell!r}")
+            values.append(value)
+        points.append(values)
+    return np.array(points, dtype=float)
+
+
+def _parses(cell):
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _outcome(read, path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return read(path)
+        except Exception as exc:  # the outcome compared may be the error itself
+            return exc
+
+
+# (case, file text, whether numpy's reader serves it without the csv pass)
+_READER_CASES = [
+    ("crlf", "1,2\r\n3,4\r\n", True),
+    ("cr-only", "1,2\r3,4", True),
+    ("blank-lines", "1,2\n\n3,4\n\n", True),
+    ("blank-crlf-lines", "\r\n1,2\r\n\r\n3,4", True),
+    ("whitespace-line", "1,2\n  \n3,4\n", False),
+    ("tab-line-at-end", "1,2\n\t\n", False),
+    ("whitespace-first-line", "  \n1,2\n", False),
+    ("whitespace-line-one-column", "1\n \n2\n", False),
+    ("spaces-and-tabs", " 1 ,\t2\t\n  3,4  \r\n", True),
+    ("unicode-spaces", "\xa01,2\u3000\n", True),
+    ("file-separator-after", "1,2\x1c\n", False),
+    ("unit-separator-before", "\x1f1,2\n", False),
+    ("signs-and-points", "+1.5,.5\n5.,-0\n", True),
+    ("subnormal-and-minus-zero", "5e-324,-0.0\n", True),
+    ("underflow", "1e-400,1\n", True),
+    ("overflow", "1e400,1\n", False),
+    ("nan", "1,2\nnan,1\n", False),
+    ("infinity", "Infinity,1\n", False),
+    ("minus-inf", "1,-inf\n", False),
+    ("hard-to-round", "9007199254740993,2.2250738585072011e-308\n", True),
+    (
+        "40-digit-mantissas",
+        "1.234567890123456789012345678901234567891,4.940656458412465441765687928682213723651e-324\n",
+        True,
+    ),
+    ("quoted-cell", '"1.5",2\n', False),
+    ("quoted-header-and-cell", '"x","y"\n"1",2\n', False),
+    ("underscores", "1_000,2\n", False),
+    ("full-width-digits", "\uff11,\uff12.\uff15\n", False),
+    ("header", "x,y\n1,2\n3,4\n", False),
+    ("header-then-bad-cell", "x,y\n1,2\n3,x\n", False),
+    ("one-column-header", "x\n1\n", False),
+    ("short-row", "1,2\n3\n", False),
+    ("long-row", "1,2\n3,4,5\n", False),
+    ("trailing-commas", "1,2,\n3,4,\n", False),
+    ("trailing-comma-later", "1,2\n3,4,\n", False),
+    ("empty", "", False),
+    ("blank-only", "\n\r\n\n", False),
+    ("header-only", "x,y\n", False),
+    ("header-and-blank-lines", "x,y\n\n\n", False),
+    ("semicolons", "1;2\n", False),
+    ("comment-line", "0,0\n#1,2\n", False),
+    ("two-numbers-in-a-cell", "1.5 2.5,3\n", False),
+    ("nul", "1,2\x00\n", False),
+    # longer than the csv module's field limit, which it refuses
+    ("huge-cell", "0." + "0" * 140000 + "1,2\n", False),
+]
+
+
+@pytest.mark.parametrize("text, fast", [c[1:] for c in _READER_CASES], ids=[c[0] for c in _READER_CASES])
+def test_load_csv_agrees_with_the_cell_by_cell_reader(tmp_path, text, fast):
+    path = tmp_path / "pts.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    expected = _outcome(_reference_load_csv, path)
+    got = _outcome(lambda p: load_csv(p).points, path)
+    if isinstance(expected, Exception):
+        assert type(got) is type(expected) and str(got) == str(expected)
+    else:
+        # bit for bit, so -0.0 and the last bit of hard decimals count
+        assert isinstance(got, np.ndarray) and got.shape == expected.shape
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    with open(path, newline="") as fh:
+        assert (dataio._load_csv_fast(fh) is not None) == fast
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_load_csv_reads_a_pipe_once(tmp_path):
+    # a pipe cannot be read twice, so it goes to the csv pass from the start
+    fifo = tmp_path / "pts.csv"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=("x,y\n1,2\n3,4\n",), daemon=True)
+    writer.start()
+    try:
+        ds = load_csv(fifo)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert np.array_equal(ds.points, [[1, 2], [3, 4]])
+
+
 def test_save_csv_matches_csv_writer(tmp_path):
-    ds = gen_swiss_roll(50, 3)
-    ds.points[0, 0] = -0.0
-    ds.points[1, 1] = 1e-300
-    save_csv(ds, tmp_path / "pts.csv")
-    with open(tmp_path / "reference.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in ds.points:
-            writer.writerow([repr(float(v)) for v in row])
-    assert (tmp_path / "pts.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
-    assert np.array_equal(load_csv(tmp_path / "pts.csv").points, ds.points)
+    chunk = dataio._CSV_CHUNK_ROWS
+    for n in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+        ds = gen_swiss_roll(n, 3)
+        ds.points[0, 0] = -0.0
+        ds.points[-1, 1] = 1e-300
+        save_csv(ds, tmp_path / "pts.csv")
+        with open(tmp_path / "reference.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            for row in ds.points:
+                writer.writerow([repr(float(v)) for v in row])
+        assert (tmp_path / "pts.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        assert np.array_equal(load_csv(tmp_path / "pts.csv").points, ds.points)
+
+
+def _traced_peak_mb(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_read_and_write_hold_no_object_per_cell(tmp_path):
+    # 20000 rows as `sdpembed extend` reads and writes them: a list of
+    # strings per row (or of every line) would take several MB
+    rng = np.random.default_rng(0)
+    path = tmp_path / "pts.csv"
+    save_csv(Dataset(rng.standard_normal((20000, 2))), path)
+    assert _traced_peak_mb(load_csv, path) < 2.0
+    columns = [[str(i) for i in range(20000)], *rng.standard_normal((3, 20000)), np.zeros(20000, int)]
+    assert _traced_peak_mb(dataio._write_csv, tmp_path / "out.csv", columns) < 1.0
 
 
 def test_dataset_rejects_nonfinite():

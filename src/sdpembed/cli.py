@@ -11,15 +11,16 @@ timestamps), so identical invocations produce byte-identical files.
 import argparse
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import dataio, diffmaps, embedding, interval, kernels, pipeline, solver
+from . import dataio, diffmaps, interval, kernels, pipeline
 from .certificate import PrimalInfeasibilityError, check_optimality
 from .dataio import CsvFormatError, EmbeddingSchemaError, _write_csv, _write_json
 from .extension import extend_points
+from .solver import SolverConfig
 
 
 class _Failed(Exception):
@@ -44,9 +45,8 @@ def _out_dir(args):
 
 
 def _solver_config(args):
-    return solver.SolverConfig(
-        r0=args.r0, max_iters=args.max_iters, tol_conv=args.tol, seed=args.seed
-    )
+    """The run's settings from the flags, each named after its field."""
+    return SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)})
 
 
 def _train(args):
@@ -56,21 +56,16 @@ def _train(args):
     with _stage("input parsing", CsvFormatError, OSError):
         ds = dataio.load_csv(args.input)
     with _stage("solve", ValueError, RuntimeError):
-        result = pipeline.embed_points(
-            ds.points, args.sigma, config=_solver_config(args), rank_tol=args.rank_tol
-        )
+        cfg = _solver_config(args)
+        result = pipeline.embed_points(ds.points, args.sigma, config=cfg)
     emb = result.embedding
     model = dataio.EmbeddingFile(
-        ids=list(ds.ids),
+        ids=[str(i) for i in range(ds.n_points)],
         coordinates=emb.Xi,
         singular_values=emb.singular_values[: emb.rank],
         metadata={
             "sigma": args.sigma,
-            "seed": args.seed,
-            "tol_conv": args.tol,
-            "max_iters": args.max_iters,
-            "r0": args.r0,
-            "rank_tol": args.rank_tol,
+            **asdict(cfg),
             "converged": result.factor.converged,
             "iterations": result.factor.iterations,
             "training_points": ds.points,
@@ -131,7 +126,7 @@ def _exit_code(report, K, factor=None, tol=None):
 
 def cmd_embed(args):
     _, result, _ = _train(args)
-    return _exit_code(result.certificate, result.kernel.K, result.factor, args.tol)
+    return _exit_code(result.certificate, result.kernel.K, result.factor, args.tol_conv)
 
 
 def cmd_extend(args):
@@ -142,7 +137,7 @@ def cmd_extend(args):
         new = dataio.load_csv(args.points)
     with _stage("extension", ValueError, RuntimeError):
         ext = extend_points(base, Xi, new.points)
-    columns = [new.ids, *ext.coords.T, ext.kappa, ext.degenerate.astype(int)]
+    columns = [np.arange(new.n_points), *ext.coords.T, ext.kappa, ext.degenerate.astype(int)]
     _write_csv(_out_dir(args) / "extended.csv", columns)
     return 0
 
@@ -166,29 +161,27 @@ def cmd_compare(args):
     with _stage("solve", ValueError, RuntimeError):
         basis = diffmaps.spectral_basis(result.kernel.base)
         dm_coords = diffmaps.diffusion_map(basis, t=1.0, m=min(2, ds.n_points - 1))
-    _write_csv(out / "dm_embedding.csv", [ds.ids, *dm_coords.T])
+    _write_csv(out / "dm_embedding.csv", [np.arange(ds.n_points), *dm_coords.T])
     _write_json(out / "dm_eigenvalues.json", {"eigenvalues": basis.eigenvalues[:6]})
-    return _exit_code(result.certificate, result.kernel.K, result.factor, args.tol)
+    return _exit_code(result.certificate, result.kernel.K, result.factor, args.tol_conv)
 
 
 def cmd_toy(args):
     with _stage("toy experiment", ValueError, RuntimeError):
         problem = interval.build_interval_problem(args.n, args.sigma)
-        report, result = interval.run_interval_experiment(
-            problem, cfg=_solver_config(args), rank_tol=args.rank_tol
-        )
+        report, result = interval.run_interval_experiment(problem, cfg=_solver_config(args))
     _write_json(_out_dir(args) / "toy_report.json", asdict(report))
-    return _exit_code(result.certificate, result.kernel.K, result.factor, args.tol)
+    return _exit_code(result.certificate, result.kernel.K, result.factor, args.tol_conv)
 
 
 def _add_solver_flags(p):
     p.add_argument("--sigma", type=float, required=True, help="Gaussian kernel bandwidth")
-    defaults = solver.SolverConfig()
+    defaults = SolverConfig()
     p.add_argument("--r0", type=int, default=defaults.r0, help="rank cap (default %(default)s)")
-    p.add_argument("--tol", type=float, default=defaults.tol_conv,
+    p.add_argument("--tol", dest="tol_conv", metavar="TOL", type=float, default=defaults.tol_conv,
                    help="stop at slackness residual <= TOL * max K(i,i) (default %(default)s)")
     p.add_argument("--max-iters", type=int, default=defaults.max_iters, help="step cap")
-    p.add_argument("--rank-tol", type=float, default=embedding._RANK_TOL,
+    p.add_argument("--rank-tol", type=float, default=defaults.rank_tol,
                    help="relative singular-value cutoff")
     p.add_argument("--seed", type=int, default=defaults.seed, help="seed for the random start")
 

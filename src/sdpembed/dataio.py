@@ -4,7 +4,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -18,6 +18,7 @@ class EmbeddingSchemaError(ValueError):
     """Stored embedding file does not match the expected schema."""
 
 
+# rank_tol is left out: models stored before it was recorded do not have it
 REQUIRED_METADATA = ("sigma", "seed", "tol_conv", "max_iters", "r0")
 
 # cluster geometry shared by the synthetic generators below: an equilateral
@@ -28,11 +29,10 @@ _CLUSTER_SPREAD = 0.5
 
 @dataclass
 class Dataset:
-    """A point cloud with optional integer labels and per-point ids."""
+    """A point cloud with optional integer labels."""
 
     points: np.ndarray
     labels: np.ndarray | None = None
-    ids: list = field(default_factory=list)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
@@ -47,10 +47,6 @@ class Dataset:
             self.labels = np.asarray(self.labels, dtype=int)
             if self.labels.shape != (n,):
                 raise ValueError("labels must have one entry per point")
-        if not self.ids:
-            self.ids = [str(i) for i in range(n)]
-        elif len(self.ids) != n:
-            raise ValueError("ids must have one entry per point")
 
     @property
     def n_points(self):
@@ -63,8 +59,9 @@ class Dataset:
 
 # rows formatted per write of _write_csv
 _CSV_CHUNK_ROWS = 1024
-# characters per read when load_csv scans a file numpy's reader accepted
-_SCAN_CHARS = 1 << 16
+# characters per read when load_csv scans a file numpy's reader accepted (the
+# scan holds about 5 times this; a line over twice as long takes the csv pass)
+_SCAN_CHARS = 1 << 14
 # ASCII information separators: whitespace around a number to numpy's reader,
 # not to float()
 _INFO_SEPARATORS = "\x1c\x1d\x1e\x1f"
@@ -85,7 +82,7 @@ def load_csv(path):
     Other cells must parse as finite reals; rows must all have the same
     number of cells.  Blank lines are skipped and row order is preserved.
     Errors name the file's 1-based line (as "row") and column of the
-    offending cell.
+    offending cell; bytes that do not decode and over-long cells are errors.
 
     A file is first parsed by numpy's C reader (``np.loadtxt``), which makes
     no Python object per cell.  A file it refuses (a header, quoted cells,
@@ -132,7 +129,12 @@ def _load_csv_rows(path, fh):
     """:func:`load_csv` of the open file ``fh`` through the ``csv`` module:
     every rule checked, and the first offending cell in file order named."""
     reader = csv.reader(fh)
-    rows = [(reader.line_num, row) for row in reader if row]
+    try:
+        rows = [(reader.line_num, row) for row in reader if row]
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise CsvFormatError(f"{path}: row {reader.line_num}: {exc}") from None
     if rows and not any(_is_number(cell) for cell in rows[0][1]):
         rows = rows[1:]
     if not rows:
@@ -169,17 +171,16 @@ def _load_csv_rows(path, fh):
 
 
 def _write_csv(path, columns):
-    """Write a CSV file from ``columns``: lists of ids, which need no
-    quoting, and 1-d arrays of ints or floats.  Every cell is written by
-    ``str``, which gives a float's shortest exact decimal, its ``repr``; each
-    line ends in CR LF, as with ``csv.writer``.  Rows are formatted and
-    written ``_CSV_CHUNK_ROWS`` at a time, so the text of the whole file is
-    never held at once."""
+    """Write a CSV file from ``columns``, 1-d arrays of ints or floats.
+    Every cell is written by ``str``, which gives a float's shortest exact
+    decimal, its ``repr``; each line ends in CR LF, as with ``csv.writer``.
+    Rows are formatted and written ``_CSV_CHUNK_ROWS`` at a time, so the
+    text of the whole file is never held at once."""
     n = min(map(len, columns), default=0)
     with open(path, "w", newline="") as fh:
         for start in range(0, n, _CSV_CHUNK_ROWS):
             chunk = [c[start : start + _CSV_CHUNK_ROWS] for c in columns]
-            cells = (map(str, c.tolist() if isinstance(c, np.ndarray) else c) for c in chunk)
+            cells = (map(str, c.tolist()) for c in chunk)
             fh.write("".join(f"{line}\r\n" for line in map(",".join, zip(*cells))))
 
 
@@ -198,7 +199,7 @@ def standardize(ds):
     mean = ds.points.mean(axis=0)
     std = ds.points.std(axis=0, ddof=1)
     scale = np.where(std > 0, std, 1.0)
-    return Dataset((ds.points - mean) / scale, labels=ds.labels, ids=list(ds.ids))
+    return Dataset((ds.points - mean) / scale, labels=ds.labels)
 
 
 def gen_three_clusters(n_per_cluster, n_outliers, seed):

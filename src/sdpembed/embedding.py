@@ -15,7 +15,7 @@ import numpy as np
 
 from .diffmaps import fix_signs
 
-# the default relative singular-value cutoff of every entry point
+# the default relative singular-value cutoff, also ``SolverConfig``'s
 _RANK_TOL = 1e-6
 
 

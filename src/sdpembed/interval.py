@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dataio, embedding, kernels, pipeline, solver
+from . import dataio, kernels, pipeline
 
 
 @dataclass
@@ -80,8 +80,9 @@ def sign_solution(problem):
     return np.outer(v, v)
 
 
-def run_interval_experiment(problem, cfg=None, rank_tol=embedding._RANK_TOL):
-    """Solve, certify, and embed the discretized interval.
+def run_interval_experiment(problem, cfg=None):
+    """Solve, certify, and embed the discretized interval under the settings
+    ``cfg`` (``SolverConfig()`` if None).
 
     Returns the report and the ``pipeline.PipelineResult`` it is read from,
     which holds the coordinates.  The report carries the effective rank,
@@ -92,8 +93,7 @@ def run_interval_experiment(problem, cfg=None, rank_tol=embedding._RANK_TOL):
     formula's own midpoint row, sqrt(K(0, 0) max_x K(x, x)), which the rank-2
     optimum does not have.
     """
-    cfg = cfg or solver.SolverConfig()
-    result = pipeline.embed_points(problem.grid[:, None], problem.sigma, cfg, rank_tol)
+    result = pipeline.embed_points(problem.grid[:, None], problem.sigma, cfg)
     agreement = float(np.max(np.abs(result.kernel.K - problem.K)))
     if agreement > 1e-12:
         raise RuntimeError(

@@ -19,8 +19,8 @@ class PipelineResult:
     certificate: certificate.CertificateReport
 
 
-def embed_points(points, sigma, config=None, rank_tol=embedding._RANK_TOL):
-    """Run the full training pipeline on a point cloud.
+def embed_points(points, sigma, config=None):
+    """Run the full training pipeline on ``points`` under ``config`` (``SolverConfig()`` if None).
 
     The rank cap ``config.r0`` is capped at the number of points.  A failed
     certificate (the solver's last one, if it has one) is reported, not raised.
@@ -38,12 +38,10 @@ def embed_points(points, sigma, config=None, rank_tol=embedding._RANK_TOL):
     factors only serve as starts.  So a call runs one certificate, unless
     the staircase climbs at ``sigma``.
     """
-    embedding._check_rank_tol(rank_tol)
     cfg = config or solver.SolverConfig()
     dk = kernels.build_kernel(points, sigma)
     points, n = dk.base.points, dk.K.shape[0]
-    if cfg.r0 > n:
-        cfg = replace(cfg, r0=max(2, n))
+    cfg = replace(cfg, r0=max(2, min(cfg.r0, n)))
     steps = products = level = 0
     while True:
         state, stalled = solver._solve(
@@ -63,6 +61,6 @@ def embed_points(points, sigma, config=None, rank_tol=embedding._RANK_TOL):
         state, _ = solver._solve(dk.K, cfg, start, cfg.max_iters - steps, certify=level == 0)
         steps, products = steps + state.iterations, products + state.products
     state = replace(state, iterations=steps, products=products)
-    result = embedding.factor_to_embedding(state.H_Xi, rank_tol=rank_tol)
+    result = embedding.factor_to_embedding(state.H_Xi, rank_tol=cfg.rank_tol)
     report = state.certificate or certificate.check_optimality(dk.K, state.H_Xi)
     return PipelineResult(kernel=dk, factor=state, embedding=result, certificate=report)

@@ -27,6 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .certificate import _RTOL, CertificateReport, _least_eigenpairs, _slackness, check_optimality
+from .embedding import _RANK_TOL, _check_rank_tol
 
 # rows of norm below this are re-randomized; a power step that lowers E by
 # more than _MONOTONE_RTOL Tr(K)^2 (which bounds |E|) is an internal error
@@ -52,17 +53,20 @@ _ACCEPT = 0.1
 _RATIO_SLACK = 1e5
 
 
-@dataclass
+@dataclass(frozen=True, kw_only=True)
 class SolverConfig:
-    """Settings of the solver: ``r0`` caps the width of the staircase, which
-    starts at 2; it stops at a slackness residual of ``tol_conv`` max_i K_ii
-    (the floor is 1e-16 to 1e-14 of it) or after ``max_iters`` steps, power
-    and trust-region steps together."""
+    """Every setting of a run but sigma, checked when made, in the order of
+    ``embedding.json``.  ``seed`` draws the random start; the solver stops at
+    a slackness residual of ``tol_conv`` max_i K_ii (floor 1e-16 to 1e-14 of
+    it) or after ``max_iters`` power and trust-region steps; ``r0`` caps the
+    width, which starts at 2; ``rank_tol`` is the relative singular-value
+    cutoff of the rank."""
 
-    r0: int = 10
-    max_iters: int = 15000
-    tol_conv: float = 1e-12
     seed: int = 0
+    tol_conv: float = 1e-12
+    max_iters: int = 15000
+    r0: int = 10
+    rank_tol: float = _RANK_TOL
 
     def __post_init__(self):
         if self.r0 < 2:
@@ -71,6 +75,9 @@ class SolverConfig:
             raise ValueError("max_iters must be at least 1")
         if not 0 < self.tol_conv < np.inf:
             raise ValueError(f"tol_conv must be positive and finite, got {self.tol_conv}")
+        _check_rank_tol(self.rank_tol)
+        if not isinstance(self.seed, int | np.integer) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 @dataclass

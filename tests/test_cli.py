@@ -66,6 +66,8 @@ def test_embed_malformed_csv(tmp_path, capsys):
         (["--sigma", "1", "--tol", "nan"], "solve: tol_conv must be positive and finite, got nan"),
         (["--sigma", "1", "--rank-tol", "1.5"], "solve: rank_tol must be in [0, 1), got 1.5"),
         (["--sigma", "1", "--rank-tol", "nan"], "solve: rank_tol must be in [0, 1), got nan"),
+        (["--sigma", "1", "--seed", "-1"], "solve: seed must be a non-negative integer, got -1"),
+        (["--sigma", "1", "--max-iters", "0"], "solve: max_iters must be at least 1"),
     ],
 )
 def test_embed_rejects_settings_out_of_range(flags, message, two_point_csv, tmp_path, capsys):
@@ -81,14 +83,39 @@ def _refuse(*args, **kwargs):
     raise AssertionError("a kernel was built")
 
 
-def test_embed_rejects_rank_tol_before_any_kernel(two_point_csv, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--rank-tol", "1.5"], "rank_tol must be in [0, 1), got 1.5"),
+        (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
+    ],
+    ids=["rank-tol", "seed"],
+)
+def test_embed_rejects_rank_tol_before_any_kernel(
+    flags, message, two_point_csv, tmp_path, capsys, monkeypatch
+):
     monkeypatch.setattr("sdpembed.kernels.gaussian_gram", _refuse)
     monkeypatch.setattr("sdpembed.kernels.build_kernel", _refuse)
     out = tmp_path / "run"
-    argv = ["embed", two_point_csv, "--sigma", "1", "--rank-tol", "1.5", "--out", str(out)]
+    argv = ["embed", two_point_csv, "--sigma", "1", *flags, "--out", str(out)]
     assert main(argv) == 1
-    assert capsys.readouterr().err == "sdpembed: solve: rank_tol must be in [0, 1), got 1.5\n"
+    assert capsys.readouterr().err == f"sdpembed: solve: {message}\n"
     assert not out.exists()
+
+
+def test_embedding_json_records_every_setting(two_point_csv, tmp_path):
+    # the metadata holds sigma, then every field of SolverConfig in its order
+    out = tmp_path / "run"
+    flags = ["--sigma", "2", "--seed", "3", "--tol", "1e-11", "--max-iters", "9000",
+             "--r0", "4", "--rank-tol", "1e-5"]
+    assert main(["embed", two_point_csv, *flags, "--out", str(out)]) == 0
+    meta = _read_json(out / "embedding.json")["metadata"]
+    assert list(meta) == ["sigma", "seed", "tol_conv", "max_iters", "r0", "rank_tol",
+                          "converged", "iterations", "training_points"]
+    assert {k: meta[k] for k in list(meta)[:6]} == {
+        "sigma": 2.0, "seed": 3, "tol_conv": 1e-11, "max_iters": 9000, "r0": 4, "rank_tol": 1e-5,
+    }
+    assert meta["converged"] is True and meta["training_points"] == [[0.0], [1.0]]
 
 
 def test_toy_rejects_sigma_before_the_grid(tmp_path, capsys, monkeypatch):
@@ -222,9 +249,8 @@ def test_extended_csv_matches_csv_writer(model, cluster_csv, two_point_csv, tmp_
     ext = extend_points(base, Xi, ds.points)
     with open(tmp_path / "reference.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        for pid, coords, kappa, flag in zip(
-            ds.ids, ext.coords.tolist(), ext.kappa.tolist(), ext.degenerate.tolist()
-        ):
+        rows = zip(ext.coords.tolist(), ext.kappa.tolist(), ext.degenerate.tolist())
+        for pid, (coords, kappa, flag) in enumerate(rows):
             writer.writerow([pid, *map(repr, coords), repr(kappa), int(flag)])
     assert (out / "extended.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
     assert ext.degenerate.any() == (model == "two_point")
@@ -276,6 +302,28 @@ def test_extend_dimension_mismatch(cluster_csv, two_point_csv, tmp_path, capsys)
     err = capsys.readouterr().err
     assert err.startswith("sdpembed: new-points parsing: ") and "row 2" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["embed", "extend"])
+def test_undecodable_or_huge_csv_is_one_line(command, two_point_csv, tmp_path, capsys):
+    # bytes that do not decode and a cell beyond the csv module's field limit
+    # are parsing errors of one stderr line, not tracebacks
+    out = tmp_path / "run"
+    assert main(["embed", two_point_csv, "--sigma", "1", "--r0", "2", "--out", str(out)]) == 0
+    bad, huge = tmp_path / "bad.csv", tmp_path / "huge.csv"
+    bad.write_bytes(b"0\n\xff\n")
+    huge.write_text("0." + "0" * 140000 + "1\n")
+    stage = {"embed": "input parsing", "extend": "new-points parsing"}[command]
+    for path in (bad, huge):
+        capsys.readouterr()
+        if command == "embed":
+            args = [str(path), "--sigma", "1"]
+        else:
+            args = [str(out / "embedding.json"), str(path)]
+        assert main([command, *args, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"sdpembed: {stage}: {path}: ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
 
 def test_certify_stored_embedding(two_point_csv, tmp_path, capsys):

@@ -115,10 +115,17 @@ def _reference_load_csv(path):
     """The cell-by-cell ``csv``-module reader that ``load_csv`` must agree
     with: every cell parsed by ``float``, errors in file order.  It is the
     reader the package had before numpy's C reader, except for the header
-    rule (a first row is a header only when none of its cells is a number)."""
+    rule (a first row is a header only when none of its cells is a number)
+    and for bytes that do not decode and cells beyond the ``csv`` module's
+    field limit, which are format errors."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        rows = [(reader.line_num, row) for row in reader if row]
+        try:
+            rows = [(reader.line_num, row) for row in reader if row]
+        except UnicodeDecodeError as exc:
+            raise CsvFormatError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise CsvFormatError(f"{path}: row {reader.line_num}: {exc}") from None
     if rows and not any(_parses(cell) for cell in rows[0][1]):
         rows = rows[1:]
     if not rows:
@@ -227,6 +234,22 @@ def test_load_csv_agrees_with_the_cell_by_cell_reader(tmp_path, text, fast):
         assert (dataio._load_csv_fast(fh) is not None) == fast
 
 
+def test_load_csv_undecodable_bytes_are_a_format_error(tmp_path):
+    # under a locale whose encoding decodes every byte, the cell fails to parse
+    path = tmp_path / "pts.csv"
+    path.write_bytes(b"1,2\n\xff,3\n")
+    with pytest.raises(CsvFormatError) as exc:
+        load_csv(path)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
+def test_load_csv_names_the_row_of_a_huge_cell(tmp_path):
+    path = tmp_path / "pts.csv"
+    path.write_text("1,2\n3,4\n0." + "0" * 140000 + "1,2\n5,6\n")
+    with pytest.raises(CsvFormatError, match=r"row 3: field larger than field limit \(131072\)"):
+        load_csv(path)
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_load_csv_reads_a_pipe_once(tmp_path):
     # a pipe cannot be read twice, so it goes to the csv pass from the start
@@ -272,8 +295,8 @@ def test_csv_read_and_write_hold_no_object_per_cell(tmp_path):
     rng = np.random.default_rng(0)
     path = tmp_path / "pts.csv"
     save_csv(Dataset(rng.standard_normal((20000, 2))), path)
-    assert _traced_peak_mb(load_csv, path) < 2.0
-    columns = [[str(i) for i in range(20000)], *rng.standard_normal((3, 20000)), np.zeros(20000, int)]
+    assert _traced_peak_mb(load_csv, path) < 0.5
+    columns = [np.arange(20000), *rng.standard_normal((3, 20000)), np.zeros(20000, int)]
     assert _traced_peak_mb(dataio._write_csv, tmp_path / "out.csv", columns) < 1.0
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -107,5 +109,5 @@ def test_report_fields():
     assert report.sign_residual is None
     assert report.objective > 0
     # the second singular value is 0.08 of the first here
-    coarse, _ = run_interval_experiment(problem, cfg=tight_config(), rank_tol=0.1)
+    coarse, _ = run_interval_experiment(problem, cfg=replace(tight_config(), rank_tol=0.1))
     assert report.rank == 2 and coarse.rank == 1

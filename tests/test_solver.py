@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -30,6 +30,32 @@ def test_config_validation():
             SolverConfig(tol_conv=tol)
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
+
+
+def test_config_is_frozen_keyword_only_and_checks_every_field():
+    cfg = SolverConfig()
+    with pytest.raises(AttributeError):
+        cfg.seed = 1
+    with pytest.raises(TypeError):
+        SolverConfig(0)
+    # the fields in the order embedding.json records them
+    assert list(asdict(cfg)) == ["seed", "tol_conv", "max_iters", "r0", "rank_tol"]
+    for kwargs, message in [
+        ({"r0": 1}, "r0 must be at least 2"),
+        ({"max_iters": 0}, "max_iters must be at least 1"),
+        ({"tol_conv": np.nan}, "tol_conv must be positive and finite, got nan"),
+        ({"rank_tol": 1.5}, "rank_tol must be in [0, 1), got 1.5"),
+        ({"rank_tol": -1e-6}, "rank_tol must be in [0, 1), got -1e-06"),
+        ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+        ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
+        # checked in the order r0, max_iters, tol_conv, rank_tol, seed
+        ({"seed": -1, "rank_tol": 2.0, "r0": 0}, "r0 must be at least 2"),
+        ({"seed": -1, "rank_tol": 2.0}, "rank_tol must be in [0, 1), got 2.0"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            SolverConfig(**kwargs)
+        assert str(exc.value) == message
+    assert SolverConfig(seed=np.int64(3), rank_tol=0.0).seed == 3
 
 
 def test_unit_rows_three_four_five():

@@ -28,19 +28,20 @@ _N_LEAST = 6
 _RTOL = 1e-8
 
 # from this many points on, the least eigenpairs of L come from block Lanczos
-# (0.09-0.27 s against a dense 0.24 s on the clusters at N = 1502, sigma 0.3
-# to 10, on 2 cores; slower at N = 806), below it from a dense solve
+# (0.04-0.20 s against a dense 0.20-0.23 s on the clusters at N = 1502, sigma
+# 0.3 to 20, on 2 cores; at N = 806 and 1202 it falls back at sigma = 0.3),
+# below it from a dense solve
 _DENSE_BELOW = 1500
 
-# Lanczos stops once every Ritz residual of the _N_LEAST least Ritz pairs is
-# at most this much of max_i K_ii (100x below _RTOL); each Ritz value is then
-# that close to an eigenvalue of L
+# Lanczos stops once each of the _N_LEAST least Ritz values is within this
+# much of max_i K_ii (100x below _RTOL) of an eigenvalue of L, by the bound
+# min(r, r^2 / gap) on its error (see _ritz_converged)
 _LANCZOS_RTOL = 1e-10
 
 # Lanczos gives up, and a dense solve decides, once its basis holds this
 # fraction of N vectors, where it has cost about as much.  The clusters need
-# 17-51 steps of 6 vectors for sigma <= 10 up to N = 3998, and more at large
-# sigma, where L's spectrum clusters (110 at sigma = 50 and N = 1502)
+# 15-54 steps of 6 vectors for sigma <= 20 from N = 1502 to 3998, and more at
+# large sigma, where L's spectrum clusters (96 at sigma = 50 and N = 1502)
 _LANCZOS_BASIS = 0.2
 
 
@@ -76,13 +77,32 @@ def _slackness(KH, H_Xi, diag):
     return k_rho, float(residual)
 
 
+def _ritz_converged(theta, r, tol):
+    """Whether each of the ``_N_LEAST`` least of the ascending Ritz values
+    ``theta`` is within ``tol`` of an eigenvalue, given the residual norms
+    ``r`` of the first 2 ``_N_LEAST``.  A Ritz value's error is at most
+    min(r, r^2 / delta) (Kato-Temple; Parlett, The Symmetric Eigenvalue
+    Problem, 1998, ch. 11), delta its distance to the rest of the spectrum,
+    for which the distance to the other Ritz values stands in, each widened
+    by its own residual.  With no value beyond the first ``_N_LEAST``, where
+    delta is unknown, only r <= tol counts."""
+    b = _N_LEAST
+    gap = np.abs(theta[: 2 * b, None] - theta[:b]) - r[:, None]
+    np.fill_diagonal(gap, np.inf)
+    delta = gap.min(axis=0) if len(theta) > b else 0.0
+    return bool(np.all((r[:b] <= tol) | (r[:b] ** 2 <= tol * delta)))
+
+
 def _lanczos_least(K, D, tol, steps):
     """The ``_N_LEAST`` least eigenpairs of ``L = diag(D) - K`` by block
     Lanczos with full reorthogonalization: Ritz values ascending and unit
-    Ritz vectors as columns, or None if the residuals ||L v - theta v|| do
-    not all fall to ``tol`` within ``steps`` steps (or the basis fills R^N).
-    They are checked on every step up to the 16th, then on every
-    (step // 8)-th, so the Rayleigh-Ritz eighs cost a few times the last.
+    Ritz vectors as columns, or None if ``_ritz_converged`` does not place
+    every Ritz value within ``tol`` of an eigenvalue within ``steps`` steps
+    (or the basis fills R^N).  They are checked on every step up to the
+    16th, then on every (step // 8)-th, so the Rayleigh-Ritz eighs cost a
+    few times the last.  A vector's residual ||L v - theta v|| is at most
+    ``tol`` where its value crowds others, such as the zero of a certified
+    L; an isolated value's may reach about sqrt(tol gap).
 
     The block of ``_N_LEAST`` vectors (rows of ``Q``) reads K once per step
     and resolves a least eigenvalue repeated up to ``_N_LEAST`` times, such
@@ -118,7 +138,7 @@ def _lanczos_least(K, D, tol, steps):
             Q[dead] = np.linalg.qr(fresh.T)[0].T
         if len(blocks) % max(1, len(blocks) // 8) == 0:
             theta, S = np.linalg.eigh(T)
-            if np.all(np.linalg.norm(B @ S[-b:, :b], axis=0) <= tol):
+            if _ritz_converged(theta, np.linalg.norm(B @ S[-b:, : 2 * b], axis=0), tol):
                 vectors = sum(V.T @ S[j * b : (j + 1) * b, :b] for j, V in enumerate(blocks))
                 return theta[:b], vectors
     return None
@@ -152,8 +172,9 @@ def check_optimality(K, H_Xi):
     least eigenvalue of L at least -1e-8 max_i K_ii; failing is a report,
     not an exception.  The six least eigenvalues come from a dense
     ``eigvalsh`` below N = 1500 and from block Lanczos on v -> D v - K v,
-    which forms no N x N array, above (each to 1e-10 max_i K_ii; if Lanczos
-    has not converged with N / 5 basis vectors, the dense solve decides).
+    which forms no N x N array, above (each to 1e-10 max_i K_ii by the
+    Ritz error bound min(r, r^2 / gap); if Lanczos has not converged with
+    N / 5 basis vectors, the dense solve decides).
     """
     K = np.asarray(K, dtype=float)
     diag = np.diag(K)

@@ -69,15 +69,24 @@ class SolverConfig:
     rank_tol: float = _RANK_TOL
 
     def __post_init__(self):
+        _check_integer("r0", self.r0)
         if self.r0 < 2:
             raise ValueError("r0 must be at least 2")
+        _check_integer("max_iters", self.max_iters)
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not 0 < self.tol_conv < np.inf:
             raise ValueError(f"tol_conv must be positive and finite, got {self.tol_conv}")
         _check_rank_tol(self.rank_tol)
-        if not isinstance(self.seed, int | np.integer) or self.seed < 0:
+        _check_integer("seed", self.seed)
+        if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+
+
+def _check_integer(name, value):
+    # bool is a subclass of int, but True is no count
+    if isinstance(value, bool) or not isinstance(value, int | np.integer):
+        raise ValueError(f"{name} must be an integer, got {value}")
 
 
 @dataclass

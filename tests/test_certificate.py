@@ -15,7 +15,14 @@ from sdpembed import (
 )
 
 from sdpembed import certificate
-from sdpembed.certificate import _LANCZOS_BASIS, _LANCZOS_RTOL, _N_LEAST, _RTOL, _lanczos_least
+from sdpembed.certificate import (
+    _LANCZOS_BASIS,
+    _LANCZOS_RTOL,
+    _N_LEAST,
+    _RTOL,
+    _lanczos_least,
+    _ritz_converged,
+)
 from sdpembed.diagnostics import certificate_matrix, nuclear_equivalence_check
 from sdpembed.solver import _unit_rows, init_factor
 
@@ -231,20 +238,68 @@ def test_check_optimality_takes_lanczos_above_the_cutoff_and_falls_back(
     assert np.array_equal(fallback.least_eigenvalues, dense.least_eigenvalues)
 
 
+def _assert_ritz_contract(theta, vectors, K, D, tol):
+    """Each Ritz value within ``tol`` of the dense one, and each residual r
+    within the bound that stopped Lanczos: r <= tol or r^2 <= tol gap, the
+    gap taken from the dense spectrum.  Returns the residuals."""
+    dense = np.linalg.eigvalsh(np.diag(D) - K)
+    assert np.max(np.abs(theta - dense[:_N_LEAST])) <= tol
+    gaps = np.abs(dense[:, None] - dense[:_N_LEAST])
+    gaps[np.arange(_N_LEAST), np.arange(_N_LEAST)] = np.inf
+    residuals = np.linalg.norm(D[:, None] * vectors - K @ vectors - vectors * theta, axis=0)
+    assert np.all((residuals <= tol) | (residuals**2 <= tol * gaps.min(axis=0)))
+    return residuals
+
+
 def test_lanczos_ritz_pairs_are_eigenpairs_on_the_2k_clusters(clusters_2k):
     # at the certified optimum (the rank-2 null space of L) and at a random
     # feasible factor (negative eigenvalues, as where the staircase climbs)
     K = clusters_2k.kernel.K
-    scale = np.diag(K).max()
+    tol = _LANCZOS_RTOL * np.diag(K).max()
     steps = int(_LANCZOS_BASIS * K.shape[0]) // _N_LEAST
+    residuals = []
     for H_Xi in (clusters_2k.factor.H_Xi, _random_feasible_factor(K)):
         D = np.einsum("ij,ij->i", K @ H_Xi, H_Xi) / np.diag(K)
-        theta, V = _lanczos_least(K, D, _LANCZOS_RTOL * scale, steps)
+        theta, V = _lanczos_least(K, D, tol, steps)
         assert V.shape == (K.shape[0], _N_LEAST)
         assert np.allclose(np.linalg.norm(V, axis=0), 1.0, atol=1e-12)
-        residuals = np.linalg.norm(D[:, None] * V - K @ V - V * theta, axis=0)
-        assert np.all(residuals <= _LANCZOS_RTOL * scale)
+        residuals.append(_assert_ritz_contract(theta, V, K, D, tol))
         assert np.array_equal(theta, check_optimality(K, H_Xi).least_eigenvalues)
+    # the optimum's zero pair crowds itself, so its residuals stay within tol
+    assert np.all(residuals[0][:2] <= tol)
+
+
+def test_lanczos_resolves_a_close_pair_among_the_least_eigenvalues():
+    # L = V diag(lam) V^T, K = I - L and D = 1: lam[2] and lam[3] are 1e-9
+    # apart, so their residuals must fall to about sqrt(1e-10 * 1e-9)
+    rng = np.random.default_rng(0)
+    n = 300
+    lam = np.concatenate([[0.0, 0.05, 0.1, 0.1 + 1e-9, 0.12, 0.13], np.linspace(0.14, 2.0, n - 6)])
+    V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    L = (V * lam) @ V.T
+    K = np.eye(n) - (L + L.T) / 2
+    theta, vectors = _lanczos_least(K, np.ones(n), 1e-10, 100)
+    assert np.max(np.abs(theta - lam[:_N_LEAST])) <= 1e-10
+    _assert_ritz_contract(theta, vectors, K, np.ones(n), 1e-10)
+
+
+def test_ritz_convergence_widens_each_gap_by_the_residual():
+    # the sixth value has r = 1e-8: r^2 / gap meets tol = 1e-10 against a
+    # seventh value 1e-4 away once that value is resolved, but not while its
+    # own residual (1e-2) could put an eigenvalue right next to the sixth
+    theta = np.array([0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.5001, 1.0, 1.1, 1.2, 1.3, 1.4])
+    r = np.zeros(12)
+    r[5] = 1e-8
+    assert _ritz_converged(theta, r, 1e-10)
+    r[6] = 1e-2
+    assert not _ritz_converged(theta, r, 1e-10)
+    # r^2 / gap = 1e-8 is far above tol
+    r[6] = 0.0
+    r[5] = 1e-6
+    assert not _ritz_converged(theta, r, 1e-10)
+    # the first block has no seventh value, so only r <= tol counts
+    assert not _ritz_converged(theta[:6], np.full(6, 1e-8), 1e-10)
+    assert _ritz_converged(theta[:6], np.full(6, 1e-10), 1e-10)
 
 
 def test_lanczos_breakdown_on_a_repeated_least_eigenvalue():

@@ -47,7 +47,12 @@ def test_config_is_frozen_keyword_only_and_checks_every_field():
         ({"rank_tol": 1.5}, "rank_tol must be in [0, 1), got 1.5"),
         ({"rank_tol": -1e-6}, "rank_tol must be in [0, 1), got -1e-06"),
         ({"seed": -1}, "seed must be a non-negative integer, got -1"),
-        ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"r0": 2.5}, "r0 must be an integer, got 2.5"),
+        ({"r0": True}, "r0 must be an integer, got True"),
+        ({"max_iters": 100.5}, "max_iters must be an integer, got 100.5"),
+        ({"max_iters": np.float64(100.0)}, "max_iters must be an integer, got 100.0"),
         # checked in the order r0, max_iters, tol_conv, rank_tol, seed
         ({"seed": -1, "rank_tol": 2.0, "r0": 0}, "r0 must be at least 2"),
         ({"seed": -1, "rank_tol": 2.0}, "rank_tol must be in [0, 1), got 2.0"),

@@ -39,7 +39,7 @@ print(f"coordinates       : {emb.Xi.ravel()}  (analytic: +-sqrt(c) = {np.sqrt(c)
 
 # out-of-sample: a point left of the pair gets a definite coordinate, the
 # symmetry midpoint has no preferred side and is flagged degenerate
-left = extend_points(result.kernel.base, emb.Xi, [[-0.5]])
-mid = extend_points(result.kernel.base, emb.Xi, [[0.5]])
+left = extend_points(result.kernel, emb.Xi, [[-0.5]])
+mid = extend_points(result.kernel, emb.Xi, [[0.5]])
 print(f"\nextension at -0.5 : {left.coords[0]}  (norm^2 = kappa = {left.kappa[0]:.7f})")
 print(f"extension at +0.5 : degenerate = {mid.degenerate[0]} (exact symmetry midpoint)")

@@ -10,7 +10,8 @@ pairs.
 
 import numpy as np
 
-from sdpembed import embed_points, extend_kernel, extend_points, gen_three_clusters
+from sdpembed import embed_points, extend_points, gen_three_clusters
+from sdpembed.diagnostics import extend_kernel
 
 ds = gen_three_clusters(100, 8, seed=12345)
 rng = np.random.default_rng(0)
@@ -22,12 +23,12 @@ print(f"trained on {len(train_idx)} points: rank {result.embedding.rank}, "
       f"certified {result.certificate.is_certified}")
 
 # sanity: restriction to the training set is exact
-copies = extend_points(result.kernel.base, result.embedding.Xi, ds.points[train_idx])
+copies = extend_points(result.kernel, result.embedding.Xi, ds.points[train_idx])
 worst = float(np.max(np.abs(copies.coords - result.embedding.Xi)))
 print(f"restriction to training points, worst deviation: {worst:.2e}")
 
 # extend the held-out points and see where each label family lands
-coords = extend_points(result.kernel.base, result.embedding.Xi, ds.points[test_idx]).coords
+coords = extend_points(result.kernel, result.embedding.Xi, ds.points[test_idx]).coords
 print("\nheld-out points by label (mean extended position):")
 for label in (0, 1, 2, 3):
     mask = ds.labels[test_idx] == label
@@ -41,6 +42,6 @@ for label in (0, 1, 2, 3):
 same = ds.points[ds.labels == 0][:2]
 other = ds.points[ds.labels == 1][0]
 print(f"\nextended kernel, same cluster     : "
-      f"{extend_kernel(result.kernel.base, result.embedding.Xi, same[0], same[1]):+.6f}")
+      f"{extend_kernel(result.kernel, result.embedding.Xi, same[0], same[1]):+.6f}")
 print(f"extended kernel, different cluster: "
-      f"{extend_kernel(result.kernel.base, result.embedding.Xi, same[0], other):+.6f}")
+      f"{extend_kernel(result.kernel, result.embedding.Xi, same[0], other):+.6f}")

@@ -11,17 +11,16 @@ output, not a choice.
 import numpy as np
 
 from sdpembed import (
-    diffusion_distance,
     diffusion_map,
     embed_points,
     gaussian_gram,
     gen_three_clusters,
     spectral_basis,
 )
+from sdpembed.diagnostics import diffusion_distance
 
 ds = gen_three_clusters(100, 0, seed=12345)
-base = gaussian_gram(ds.points, 1.5)
-basis = spectral_basis(base)
+basis = spectral_basis(gaussian_gram(ds.points, 1.5))
 
 print("top diffusion eigenvalues:", np.round(basis.eigenvalues[:6], 4))
 print("two eigenvalues close to 1 with a gap after them: a favorable case "

@@ -6,8 +6,9 @@ on a row-scaled factor of rho, by projected power steps, then a Riemannian
 trust region and a rank staircase; certify global optimality with a
 Laplacian-like dual matrix; read embedding coordinates off the SVD of the
 factor; and extend coordinates and kernel to new points with a
-projected Nystrom formula.  The research checks of the paper's claims live
-in ``sdpembed.diagnostics``, which this namespace does not import.
+projected Nystrom formula.  The research checks of the paper's claims, and
+the helpers only they use, live in ``sdpembed.diagnostics``, which this
+namespace does not import.
 """
 
 from .certificate import PrimalInfeasibilityError, check_optimality
@@ -25,20 +26,15 @@ from .dataio import (
     save_embedding,
     standardize,
 )
-from .diffmaps import (
-    diffusion_distance,
-    diffusion_map,
-    spectral_basis,
-    transition_matrix,
-)
+from .diffmaps import diffusion_map, spectral_basis
 from .embedding import factor_to_embedding
-from .extension import extend_kernel, extend_points
+from .extension import extend_points
 from .interval import (
     build_interval_problem,
     run_interval_experiment,
     sign_solution,
 )
-from .kernels import build_kernel, diffusion_kernel, gaussian_gram
+from .kernels import build_kernel, gaussian_gram
 from .pipeline import embed_points
 from .solver import SolverConfig, objective, solve
 
@@ -54,11 +50,8 @@ __all__ = [
     "build_interval_problem",
     "build_kernel",
     "check_optimality",
-    "diffusion_distance",
-    "diffusion_kernel",
     "diffusion_map",
     "embed_points",
-    "extend_kernel",
     "extend_points",
     "factor_to_embedding",
     "gaussian_gram",
@@ -75,5 +68,4 @@ __all__ = [
     "solve",
     "spectral_basis",
     "standardize",
-    "transition_matrix",
 ]

@@ -162,6 +162,15 @@ def _least_eigenpairs(K, D, scale, vectors=False):
     return w[:_N_LEAST], V[:, :_N_LEAST]
 
 
+def _checked_factor(H, n):
+    """The factor or coordinates ``H`` as a float array, after checking that
+    its shape is (n, r) with r >= 1."""
+    H = np.asarray(H, dtype=float)
+    if H.ndim != 2 or H.shape[0] != n or H.shape[1] < 1:
+        raise ValueError(f"factor has shape {H.shape}, expected ({n}, r) with r >= 1")
+    return H
+
+
 def check_optimality(K, H_Xi):
     """Decide global optimality of ``rho = H_Xi H_Xi^T`` for the (N, N)
     kernel ``K``; row i of the (N, r) factor ``H_Xi`` must have squared norm
@@ -174,9 +183,11 @@ def check_optimality(K, H_Xi):
     ``eigvalsh`` below N = 1500 and from block Lanczos on v -> D v - K v,
     which forms no N x N array, above (each to 1e-10 max_i K_ii by the
     Ritz error bound min(r, r^2 / gap); if Lanczos has not converged with
-    N / 5 basis vectors, the dense solve decides).
+    N / 5 basis vectors, the dense solve decides).  A factor of any other
+    shape than (N, r) with r >= 1 raises ``ValueError``.
     """
     K = np.asarray(K, dtype=float)
+    H_Xi = _checked_factor(H_Xi, K.shape[0])
     diag = np.diag(K)
     scale = float(diag.max())
     row_sq = np.einsum("ij,ij->i", H_Xi, H_Xi)

@@ -132,11 +132,11 @@ def cmd_embed(args):
 def cmd_extend(args):
     with _stage("embedding loading", EmbeddingSchemaError, OSError, ValueError):
         Xi, points, sigma = _load_model(args.embedding)
-        base = kernels.gaussian_gram(points, sigma)
+        kernel = kernels.gaussian_gram(points, sigma)
     with _stage("new-points parsing", CsvFormatError, OSError):
         new = dataio.load_csv(args.points)
     with _stage("extension", ValueError, RuntimeError):
-        ext = extend_points(base, Xi, new.points)
+        ext = extend_points(kernel, Xi, new.points)
     columns = [np.arange(new.n_points), *ext.coords.T, ext.kappa, ext.degenerate.astype(int)]
     _write_csv(_out_dir(args) / "extended.csv", columns)
     return 0
@@ -159,7 +159,7 @@ def cmd_certify(args):
 def cmd_compare(args):
     ds, result, out = _train(args)
     with _stage("solve", ValueError, RuntimeError):
-        basis = diffmaps.spectral_basis(result.kernel.base)
+        basis = diffmaps.spectral_basis(result.kernel)
         dm_coords = diffmaps.diffusion_map(basis, t=1.0, m=min(2, ds.n_points - 1))
     _write_csv(out / "dm_embedding.csv", [np.arange(ds.n_points), *dm_coords.T])
     _write_json(out / "dm_eigenvalues.json", {"eigenvalues": basis.eigenvalues[:6]})

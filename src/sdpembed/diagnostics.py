@@ -4,8 +4,10 @@ Nothing in the pipeline, the command line or the package namespace imports
 this module; tests and demos import it as ``sdpembed.diagnostics``.  It holds
 the dense reference for the certificate matrix, the nuclear-norm equivalence,
 the bordered-matrix trichotomy and the certificate of a bordered (N+1)-point
-program, the kernel row of one new point, the degree/volume inequalities and
-the mean-value identity.
+program, the kernel row of one new point and the extended kernel at two
+points, the degree/volume inequalities, the mean-value identity, and the
+diffusion-maps transition matrix and diffusion distance.  Every function that
+takes a kernel takes the one ``kernels.DiffusionKernel`` of the training set.
 """
 
 from dataclasses import dataclass
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificate import check_optimality
+from .diffmaps import _gram
 from .extension import _extended_diagonal, _new_points, extend_points
 from .kernels import _degrees, _map_blocks
 from .solver import objective
@@ -22,10 +25,13 @@ __all__ = [
     "bordered_matrix",
     "certificate_matrix",
     "check_volume_inequalities",
+    "diffusion_distance",
+    "extend_kernel",
     "extended_sdp_certificate",
     "extension_row",
     "mean_value_check",
     "nuclear_equivalence_check",
+    "transition_matrix",
 ]
 
 
@@ -122,12 +128,12 @@ def nuclear_equivalence_check(K, rho_star, rank_rtol=1e-8):
     )
 
 
-def extension_row(base, xbar):
+def extension_row(kernel, xbar):
     """Extend the centered kernel to one new point.
 
     Parameters
     ----------
-    base : BaseKernelState
+    kernel : DiffusionKernel
     xbar : array of shape (d,)
         The new point.
 
@@ -147,13 +153,13 @@ def extension_row(base, xbar):
     """
     if np.ndim(xbar) != 1:
         raise ValueError(f"expected one point of shape (d,), got shape {np.shape(xbar)}")
-    X = _new_points(base, np.reshape(xbar, (1, -1)))
-    kx = np.empty((1, base.points.shape[0]))
-    _map_blocks(X, base.points, base.sigma, lambda *block: None, target=kx)
+    X = _new_points(kernel, np.reshape(xbar, (1, -1)))
+    kx = np.empty((1, kernel.points.shape[0]))
+    _map_blocks(X, kernel.points, kernel.sigma, lambda *block: None, target=kx)
     dbar = kx.sum(axis=1)
-    kappa = _extended_diagonal(base, dbar)
-    mixed = np.sqrt(dbar[0] * base.degrees)
-    kvec = kx[0] / mixed - mixed / base.volume
+    kappa = _extended_diagonal(kernel, dbar)
+    mixed = np.sqrt(dbar[0] * kernel.degrees)
+    kvec = kx[0] / mixed - mixed / kernel.volume
     return ExtensionRow(kvec=kvec, kappa=float(kappa[0]), dbar=float(dbar[0]))
 
 
@@ -208,13 +214,14 @@ def block_extension_analysis(embedding, b, tested_s=(1.0, 10.0, 100.0)):
     )
 
 
-def extended_sdp_certificate(dk, embedding, xbar):
+def extended_sdp_certificate(kernel, embedding, xbar):
     """Certify one projected-Nystrom extension as a solution of the bordered
     (N+1)-point program.
 
     The bordered kernel is Kbar = [[K, kvec], [kvec^T, kappa]] and the
     bordered factor stacks the extended coordinates under ``embedding.Xi``,
-    so rho_bar = [[rho*, b], [b^T, kappa]] with b = Xi coords.  The extension
+    so rho_bar = [[rho*, b], [b^T, kappa]] with b = Xi coords.  ``kernel``
+    must hold ``K`` (:func:`sdpembed.kernels.build_kernel`).  The extension
     is feasible for the bordered program but generally not its optimum, so
     the report usually does not certify; that is expected output, not an
     error.
@@ -232,25 +239,25 @@ def extended_sdp_certificate(dk, embedding, xbar):
         For degenerate extensions (no direction to border with) or a zero
         extended diagonal (the bordered certificate needs kappa > 0).
     """
-    point = extend_points(dk.base, embedding.Xi, [xbar])
+    point = extend_points(kernel, embedding.Xi, [xbar])
     if point.degenerate[0]:
         raise ValueError("extension is degenerate at this point; no certificate to check")
     if point.kappa[0] <= 0:
         raise ValueError("extended diagonal vanishes; bordered certificate undefined")
-    row = extension_row(dk.base, xbar)
+    row = extension_row(kernel, xbar)
     Xi = embedding.Xi
     report = check_optimality(
-        bordered_matrix(dk.K, row.kvec, row.kappa), np.vstack([Xi, point.coords])
+        bordered_matrix(kernel.K, row.kvec, row.kappa), np.vstack([Xi, point.coords])
     )
     expected = (
-        objective(dk.K, Xi)
+        objective(kernel.K, Xi)
         + 2.0 * np.sqrt(row.kappa) * np.linalg.norm(row.kvec @ Xi)
         + row.kappa**2
     )
     return report, abs(report.objective - expected) / expected
 
 
-def check_volume_inequalities(base, probes=()):
+def check_volume_inequalities(kernel, probes=()):
     """Check ``d(x)^2 <= k(x, x) * vol`` on the training set and at probes.
 
     The slack is reported relative to ``k(x, x) * vol``, where the Gaussian
@@ -260,10 +267,10 @@ def check_volume_inequalities(base, probes=()):
     coordinates raise ``ValueError``, as new points do in
     :func:`sdpembed.extension.extend_points`.
     """
-    points = base.points
-    probes = _new_points(base, probes) if np.size(probes) else np.empty((0, points.shape[1]))
-    degrees = np.concatenate([base.degrees, _degrees(probes, points, base.sigma)])
-    slacks = (base.volume - degrees**2) / base.volume
+    points = kernel.points
+    probes = _new_points(kernel, probes) if np.size(probes) else np.empty((0, points.shape[1]))
+    degrees = np.concatenate([kernel.degrees, _degrees(probes, points, kernel.sigma)])
+    slacks = (kernel.volume - degrees**2) / kernel.volume
     worst = float(slacks.min())
     return VolumeCheckReport(worst_slack=worst, n_checked=slacks.size, ok=worst >= -1e-12)
 
@@ -295,3 +302,39 @@ def mean_value_check(K, embedding):
         )
     factors = np.diag(K) / k_rho_diag
     return float(np.abs(Xi - factors[:, None] * KXi).max())
+
+
+def extend_kernel(kernel, Xi, x, y):
+    """Extended kernel value ``sum_l chi_l(x) chi_l(y)`` at two points.
+
+    Restricted to training points this reproduces rho*; on the diagonal of a
+    non-degenerate point it returns kappa.  If either extension is degenerate
+    the product has no defined direction and 0.0 is returned.
+    """
+    pair = extend_points(kernel, Xi, np.asarray([x, y], dtype=float).reshape(2, -1))
+    if pair.degenerate.any():
+        return 0.0
+    return float(pair.coords[0] @ pair.coords[1])
+
+
+def transition_matrix(kernel):
+    """Row-stochastic transition matrix ``p(x, y) = k(x, y) / d(x)`` of the
+    diffusion-maps random walk, the dense reference for
+    :func:`sdpembed.diffmaps.spectral_basis`."""
+    p = _gram(kernel)
+    p /= kernel.degrees[:, None]
+    return p
+
+
+def diffusion_distance(basis, t, i, j):
+    """Diffusion distance between training points ``i`` and ``j`` at time ``t``.
+
+    Computed spectrally as the Euclidean distance between the full
+    (m = N-1) diffusion-map rows, which equals the phi0^{-1}-weighted
+    l2-distance between the t-step transition rows.
+    """
+    n = basis.eigenvalues.shape[0]
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValueError("point indices out of range")
+    diff = basis.psi[i, 1:] - basis.psi[j, 1:]
+    return float(np.sqrt(np.sum((basis.eigenvalues[1:] ** t * diff) ** 2)))

@@ -1,4 +1,4 @@
-"""Diffusion-maps baseline: random-walk spectral basis, embedding, distances.
+"""Diffusion-maps baseline: random-walk spectral basis and embedding.
 
 The random walk on the data has transition matrix ``p = k / d`` (rows sum to
 one).  ``p`` is conjugate to the symmetric normalized kernel
@@ -6,8 +6,10 @@ one).  ``p`` is conjugate to the symmetric normalized kernel
 [0, 1].  Eigenvectors come in a bi-orthogonal pair (psi, phi) derived from the
 orthonormal eigenvectors ``u`` of ``k_N`` via ``psi = u / sqrt(phi0)`` and
 ``phi = u * sqrt(phi0)``, with ``phi0 = d / vol`` the stationary distribution.
-The baseline is dense: each function evaluates the N x N Gaussian gram ``k``
-from the points of the base-kernel state.
+The baseline is dense: :func:`spectral_basis` evaluates the N x N Gaussian
+gram ``k`` from the points of a ``kernels.DiffusionKernel``.  The transition
+matrix itself and the diffusion distance serve only the research checks in
+``sdpembed.diagnostics``.
 """
 
 from dataclasses import dataclass
@@ -28,19 +30,12 @@ class DiffusionBasis:
     u: np.ndarray
 
 
-def _gram(base):
+def _gram(kernel):
     """The N x N Gaussian gram of the training points."""
-    n = base.points.shape[0]
+    n = kernel.points.shape[0]
     gram = np.empty((n, n))
-    _map_blocks(base.points, base.points, base.sigma, lambda *block: None, target=gram)
+    _map_blocks(kernel.points, kernel.points, kernel.sigma, lambda *block: None, target=gram)
     return gram
-
-
-def transition_matrix(base):
-    """Row-stochastic transition matrix ``p(x, y) = k(x, y) / d(x)``."""
-    p = _gram(base)
-    p /= base.degrees[:, None]
-    return p
 
 
 def fix_signs(vectors):
@@ -58,7 +53,7 @@ def fix_signs(vectors):
     return vectors
 
 
-def spectral_basis(base):
+def spectral_basis(kernel):
     """Eigendecompose the walk via its symmetric conjugate.
 
     The decomposition is done on ``k_N`` (symmetric, so the spectrum is real
@@ -66,14 +61,14 @@ def spectral_basis(base):
     Eigenvalues are clipped at zero: the base kernel is positive definite, so
     tiny negatives are rounding.
     """
-    root_d = np.sqrt(base.degrees)
-    k_norm = _gram(base)
+    root_d = np.sqrt(kernel.degrees)
+    k_norm = _gram(kernel)
     k_norm /= np.outer(root_d, root_d)
     eigenvalues, u = np.linalg.eigh(k_norm)
     order = np.argsort(eigenvalues)[::-1]
     eigenvalues = np.clip(eigenvalues[order], 0.0, None)
     u = fix_signs(u[:, order])
-    phi0 = base.degrees / base.volume
+    phi0 = kernel.degrees / kernel.volume
     root_phi0 = np.sqrt(phi0)
     return DiffusionBasis(
         eigenvalues=eigenvalues,
@@ -99,17 +94,3 @@ def diffusion_map(basis, t, m):
     if t < 0:
         raise ValueError("t must be nonnegative")
     return basis.psi[:, 1 : m + 1] * basis.eigenvalues[1 : m + 1] ** t
-
-
-def diffusion_distance(basis, t, i, j):
-    """Diffusion distance between training points ``i`` and ``j`` at time ``t``.
-
-    Computed spectrally as the Euclidean distance between the full
-    (m = N-1) diffusion-map rows, which equals the phi0^{-1}-weighted
-    l2-distance between the t-step transition rows.
-    """
-    n = basis.eigenvalues.shape[0]
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError("point indices out of range")
-    diff = basis.psi[i, 1:] - basis.psi[j, 1:]
-    return float(np.sqrt(np.sum((basis.eigenvalues[1:] ** t * diff) ** 2)))

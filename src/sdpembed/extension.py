@@ -10,10 +10,13 @@ configurations can make g vanish; that case is flagged as degenerate rather
 than divided through; g counts as vanishing at 1e-12 of the size of the
 terms it is summed from, near the data and far from it alike.
 
-One set of rules decides which new points have an extension: the checks of
-their dimension and finiteness in :func:`_new_points`, and the error for a
-point with no kernel weight on the training set and the clamp of kappa to
-zero within rounding in :func:`_extended_diagonal`.  :func:`extend_points` and
+Everything comes from the training set's ``kernels.DiffusionKernel``: its
+points, sigma, degrees and volume (not ``K``, so the degree pass
+``gaussian_gram`` is enough).  One set of rules decides which new points have
+an extension: the checks of their dimension and finiteness in
+:func:`_new_points`, and the error for a point with no kernel weight on the
+training set and the clamp of kappa to zero within rounding in
+:func:`_extended_diagonal`.  :func:`extend_points` and
 :func:`sdpembed.diagnostics.extension_row` call both.
 """
 
@@ -22,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .certificate import _checked_factor
 
 # ||g|| at or below 1e-12 of the size of the terms g is computed from,
 # (kx @ (||Xi_i|| / sqrt(d_i))) / sqrt(dbar) + sqrt(dbar) ||center||, counts
@@ -46,16 +50,16 @@ class ExtendedPoint:
     degenerate: np.ndarray
 
 
-def _new_points(base, X):
+def _new_points(kernel, X):
     """The new points ``X`` as a float array of shape (M, d), after checking
     them: points of the wrong dimension or with non-finite coordinates raise
     ``ValueError``, naming the first such row."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"expected an (M, d) array of points, got shape {X.shape}")
-    if X.shape[1] != base.points.shape[1]:
+    if X.shape[1] != kernel.points.shape[1]:
         raise ValueError(
-            f"points have dimension {X.shape[1]}, training set has {base.points.shape[1]}"
+            f"points have dimension {X.shape[1]}, training set has {kernel.points.shape[1]}"
         )
     bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
     if bad.size:
@@ -63,7 +67,7 @@ def _new_points(base, X):
     return X
 
 
-def _extended_diagonal(base, dbar):
+def _extended_diagonal(kernel, dbar):
     """``kappa = 1/dbar - dbar/vol`` of new points, from their extended
     degrees ``dbar = sum_i k(xbar, x_i)``.
 
@@ -78,28 +82,30 @@ def _extended_diagonal(base, dbar):
     if empty.size:
         raise ValueError(
             f"new point at index {empty[0]} has no kernel weight on the "
-            f"training set (every Gaussian weight underflows at sigma = {base.sigma})"
+            f"training set (every Gaussian weight underflows at sigma = {kernel.sigma})"
         )
-    kappa = 1.0 / dbar - dbar / base.volume
-    worst = int(np.argmin(kappa))
-    if kappa[worst] < _KAPPA_CLAMP:
+    kappa = 1.0 / dbar - dbar / kernel.volume
+    worst = kappa.min(initial=0.0)
+    if worst < _KAPPA_CLAMP:
         raise RuntimeError(
-            f"extended diagonal {kappa[worst]:.3e} violates the volume inequality; "
+            f"extended diagonal {worst:.3e} violates the volume inequality; "
             "this indicates an internal error"
         )
     return np.maximum(kappa, 0.0, out=kappa)
 
 
-def extend_points(base, Xi, X):
+def extend_points(kernel, Xi, X):
     """Embed M new points by the projected Nystrom formula.
 
     Parameters
     ----------
-    base : BaseKernelState
-        Of the training set: its points, sigma, degrees and volume.
+    kernel : DiffusionKernel
+        Of the training set: its points, sigma, degrees and volume (``K`` is
+        not read).
     Xi : array of shape (N, rank)
         Coordinates of a certified embedding of the training set.
     X : array of shape (M, d)
+        The new points; M may be 0.
 
     Returns
     -------
@@ -112,7 +118,8 @@ def extend_points(base, Xi, X):
     Raises
     ------
     ValueError
-        For points of the wrong dimension or with non-finite coordinates, and
+        For coordinates ``Xi`` of any shape but (N, rank) with rank >= 1, for
+        points of the wrong dimension or with non-finite coordinates, and
         for a point with no kernel weight on the training set (every Gaussian
         weight underflows), naming the first such row.
     RuntimeError
@@ -129,12 +136,13 @@ def extend_points(base, Xi, X):
     ``center = (sqrt(d) @ Xi) / vol``; the kernel rows ``kvec`` of
     :func:`sdpembed.diagnostics.extension_row` are never formed.
     """
+    Xi = _checked_factor(Xi, kernel.points.shape[0])
     rank = Xi.shape[1]
-    root_d = np.sqrt(base.degrees)
+    root_d = np.sqrt(kernel.degrees)
     weights = np.hstack([Xi / root_d[:, None], np.ones((Xi.shape[0], 1))])
-    center = (root_d @ Xi) / base.volume
+    center = (root_d @ Xi) / kernel.volume
     row_sizes = np.linalg.norm(Xi, axis=1) / root_d
-    X = _new_points(base, X)
+    X = _new_points(kernel, X)
     m = X.shape[0]
     prod = np.empty((m, rank + 1))
     sizes = np.empty(m)
@@ -143,9 +151,9 @@ def extend_points(base, Xi, X):
         prod[start:stop] = kx @ weights
         sizes[start:stop] = kx @ row_sizes
 
-    kernels._map_blocks(X, base.points, base.sigma, products)
+    kernels._map_blocks(X, kernel.points, kernel.sigma, products)
     dbar = prod[:, rank]
-    kappa = _extended_diagonal(base, dbar)
+    kappa = _extended_diagonal(kernel, dbar)
     root_dbar = np.sqrt(dbar)
     g = prod[:, :rank] / root_dbar[:, None] - np.outer(root_dbar, center)
     norm_g = np.sqrt(np.einsum("ij,ij->i", g, g))
@@ -155,16 +163,3 @@ def extend_points(base, Xi, X):
     coords = np.zeros((m, rank))
     coords[ok] = (np.sqrt(kappa[ok]) / norm_g[ok])[:, None] * g[ok]
     return ExtendedPoint(coords=coords, kappa=kappa, degenerate=degenerate)
-
-
-def extend_kernel(base, Xi, x, y):
-    """Extended kernel value ``sum_l chi_l(x) chi_l(y)`` at two points.
-
-    Restricted to training points this reproduces rho*; on the diagonal of a
-    non-degenerate point it returns kappa.  If either extension is degenerate
-    the product has no defined direction and 0.0 is returned.
-    """
-    pair = extend_points(base, Xi, np.asarray([x, y], dtype=float).reshape(2, -1))
-    if pair.degenerate.any():
-        return 0.0
-    return float(pair.coords[0] @ pair.coords[1])

@@ -9,8 +9,10 @@ handed to the semi-definite program is the centered, degree-normalized kernel
 
 which is positive semi-definite on the training set, annihilates the vector
 ``sqrt(d)`` exactly, has strictly positive diagonal (for distinct points), and
-has top eigenvalue < 1.  The base-kernel state keeps the points, sigma, the
-degrees and the volume, never the N x N gram.  One evaluator,
+has top eigenvalue < 1.  One object, ``DiffusionKernel``, holds the points,
+sigma, the degrees, the volume and ``K``: ``build_kernel`` returns it with
+``K``, and ``gaussian_gram``, the degree pass of out-of-sample extension,
+without.  It never holds the N x N gram.  One evaluator,
 ``_gaussian_weights``, gives every Gaussian weight in the package from the
 training points held as contiguous columns, and one runner, ``_map_blocks``,
 hands its row blocks to the consumers: the degrees, ``K``, the extension to
@@ -40,24 +42,18 @@ _BLOCK_BYTES = 1 << 20
 
 
 @dataclass
-class BaseKernelState:
-    """Training points and bandwidth of the Gaussian kernel, with its
-    degrees and total volume: everything ``K`` and its out-of-sample
-    extension are built from.  The gram matrix itself is never stored."""
+class DiffusionKernel:
+    """The Gaussian kernel of a training set: its points and bandwidth, the
+    degrees and total volume, and the centered kernel ``K`` once built
+    (:func:`build_kernel`; ``None`` from :func:`gaussian_gram`).  Everything
+    ``K`` and its out-of-sample extension are built from; the gram matrix
+    itself is never stored."""
 
     sigma: float
     points: np.ndarray
     degrees: np.ndarray
     volume: float
-
-
-@dataclass
-class DiffusionKernel:
-    """Centered kernel ``K`` plus the base-kernel state needed for
-    out-of-sample extension."""
-
-    K: np.ndarray
-    base: BaseKernelState
+    K: np.ndarray | None = None
 
 
 def _block_rows(n):
@@ -218,44 +214,31 @@ def gaussian_gram(points, sigma):
 
     Returns
     -------
-    BaseKernelState
+    DiffusionKernel
         The points, sigma, per-point degrees ``d_i = sum_j k(x_i, x_j)`` and
-        total volume.  Each degree is the row sum of one row block of
-        Gaussian weights at a time (see ``_BLOCK_BYTES``), so no N x N gram
-        is formed.  This is the degree pass of out-of-sample extension; a
-        build of ``K`` (:func:`build_kernel`) sums the same degrees, bit for
-        bit, from the rows of ``K`` itself.
+        total volume, without ``K``.  Each degree is the row sum of one row
+        block of Gaussian weights at a time (see ``_BLOCK_BYTES``), so no
+        N x N gram is formed.  This is the degree pass of out-of-sample
+        extension; a build of ``K`` (:func:`build_kernel`) sums the same
+        degrees, bit for bit, from the rows of ``K`` itself.
     """
     points = _checked_points(points, sigma)
-    return _base(points, sigma, _degrees(points, points, sigma))
+    return _kernel(points, sigma, _degrees(points, points, sigma))
 
 
-def _base(points, sigma, degrees):
-    return BaseKernelState(
-        sigma=float(sigma), points=points, degrees=degrees, volume=float(degrees.sum())
+def _kernel(points, sigma, degrees, K=None):
+    return DiffusionKernel(
+        sigma=float(sigma), points=points, degrees=degrees, volume=float(degrees.sum()), K=K
     )
 
 
-def diffusion_kernel(base):
-    """Build the centered kernel ``K`` from a base-kernel state.
-
-    Returns
-    -------
-    DiffusionKernel
-        ``K(i, j) = k(x_i, x_j)/sqrt(d_i d_j) - sqrt(d_i d_j)/vol`` and
-        ``base``.  ``K`` annihilates ``sqrt(d)`` and is exactly symmetric.
-        ``base.degrees`` and ``base.volume`` are not read: ``K`` comes from
-        :func:`build_kernel` of ``base.points`` and ``base.sigma``, which
-        sums its own degrees, bitwise those of :func:`gaussian_gram`.  So
-        ``diffusion_kernel(gaussian_gram(points, sigma))`` evaluates every
-        weight twice, and ``build_kernel(points, sigma)`` gives the same
-        bits in one pass.
-    """
-    return DiffusionKernel(K=build_kernel(base.points, base.sigma).K, base=base)
+def diffusion_kernel(kernel):
+    """``build_kernel(kernel.points, kernel.sigma)``; only ``bench/tests`` calls it."""
+    return build_kernel(kernel.points, kernel.sigma)
 
 
 def build_kernel(points, sigma):
-    """Centered kernel ``K`` of a point cloud, with its base-kernel state,
+    """Centered kernel ``K`` of a point cloud, with its degrees and volume,
     from one pass over the Gaussian weights.
 
     Parameters
@@ -268,7 +251,8 @@ def build_kernel(points, sigma):
     Returns
     -------
     DiffusionKernel
-        ``K`` as in :func:`diffusion_kernel` and the state of
+        ``K(i, j) = k(x_i, x_j)/sqrt(d_i d_j) - sqrt(d_i d_j)/vol``, which
+        annihilates ``sqrt(d)``, with the degrees and volume of
         :func:`gaussian_gram`, bit for bit.  Full row blocks of weights go
         into ``K``, their row sums are the degrees (the blocks and sums of
         :func:`gaussian_gram`, so the same bits), and then the same threads
@@ -296,4 +280,4 @@ def build_kernel(points, sigma):
         return normalize
 
     _map_blocks(points, points, sigma, row_sums, target=K, then=normalizer)
-    return DiffusionKernel(K=K, base=_base(points, sigma, degrees))
+    return _kernel(points, sigma, degrees, K)

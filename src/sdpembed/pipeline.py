@@ -40,7 +40,7 @@ def embed_points(points, sigma, config=None):
     """
     cfg = config or solver.SolverConfig()
     dk = kernels.build_kernel(points, sigma)
-    points, n = dk.base.points, dk.K.shape[0]
+    points, n = dk.points, dk.K.shape[0]
     cfg = replace(cfg, r0=max(2, min(cfg.r0, n)))
     steps = products = level = 0
     while True:

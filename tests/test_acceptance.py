@@ -21,7 +21,6 @@ from sdpembed import (
     SolverConfig,
     build_interval_problem,
     check_optimality,
-    diffusion_distance,
     diffusion_map,
     embed_points,
     extend_points,
@@ -37,6 +36,7 @@ from sdpembed import (
 from sdpembed.diagnostics import (
     bordered_matrix,
     check_volume_inequalities,
+    diffusion_distance,
     extension_row,
     mean_value_check,
 )
@@ -238,7 +238,7 @@ def test_criterion_6_restriction_suite(two_point, cluster_pipeline, interval_res
         assert result.certificate.is_certified, f"{name} fixture must be certified"
         Xi = result.embedding.Xi
         for i in range(Xi.shape[0]):
-            p = extend_points(result.kernel.base, Xi, [result.kernel.base.points[i]])
+            p = extend_points(result.kernel, Xi, [result.kernel.points[i]])
             assert not p.degenerate[0], f"{name}: training point {i} degenerate"
             worst = max(worst, float(np.max(np.abs(p.coords[0] - Xi[i]))))
     ok = _verdict(6, worst <= 1e-8, f"restriction to training points, worst {worst:.2e}")
@@ -266,15 +266,15 @@ def test_criterion_7_property_suites(random_pipelines):
 
         rng = np.random.default_rng(500 + trial)
         # dual-form equivalence of the extended kernel at a random probe pair
-        pts = result.kernel.base.points
+        pts = result.kernel.points
         x, y = (pts[rng.integers(len(pts))] + 0.3 * rng.standard_normal(pts.shape[1])
                 for _ in range(2))
         rho = emb.Xi @ emb.Xi.T
-        rx, ry = extension_row(result.kernel.base, x), extension_row(result.kernel.base, y)
+        rx, ry = extension_row(result.kernel, x), extension_row(result.kernel, y)
         qx, qy = rx.kvec @ rho @ rx.kvec, ry.kvec @ rho @ ry.kvec
         if qx > 0 and qy > 0:
-            px = extend_points(result.kernel.base, emb.Xi, [x])
-            py = extend_points(result.kernel.base, emb.Xi, [y])
+            px = extend_points(result.kernel, emb.Xi, [x])
+            py = extend_points(result.kernel, emb.Xi, [y])
             if not (px.degenerate[0] or py.degenerate[0]):
                 double_sum = (
                     np.sqrt(rx.kappa / qx) * np.sqrt(ry.kappa / qy) * (rx.kvec @ rho @ ry.kvec)

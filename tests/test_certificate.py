@@ -6,10 +6,9 @@ import pytest
 from sdpembed import (
     PrimalInfeasibilityError,
     SolverConfig,
+    build_kernel,
     check_optimality,
-    diffusion_kernel,
     embed_points,
-    gaussian_gram,
     gen_three_clusters,
     solve,
 )
@@ -30,7 +29,7 @@ from conftest import C, tight_config
 
 
 def _two_point_kernel():
-    return diffusion_kernel(gaussian_gram(np.array([[0.0], [1.0]]), 1.0)).K
+    return build_kernel(np.array([[0.0], [1.0]]), 1.0).K
 
 
 def test_certificate_matrix_two_point_closed_form():
@@ -95,6 +94,13 @@ def test_check_optimality_primal_infeasibility():
     H = 1.5 * np.sqrt(C) * np.array([[1.0], [-1.0]])
     with pytest.raises(PrimalInfeasibilityError, match="squared norm"):
         check_optimality(K, H)
+    # a factor of any shape but (N, r) with r >= 1 is refused before its rows
+    # are read; a nested list of the right shape is taken as an array
+    for H, shape in [(H[:1], r"\(1, 1\)"), (H[:, :0], r"\(2, 0\)"), (H[:, 0], r"\(2,\)")]:
+        with pytest.raises(ValueError, match=rf"factor has shape {shape}, expected \(2, r\)"):
+            check_optimality(K, H)
+    H = np.sqrt(C) * np.array([[1.0], [-1.0]])
+    assert check_optimality(K, H.tolist()).objective == check_optimality(K, H).objective
 
 
 def _random_feasible_factor(K):
@@ -153,7 +159,7 @@ def test_solve_and_certificate_form_at_most_one_square_array():
     # certificate none at all (its basis of about 150 vectors is 0.06
     # K.nbytes here)
     points = gen_three_clusters(800, 8, 3).points
-    dk, build_peak = _traced_peak(lambda: diffusion_kernel(gaussian_gram(points, 5.0)))
+    dk, build_peak = _traced_peak(lambda: build_kernel(points, 5.0))
     K = dk.K
     state, solve_peak = _traced_peak(solve, K, SolverConfig())
     report, certificate_peak = _traced_peak(check_optimality, K, state.H_Xi)
@@ -186,7 +192,7 @@ def test_lanczos_matches_dense_on_paper_points(clusters, sigma):
     # 500 power steps at width 10 leave L uncertified, with the least
     # eigenvalues of the small-sigma cases clustered within 1e-7 max K_ii of
     # zero
-    K = diffusion_kernel(gaussian_gram(clusters.points, sigma)).K
+    K = build_kernel(clusters.points, sigma).K
     root = np.sqrt(np.diag(K))[:, None]
     rng = np.random.default_rng(0)
     H_Xi = root * init_factor(K.shape[0], SolverConfig(), rng)

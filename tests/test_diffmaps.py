@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from sdpembed import (
-    diffusion_distance,
     diffusion_map,
     gaussian_gram,
     gen_three_clusters,
     spectral_basis,
-    transition_matrix,
 )
+from sdpembed.diagnostics import diffusion_distance, transition_matrix
 
 from conftest import A
 

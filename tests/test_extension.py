@@ -5,9 +5,8 @@ import pytest
 
 from sdpembed import (
     SolverConfig,
+    build_kernel,
     check_optimality,
-    diffusion_kernel,
-    extend_kernel,
     extend_points,
     factor_to_embedding,
     gaussian_gram,
@@ -20,6 +19,7 @@ from sdpembed.diagnostics import (
     bordered_matrix,
     certificate_matrix,
     check_volume_inequalities,
+    extend_kernel,
     extended_sdp_certificate,
     extension_row,
 )
@@ -31,13 +31,13 @@ def test_restriction_to_training_points(two_point, cluster_pipeline):
     for result in (two_point, cluster_pipeline):
         Xi = result.embedding.Xi
         for i in range(0, Xi.shape[0], 7):
-            p = extend_points(result.kernel.base, Xi, [result.kernel.base.points[i]])
+            p = extend_points(result.kernel, Xi, [result.kernel.points[i]])
             assert not p.degenerate[0]
             assert np.max(np.abs(p.coords[0] - Xi[i])) < 1e-8
 
 
 def test_two_point_extension_value(two_point):
-    p = extend_points(two_point.kernel.base, two_point.embedding.Xi, [[-0.5]])
+    p = extend_points(two_point.kernel, two_point.embedding.Xi, [[-0.5]])
     assert not p.degenerate[0]
     # hand evaluation: coords = sqrt(kappa) * sign(g), kappa = 1/dbar - dbar/vol
     dbar = np.exp(-0.25) + np.exp(-2.25)
@@ -48,7 +48,7 @@ def test_two_point_extension_value(two_point):
 
 
 def test_symmetry_midpoint_is_degenerate(two_point):
-    p = extend_points(two_point.kernel.base, two_point.embedding.Xi, [[0.5]])
+    p = extend_points(two_point.kernel, two_point.embedding.Xi, [[0.5]])
     assert p.degenerate[0]
     assert np.array_equal(p.coords[0], np.zeros(1))
 
@@ -56,7 +56,7 @@ def test_symmetry_midpoint_is_degenerate(two_point):
 def test_extend_points_matches_per_row_reference(cluster_pipeline):
     # three full row blocks and a partial one, with copies of training points
     dk, emb = cluster_pipeline.kernel, cluster_pipeline.embedding
-    pts = dk.base.points
+    pts = dk.points
     rows = kernels._block_rows(pts.shape[0])
     m = 3 * rows + rows // 2
     rng = np.random.default_rng(4)
@@ -64,11 +64,11 @@ def test_extend_points_matches_per_row_reference(cluster_pipeline):
     at = rng.choice(m, 40, replace=False)
     copies = rng.choice(pts.shape[0], 40, replace=False)
     X[at] = pts[copies]
-    ext = extend_points(dk.base, emb.Xi, X)
+    ext = extend_points(dk, emb.Xi, X)
     assert ext.coords.shape == (m, emb.rank)
     assert not ext.degenerate.any()
     for i, x in enumerate(X):
-        row = extension_row(dk.base, x)
+        row = extension_row(dk, x)
         g = emb.Xi.T @ row.kvec
         expected = np.sqrt(row.kappa) * g / np.linalg.norm(g)
         assert abs(ext.kappa[i] - row.kappa) <= 1e-12 * row.kappa
@@ -76,12 +76,23 @@ def test_extend_points_matches_per_row_reference(cluster_pipeline):
     assert np.max(np.abs(ext.coords[at] - emb.Xi[copies])) <= 1e-12
 
 
+def test_extend_points_takes_an_empty_batch_and_listed_coordinates(cluster_pipeline):
+    dk, emb = cluster_pipeline.kernel, cluster_pipeline.embedding
+    ext = extend_points(dk, emb.Xi, np.empty((0, 2)))
+    assert ext.coords.shape == (0, emb.rank)
+    assert ext.kappa.shape == ext.degenerate.shape == (0,)
+    assert ext.degenerate.dtype == bool
+    X = dk.points[:5] + 0.1
+    listed = extend_points(dk, emb.Xi.tolist(), X)
+    assert np.array_equal(listed.coords, extend_points(dk, emb.Xi, X).coords)
+
+
 def test_extend_points_flags_midpoint_in_a_batch(two_point):
-    ext = extend_points(two_point.kernel.base, two_point.embedding.Xi, [[-0.5], [0.5], [-0.35]])
+    ext = extend_points(two_point.kernel, two_point.embedding.Xi, [[-0.5], [0.5], [-0.35]])
     assert ext.degenerate.tolist() == [False, True, False]
     assert np.array_equal(ext.coords[1], np.zeros(1))
     for i, x in enumerate([-0.5, -0.35]):
-        p = extend_points(two_point.kernel.base, two_point.embedding.Xi, [[x]])
+        p = extend_points(two_point.kernel, two_point.embedding.Xi, [[x]])
         np.testing.assert_allclose(ext.coords[2 * i], p.coords[0], rtol=1e-14)
 
 
@@ -174,19 +185,24 @@ def test_extend_points_rejects_bad_rows(extend, two_point):
     for X, bad, message in cases:
         if extend == "extend_points":
             with pytest.raises(ValueError, match=message.format(bad)):
-                extend_points(dk.base, emb.Xi, X)
+                extend_points(dk, emb.Xi, X)
         elif extend == "extension_row":
             with pytest.raises(ValueError, match=message.format(0)):
-                extension_row(dk.base, X[bad])
+                extension_row(dk, X[bad])
         elif "kernel weight" not in message:
             with pytest.raises(ValueError, match=message.format(bad)):
-                check_volume_inequalities(dk.base, X)
+                check_volume_inequalities(dk, X)
 
     # a batch that is not 2-d, and for extension_row anything but one point:
     # a batch of two d = 1 points is not the point (0.1, 0.2) of a d = 2 base
     if extend == "extend_points":
         with pytest.raises(ValueError, match=r"expected an \(M, d\) array"):
-            extend_points(dk.base, emb.Xi, np.zeros(3))
+            extend_points(dk, emb.Xi, np.zeros(3))
+        # coordinates of any shape but (N, r) with r >= 1, N = 2 here
+        for Xi in (emb.Xi[:1], emb.Xi[:, :0], emb.Xi[:, 0], emb.Xi[:, :, None]):
+            shape = str(np.shape(Xi)).replace("(", r"\(").replace(")", r"\)")
+            with pytest.raises(ValueError, match=rf"factor has shape {shape}, expected \(2, r\)"):
+                extend_points(dk, Xi, [[0.2]])
     elif extend == "extension_row":
         plane = gaussian_gram(np.random.default_rng(0).standard_normal((20, 2)), 1.0)
         for batch in ([[0.1], [0.2]], [[0.1, 0.2]], 0.1):
@@ -194,10 +210,10 @@ def test_extend_points_rejects_bad_rows(extend, two_point):
                 extension_row(plane, batch)
     elif extend == "check_volume_inequalities":
         with pytest.raises(ValueError, match=r"expected an \(M, d\) array"):
-            check_volume_inequalities(dk.base, np.zeros(3))
+            check_volume_inequalities(dk, np.zeros(3))
 
     # a volume 1000 times too small breaks dbar^2 <= vol: kappa = -543 at 0.2
-    shrunk = dataclasses.replace(dk.base, volume=dk.base.volume / 1000)
+    shrunk = dataclasses.replace(dk, volume=dk.volume / 1000)
     if extend == "extend_points":
         with pytest.raises(RuntimeError, match="volume inequality"):
             extend_points(shrunk, emb.Xi, [[0.2]])
@@ -208,11 +224,11 @@ def test_extend_points_rejects_bad_rows(extend, two_point):
 
 def test_norm_preservation(cluster_pipeline):
     rng = np.random.default_rng(0)
-    lo = cluster_pipeline.kernel.base.points.min(axis=0)
-    hi = cluster_pipeline.kernel.base.points.max(axis=0)
+    lo = cluster_pipeline.kernel.points.min(axis=0)
+    hi = cluster_pipeline.kernel.points.max(axis=0)
     for _ in range(25):
         x = rng.uniform(lo, hi)
-        p = extend_points(cluster_pipeline.kernel.base, cluster_pipeline.embedding.Xi, [x])
+        p = extend_points(cluster_pipeline.kernel, cluster_pipeline.embedding.Xi, [x])
         if not p.degenerate[0]:
             assert abs(p.coords[0] @ p.coords[0] - p.kappa[0]) < 1e-10
 
@@ -223,8 +239,8 @@ def test_extension_maximizes_bordered_objective(two_point, cluster_pipeline):
     # 100 random feasible candidates
     rng = np.random.default_rng(1)
     for result, xbar in [(two_point, [-0.35]), (cluster_pipeline, [2.0, 1.0])]:
-        row = extension_row(result.kernel.base, xbar)
-        p = extend_points(result.kernel.base, result.embedding.Xi, [xbar])
+        row = extension_row(result.kernel, xbar)
+        p = extend_points(result.kernel, result.embedding.Xi, [xbar])
         assert not p.degenerate[0]
         g = result.embedding.Xi.T @ row.kvec
         best = 2 * g @ p.coords[0]
@@ -238,25 +254,25 @@ def test_extension_maximizes_bordered_objective(two_point, cluster_pipeline):
 def test_extend_kernel_restriction_and_diagonal(cluster_pipeline):
     emb = cluster_pipeline.embedding
     rho = emb.Xi @ emb.Xi.T
-    pts = cluster_pipeline.kernel.base.points
+    pts = cluster_pipeline.kernel.points
     for i, j in [(0, 1), (5, 200), (100, 100)]:
-        value = extend_kernel(cluster_pipeline.kernel.base, emb.Xi, pts[i], pts[j])
+        value = extend_kernel(cluster_pipeline.kernel, emb.Xi, pts[i], pts[j])
         assert value == pytest.approx(rho[i, j], abs=1e-8)
     x = np.array([1.7, 0.3])
-    p = extend_points(cluster_pipeline.kernel.base, emb.Xi, [x])
-    assert extend_kernel(cluster_pipeline.kernel.base, emb.Xi, x, x) == pytest.approx(
+    p = extend_points(cluster_pipeline.kernel, emb.Xi, [x])
+    assert extend_kernel(cluster_pipeline.kernel, emb.Xi, x, x) == pytest.approx(
         p.kappa[0], abs=1e-10
     )
 
 
 def test_extend_kernel_two_point_product(two_point):
-    value = extend_kernel(two_point.kernel.base, two_point.embedding.Xi, [-0.5], [0.0])
+    value = extend_kernel(two_point.kernel, two_point.embedding.Xi, [-0.5], [0.0])
     assert value == pytest.approx(0.8987573 * np.sqrt(C), abs=1e-4)
     assert value == pytest.approx(0.43204, abs=1e-4)
 
 
 def test_extend_kernel_degenerate_returns_zero(two_point):
-    assert extend_kernel(two_point.kernel.base, two_point.embedding.Xi, [0.5], [0.0]) == 0.0
+    assert extend_kernel(two_point.kernel, two_point.embedding.Xi, [0.5], [0.0]) == 0.0
 
 
 def test_appendix_double_sum_equivalence(cluster_pipeline):
@@ -265,16 +281,16 @@ def test_appendix_double_sum_equivalence(cluster_pipeline):
     rho = emb.Xi @ emb.Xi.T
     K = cluster_pipeline.kernel
     rng = np.random.default_rng(2)
-    lo, hi = K.base.points.min(axis=0), K.base.points.max(axis=0)
+    lo, hi = K.points.min(axis=0), K.points.max(axis=0)
     for _ in range(20):
         x, y = rng.uniform(lo, hi, (2, 2))
-        rx, ry = extension_row(K.base, x), extension_row(K.base, y)
+        rx, ry = extension_row(K, x), extension_row(K, y)
         qx, qy = rx.kvec @ rho @ rx.kvec, ry.kvec @ rho @ ry.kvec
         if min(qx, qy) <= 0:
             continue
         norm = np.sqrt(rx.kappa / qx) * np.sqrt(ry.kappa / qy)
         double_sum = norm * (rx.kvec @ rho @ ry.kvec)
-        product_form = extend_kernel(K.base, emb.Xi, x, y)
+        product_form = extend_kernel(K, emb.Xi, x, y)
         assert product_form == pytest.approx(double_sum, abs=1e-10)
 
 
@@ -323,8 +339,8 @@ def test_block_analysis_rejects_zero_b(two_point):
 def _dense_bordered_eigenvalues(pipeline, xbar):
     """Spectrum of the dense bordered certificate of the extension at xbar."""
     dk, emb = pipeline.kernel, pipeline.embedding
-    row = extension_row(dk.base, xbar)
-    H_bar = np.vstack([emb.Xi, extend_points(dk.base, emb.Xi, [xbar]).coords])
+    row = extension_row(dk, xbar)
+    H_bar = np.vstack([emb.Xi, extend_points(dk, emb.Xi, [xbar]).coords])
     L_bar = certificate_matrix(bordered_matrix(dk.K, row.kvec, row.kappa), H_bar @ H_bar.T)
     return np.linalg.eigvalsh(L_bar)
 
@@ -357,7 +373,7 @@ def test_extended_certificate_clusters_match_dense_reference(clusters, cluster_p
 def test_extended_certificate_tolerances_follow_the_kernel_scale(clusters):
     # at sigma = 3e4, max K_ii is 1.8e-10; the bordered extension of a random
     # feasible factor has lambda_min(L_bar) = -37 max K_ii and is not optimal
-    dk = diffusion_kernel(gaussian_gram(clusters.points, 3e4))
+    dk = build_kernel(clusters.points, 3e4)
     root = np.sqrt(np.diag(dk.K))
     H_Xi = root[:, None] * init_factor(len(root), SolverConfig(seed=7))
     emb = factor_to_embedding(H_Xi, rank_tol=0)

@@ -6,8 +6,7 @@ import pytest
 from sdpembed import (
     SolverConfig,
     build_interval_problem,
-    diffusion_kernel,
-    gaussian_gram,
+    build_kernel,
     gen_interval_grid,
     run_interval_experiment,
     sign_solution,
@@ -19,7 +18,7 @@ from conftest import tight_config
 def test_grid_sums_match_general_construction():
     for n, sigma in [(51, 0.1), (40, 1.0), (101, 0.7), (401, 1.0)]:
         problem = build_interval_problem(n, sigma)
-        dk = diffusion_kernel(gaussian_gram(gen_interval_grid(n).points, sigma))
+        dk = build_kernel(gen_interval_grid(n).points, sigma)
         assert np.max(np.abs(problem.K - dk.K)) < 1e-12
 
 

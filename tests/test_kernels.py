@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sdpembed import (
-    diffusion_kernel,
+    build_kernel,
     embed_points,
     extend_points,
     gaussian_gram,
@@ -60,13 +60,14 @@ def test_gram_diagonal_is_one():
     # K(i, i) is built from a Gaussian weight of exactly 1
     base = _random_base(0)
     mixed = np.sqrt(base.degrees) * np.sqrt(base.degrees)
-    assert np.array_equal(np.diag(diffusion_kernel(base).K), 1.0 / mixed - mixed / base.volume)
+    K = build_kernel(base.points, base.sigma).K
+    assert np.array_equal(np.diag(K), 1.0 / mixed - mixed / base.volume)
 
 
 def test_gram_large_bandwidth_limit():
     base = gaussian_gram(np.array([[0.0], [0.5], [1.0]]), 1e6)
     # every weight tends to 1, so K tends to 1/3 - 3/9 = 0
-    assert np.allclose(diffusion_kernel(base).K, 0.0, atol=1e-10)
+    assert np.allclose(build_kernel(base.points, base.sigma).K, 0.0, atol=1e-10)
     assert np.allclose(base.degrees, 3.0, atol=1e-9)
     assert base.volume == pytest.approx(9.0, abs=1e-8)
 
@@ -79,11 +80,11 @@ def test_translated_points_give_the_same_kernel_and_extension():
     shifted = grid + 2.0**24
     assert np.array_equal(shifted - 2.0**24, grid)
     result = embed_points(shifted, 5.0)
-    unshifted = diffusion_kernel(gaussian_gram(grid, 5.0))
-    assert np.array_equal(result.kernel.base.degrees, unshifted.base.degrees)
+    unshifted = build_kernel(grid, 5.0)
+    assert np.array_equal(result.kernel.degrees, unshifted.degrees)
     assert np.array_equal(result.kernel.K, unshifted.K)
     assert result.certificate.is_certified
-    copies = extend_points(result.kernel.base, result.embedding.Xi, shifted)
+    copies = extend_points(result.kernel, result.embedding.Xi, shifted)
     radius = np.sqrt(np.diag(result.kernel.K))
     assert np.all(np.linalg.norm(copies.coords - result.embedding.Xi, axis=1) <= 1e-12 * radius)
 
@@ -101,19 +102,19 @@ def test_gram_rejects_bad_input():
 
 
 def test_diffusion_kernel_two_point_closed_form():
-    dk = diffusion_kernel(gaussian_gram(np.array([[0.0], [1.0]]), 1.0))
+    dk = build_kernel(np.array([[0.0], [1.0]]), 1.0)
     assert np.allclose(dk.K, C * np.array([[1, -1], [-1, 1]]), atol=1e-15)
     assert C == pytest.approx(0.2310585786, abs=1e-9)
 
 
 def test_diffusion_kernel_identical_points():
-    dk = diffusion_kernel(gaussian_gram(np.zeros((2, 3)), 1.0))
+    dk = build_kernel(np.zeros((2, 3)), 1.0)
     assert np.allclose(dk.K, 0.0, atol=1e-15)
 
 
 def test_kernel_annihilates_root_degrees():
     base = _random_base(1)
-    dk = diffusion_kernel(base)
+    dk = build_kernel(base.points, base.sigma)
     assert np.max(np.abs(dk.K @ np.sqrt(base.degrees))) < 1e-10
 
 
@@ -121,7 +122,7 @@ def test_kernel_exact_symmetry_and_spectrum():
     # n up to 425 spans several row blocks of K
     for seed in range(5):
         base = _random_base(seed, n=25 + 100 * seed, sigma=float(1.0 + seed))
-        dk = diffusion_kernel(base)
+        dk = build_kernel(base.points, base.sigma)
         assert np.array_equal(dk.K, dk.K.T)
         eigs = np.linalg.eigvalsh(dk.K)
         assert eigs[-1] < 1.0
@@ -152,10 +153,10 @@ def test_blocked_builds_match_the_whole_matrix_forms(monkeypatch):
                     started = _count_threads(monkeypatch, workers)
                     dk = kernels.build_kernel(points, sigma)
                     assert len(started) == max(1, min(workers, blocks // 4)) - 1
-                    assert np.array_equal(dk.base.degrees, base.degrees)
-                    assert dk.base.volume == base.volume
+                    assert np.array_equal(dk.degrees, base.degrees)
+                    assert dk.volume == base.volume
                     assert np.array_equal(dk.K, expected)
-                assert np.array_equal(diffusion_kernel(base).K, expected)
+                assert np.array_equal(kernels.diffusion_kernel(base).K, expected)
 
 
 @pytest.mark.parametrize("d, offset", [(1, 0.0), (2, 0.0), (10, 0.0), (2, 1e6), (10, 1e6)])
@@ -258,7 +259,7 @@ def test_one_and_two_workers_give_the_same_bits(name, monkeypatch):
         started = _count_threads(monkeypatch, workers)
         base = gaussian_gram(points, sigma)
         ext = extend_points(base, Xi, X)
-        K = diffusion_kernel(base).K
+        K = build_kernel(base.points, base.sigma).K
         # the degrees, the extension and K each start one thread with 2 workers
         assert len(started) == 3 * (workers - 1)
         results[workers] = (base.degrees, base.volume, K, ext.coords, ext.kappa, ext.degenerate)
@@ -279,7 +280,7 @@ def test_more_workers_than_cores_with_fast_switching_give_the_same_bits(monkeypa
             started = _count_threads(monkeypatch, workers)
             base = gaussian_gram(points, sigma)
             ext = extend_points(base, Xi, X)
-            K = diffusion_kernel(base).K
+            K = build_kernel(base.points, base.sigma).K
             # the 8 blocks of the degrees and of K take 2 threads each, the 33
             # blocks of new points 6
             assert len(started) == (0 if workers == 1 else 1 + 5 + 1)
@@ -324,13 +325,13 @@ def test_failures_in_several_threads_name_the_lowest_row(workers, monkeypatch):
 def test_kernel_of_the_paper_points_starts_no_thread(clusters, monkeypatch):
     # two row blocks at N = 308: threads would cost more than they save
     started = _count_threads(monkeypatch, 64)
-    diffusion_kernel(gaussian_gram(clusters.points, 1.0))
+    build_kernel(clusters.points, 1.0)
     assert started == []
 
 
 def test_kernel_diagonal_formula():
     base = _random_base(2)
-    dk = diffusion_kernel(base)
+    dk = build_kernel(base.points, base.sigma)
     expected = 1.0 / base.degrees - base.degrees / base.volume
     assert np.allclose(np.diag(dk.K), expected, atol=1e-14)
     assert np.all(np.diag(dk.K) >= 0)
@@ -338,7 +339,7 @@ def test_kernel_diagonal_formula():
 
 def test_extension_row_restricts_to_training_rows():
     base = _random_base(3, n=20)
-    dk = diffusion_kernel(base)
+    dk = build_kernel(base.points, base.sigma)
     for i in range(20):
         row = extension_row(base, base.points[i])
         assert np.max(np.abs(row.kvec - dk.K[i])) < 1e-12

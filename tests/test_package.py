@@ -6,6 +6,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import sdpembed
+import sdpembed.diagnostics
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 PROBE = """
@@ -37,3 +40,39 @@ def test_main_path_does_not_load_diagnostics():
         "shared": [],
         "missing": [],
     }
+
+
+def test_public_names_are_pinned():
+    # a change to the public surface has to change this list too
+    assert sdpembed.__all__ == [
+        "CsvFormatError",
+        "Dataset",
+        "EmbeddingFile",
+        "EmbeddingSchemaError",
+        "PrimalInfeasibilityError",
+        "SolverConfig",
+        "build_interval_problem",
+        "build_kernel",
+        "check_optimality",
+        "diffusion_map",
+        "embed_points",
+        "extend_points",
+        "factor_to_embedding",
+        "gaussian_gram",
+        "gen_interval_grid",
+        "gen_swiss_roll",
+        "gen_three_clusters",
+        "load_csv",
+        "load_embedding",
+        "objective",
+        "run_interval_experiment",
+        "save_csv",
+        "save_embedding",
+        "sign_solution",
+        "solve",
+        "spectral_basis",
+        "standardize",
+    ]
+    # the helpers only the research checks, tests and demos use
+    for name in ("diffusion_distance", "extend_kernel", "transition_matrix"):
+        assert name in sdpembed.diagnostics.__all__

@@ -5,11 +5,10 @@ import pytest
 
 from sdpembed import (
     SolverConfig,
+    build_kernel,
     certificate,
     check_optimality,
-    diffusion_kernel,
     embed_points,
-    gaussian_gram,
     gen_three_clusters,
     kernels,
     solve,
@@ -27,7 +26,7 @@ def test_r0_capped_at_point_count():
     rng = np.random.default_rng(0)
     points = rng.standard_normal((5, 2))
     with pytest.raises(ValueError, match="exceeds"):
-        solve(diffusion_kernel(gaussian_gram(points, 1.5)).K, SolverConfig())
+        solve(build_kernel(points, 1.5).K, SolverConfig())
     result = embed_points(points, 1.5)
     assert 2 <= result.factor.H_Xi.shape[1] <= 5
     assert result.certificate.is_certified
@@ -130,7 +129,7 @@ def test_paper_points_at_sigma_0_1_take_a_short_path(clusters, monkeypatch):
     assert certified == [308]
     _assert_converged_and_certified(result)
     assert result.embedding.rank == 2
-    assert result.kernel.base.sigma == 0.1
+    assert result.kernel.sigma == 0.1
     assert result.factor.products < 20000
 
 
@@ -141,7 +140,7 @@ def test_path_shares_one_step_budget(clusters, monkeypatch):
     result = embed_points(clusters.points, 0.3, config=SolverConfig(max_iters=50))
     assert sigmas[0] == sigmas[-1] == 0.3 and len(sigmas) > 1
     assert result.factor.iterations == 50 and not result.factor.converged
-    assert result.kernel.base.sigma == 0.3
+    assert result.kernel.sigma == 0.3
     row_sq = np.einsum("ij,ij->i", result.factor.H_Xi, result.factor.H_Xi)
     assert np.allclose(row_sq, np.diag(result.kernel.K), rtol=1e-12)
 

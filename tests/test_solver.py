@@ -6,9 +6,8 @@ import pytest
 from sdpembed import (
     SolverConfig,
     build_interval_problem,
+    build_kernel,
     check_optimality,
-    diffusion_kernel,
-    gaussian_gram,
     objective,
     solve,
 )
@@ -19,7 +18,7 @@ from conftest import C, tight_config
 
 
 def _two_point_kernel():
-    return diffusion_kernel(gaussian_gram(np.array([[0.0], [1.0]]), 1.0)).K
+    return build_kernel(np.array([[0.0], [1.0]]), 1.0).K
 
 
 def test_config_validation():
@@ -143,7 +142,7 @@ def test_solve_nonnegative_kernel_gives_rank_one():
 def test_solve_matches_trace_identity():
     # Tr(rho K) = E(H_Xi) under rho = H_Xi H_Xi^T, on a feasible factor
     rng = np.random.default_rng(4)
-    dk = diffusion_kernel(gaussian_gram(rng.standard_normal((18, 2)), 1.5))
+    dk = build_kernel(rng.standard_normal((18, 2)), 1.5)
     state = solve(dk.K, tight_config())
     assert np.allclose(np.linalg.norm(state.H_Xi, axis=1), np.sqrt(np.diag(dk.K)), rtol=1e-12)
     rho = state.H_Xi @ state.H_Xi.T
@@ -152,7 +151,7 @@ def test_solve_matches_trace_identity():
 
 def test_solve_deterministic():
     rng = np.random.default_rng(5)
-    dk = diffusion_kernel(gaussian_gram(rng.standard_normal((10, 2)), 1.0))
+    dk = build_kernel(rng.standard_normal((10, 2)), 1.0)
     cfg = SolverConfig(seed=7, r0=5)
     a = solve(dk.K, cfg)
     b = solve(dk.K, cfg)
@@ -162,7 +161,7 @@ def test_solve_deterministic():
 
 def test_solve_unconverged_flag():
     rng = np.random.default_rng(6)
-    dk = diffusion_kernel(gaussian_gram(rng.standard_normal((12, 2)), 1.0))
+    dk = build_kernel(rng.standard_normal((12, 2)), 1.0)
     state = solve(dk.K, SolverConfig(max_iters=1, tol_conv=1e-15))
     assert not state.converged
     assert state.iterations == 1
@@ -200,7 +199,7 @@ def test_solve_r0_exceeding_n_rejected():
 def test_iteration_preserves_feasibility_and_monotonicity():
     # manual replay of the iteration through the public pieces
     rng = np.random.default_rng(8)
-    dk = diffusion_kernel(gaussian_gram(rng.standard_normal((16, 2)), 1.2))
+    dk = build_kernel(rng.standard_normal((16, 2)), 1.2)
     root = np.sqrt(np.diag(dk.K))
     cfg = SolverConfig(r0=6, seed=9)
     H_Xi = root[:, None] * init_factor(16, cfg)
@@ -228,7 +227,7 @@ def test_solve_replays_the_bare_iteration():
     # enough, so solve() takes exactly _WINDOW plain steps at width 2 before
     # the trust region, and max_iters = k <= _WINDOW stops it after k
     rng = np.random.default_rng(10)
-    dk = diffusion_kernel(gaussian_gram(rng.standard_normal((14, 2)), 1.0))
+    dk = build_kernel(rng.standard_normal((14, 2)), 1.0)
     for k in (1, 7, _WINDOW):
         cfg = SolverConfig(seed=1, max_iters=k, tol_conv=1e-300)
         state = solve(dk.K, cfg)
@@ -249,7 +248,7 @@ def test_probe_stops_where_the_power_steps_stall():
     # the same run as above: with probe it returns the iterate its power
     # steps stalled at, bit for bit, before any trust-region step
     rng = np.random.default_rng(10)
-    dk = diffusion_kernel(gaussian_gram(rng.standard_normal((14, 2)), 1.0))
+    dk = build_kernel(rng.standard_normal((14, 2)), 1.0)
     cfg = SolverConfig(seed=1, tol_conv=1e-300)
     state, stalled = _solve(dk.K, cfg, None, cfg.max_iters, probe=True)
     assert stalled and not state.converged and state.certificate is None
@@ -264,7 +263,7 @@ def test_probe_stops_where_the_power_steps_stall():
 
 def test_solve_from_a_start_factor():
     rng = np.random.default_rng(4)
-    K = diffusion_kernel(gaussian_gram(rng.standard_normal((18, 2)), 1.5)).K
+    K = build_kernel(rng.standard_normal((18, 2)), 1.5).K
     cold = solve(K, tight_config())
     # rows of any length are scaled to unit length; the optimum's own rows
     # are a stationary start, so the run stops at once
@@ -292,7 +291,7 @@ def test_solve_follows_the_paper_coupling_iteration():
     # the paper's form: unit rows H <- P(J H) with J = ddiag(K)^1/2 K ddiag(K)^1/2;
     # the power steps of solve() run on H_Xi = ddiag(K)^1/2 H and never form J
     rng = np.random.default_rng(11)
-    dk = diffusion_kernel(gaussian_gram(rng.standard_normal((20, 2)), 0.8))
+    dk = build_kernel(rng.standard_normal((20, 2)), 0.8)
     root = np.sqrt(np.diag(dk.K))
     J = np.outer(root, root) * dk.K
     for k in (1, 7, _WINDOW):

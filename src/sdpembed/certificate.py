@@ -164,10 +164,14 @@ def _least_eigenpairs(K, D, scale, vectors=False):
 
 def _checked_factor(H, n):
     """The factor or coordinates ``H`` as a float array, after checking that
-    its shape is (n, r) with r >= 1."""
+    its shape is (n, r) with r >= 1 and its entries are finite (else
+    ``ValueError``, naming the first row with a non-finite entry)."""
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[0] != n or H.shape[1] < 1:
         raise ValueError(f"factor has shape {H.shape}, expected ({n}, r) with r >= 1")
+    bad = np.flatnonzero(~np.isfinite(H).all(axis=1))
+    if bad.size:
+        raise ValueError(f"factor row {bad[0]} has non-finite entries")
     return H
 
 
@@ -184,7 +188,8 @@ def check_optimality(K, H_Xi):
     which forms no N x N array, above (each to 1e-10 max_i K_ii by the
     Ritz error bound min(r, r^2 / gap); if Lanczos has not converged with
     N / 5 basis vectors, the dense solve decides).  A factor of any other
-    shape than (N, r) with r >= 1 raises ``ValueError``.
+    shape than (N, r) with r >= 1, or with a non-finite entry, raises
+    ``ValueError``.
     """
     K = np.asarray(K, dtype=float)
     H_Xi = _checked_factor(H_Xi, K.shape[0])

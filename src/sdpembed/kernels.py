@@ -13,18 +13,19 @@ has top eigenvalue < 1.  One object, ``DiffusionKernel``, holds the points,
 sigma, the degrees, the volume and ``K``: ``build_kernel`` returns it with
 ``K``, and ``gaussian_gram``, the degree pass of out-of-sample extension,
 without.  It never holds the N x N gram.  One evaluator,
-``_gaussian_weights``, gives every Gaussian weight in the package from the
-training points held as contiguous columns, and one runner, ``_map_blocks``,
-hands its row blocks to the consumers: the degrees, ``K``, the extension to
-new points, the volume probes and the diffusion-maps gram.  ``K`` takes one
-weight pass (``build_kernel``): its rows of weights are written in place,
-the degrees are summed from them, and the rows are then normalized where
-they lie.  From 8
-blocks on, the runner deals the blocks to up to one thread per CPU, each
-with its own scratch block; the results do not depend on the number of
-threads.  The degree of a new point is a row sum of the same weights; the
-module ``extension`` turns it into the new point's kernel row and diagonal
-value.
+``_gaussian_weights``, gives every Gaussian weight in the package: the
+coordinate differences of a row block, one dimension at a time, are one
+matrix product ``[-X_j, 1] @ [1, x_j]`` with inner dimension 2, which is
+exact, since each entry is two exact products and one rounded addition.  One
+runner, ``_map_blocks``, hands its row blocks to the consumers: the
+degrees, ``K``, the extension to new points, the volume probes and the
+diffusion-maps gram.  ``K`` takes one weight pass (``build_kernel``): its
+rows of weights are written in place, the degrees are summed from them, and
+the rows are then normalized where they lie.  From 8 blocks on, the runner
+deals the blocks to up to one thread per CPU, each with its own scratch
+block; the results do not depend on the number of threads.  The degree of a
+new point is a row sum of the same weights; the module ``extension`` turns
+it into the new point's kernel row and diagonal value.
 """
 
 import os
@@ -61,30 +62,43 @@ def _block_rows(n):
     return max(1, _BLOCK_BYTES // (2 * 8 * n))
 
 
-def _gaussian_weights(X, columns, sigma, out, scratch):
+def _right_operands(points):
+    """The right operands of the evaluator's products: for each dimension j
+    of the (N, d) training points, the (2, N) rows ``[1 ... 1]`` and
+    ``[x_1j ... x_Nj]``, as one read-only (d, 2, N) array."""
+    operands = np.empty((points.shape[1], 2, points.shape[0]))
+    operands[:, 0] = 1.0
+    operands[:, 1] = points.T
+    operands.flags.writeable = False
+    return operands
+
+
+def _gaussian_weights(X, operands, sigma, out, scratch, left):
     """Fill ``out`` (M, N) with ``exp(-||X_a - x_b||^2 / sigma^2)``, where the
-    training points ``x_b`` come as the contiguous columns ``points.T`` of
-    shape (d, N), and return it; ``scratch`` is a spare array shaped like
-    ``out``.
+    training points ``x_b`` come as the right operands of
+    :func:`_right_operands`, and return it; ``scratch`` is a spare array shaped
+    like ``out`` and ``left`` a spare (M, 2) array.
 
     Squared distances are summed from coordinate differences one dimension at
     a time, so they are exact functions of the differences: the kernel does
     not change when the data are translated, ``k(x, x) == 1`` exactly, and
     ``k(x, y) == k(y, x)`` bit for bit, whatever the row blocks.  (The expanded
     ``|x|^2 + |y|^2 - 2 x.y`` form cancels for points far from the origin.)
-    Each difference is a broadcast copy of the training column minus the new
-    coordinate, ``x_b - X_a``, whose square has the bits of ``(X_a - x_b)^2``;
-    the first dimension is written straight into ``out``.  (One broadcast
-    ``subtract`` of column and coordinates buffers both inputs and is slower.)
+    The differences of dimension j, ``x_b - X_a`` for the whole block, are
+    one matrix product ``[-X_j, 1] @ [1, x_j]`` with inner dimension 2; the
+    first dimension is written straight into ``out``.  The product is exact:
+    each entry is ``(-X_aj) * 1 + 1 * x_bj``, two exact products and one
+    rounded addition, so it has the bits of ``x_b - X_a`` whatever the
+    summation order, fused multiply-adds or threads of the BLAS, and its
+    square has those of ``(X_a - x_b)^2``.
     """
-    np.copyto(out, columns[0])
-    out -= X[:, :1]
-    np.square(out, out=out)
-    for j in range(1, columns.shape[0]):
-        np.copyto(scratch, columns[j])
-        scratch -= X[:, j : j + 1]
-        np.square(scratch, out=scratch)
-        out += scratch
+    left[:, 1] = 1.0
+    for j, right in enumerate(operands):
+        diff = scratch if j else out
+        np.negative(X[:, j], out=left[:, 0])
+        np.square(np.matmul(left, right, out=diff), out=diff)
+        if j:
+            out += diff
     out /= -sigma**2
     return np.exp(out, out=out)
 
@@ -109,18 +123,19 @@ def _map_blocks(X, points, sigma, fn, target=None, then=None):
     ``g`` may read what ``fn`` wrote for any block.
 
     The blocks are dealt round-robin to ``min(cores, blocks // 4)`` threads,
-    the calling one included, each with its own buffers; numpy releases the
-    GIL in the evaluator's ufuncs and in BLAS.  Below 8 blocks (the 2 blocks
-    of ``K`` at N = 308) the calling thread runs them alone, since a thread
-    would cost more than it saves.  ``fn`` and ``g`` of different blocks may
-    run at once, so they write only rows ``start:stop`` of shared arrays,
-    and they call no public function of the package, which a tracer may
-    wrap with unsynchronized state.  The threads are started per call and
-    joined before the return, so none outlives a call or meets a
-    ``fork()``.  If blocks raise, the exception of the lowest one is raised,
-    and ``then`` is not called.
+    the calling one included, each with its own buffers; the evaluator's
+    right operands are built once per call and shared read-only.  numpy
+    releases the GIL in the evaluator's ufuncs and in BLAS.  Below 8 blocks
+    (the 2 blocks of ``K`` at N = 308) the calling thread runs them alone,
+    since a thread would cost more than it saves.  ``fn`` and ``g`` of
+    different blocks may run at once, so they write only rows
+    ``start:stop`` of shared arrays, and they call no public function of the
+    package, which a tracer may wrap with unsynchronized state.  The threads
+    are started per call and joined before the return, so none outlives a
+    call or meets a ``fork()``.  If blocks raise, the exception of the
+    lowest one is raised, and ``then`` is not called.
     """
-    columns = np.ascontiguousarray(points.T)
+    operands = _right_operands(points)
     n, m = points.shape[0], X.shape[0]
     rows = _block_rows(n)
     starts = range(0, m, rows)
@@ -149,10 +164,14 @@ def _map_blocks(X, points, sigma, fn, target=None, then=None):
                 out = spare[scratch.size : 2 * scratch.size].reshape(scratch.shape)
             else:
                 out = target[start:stop]
-            fn(start, stop, _gaussian_weights(X[start:stop], columns, sigma, out, scratch), scratch)
+            weights = _gaussian_weights(
+                X[start:stop], operands, sigma, out, scratch, left[: stop - start]
+            )
+            fn(start, stop, weights, scratch)
 
         try:
             spare = np.empty((2 if target is None else 1) * min(rows, m) * n)
+            left = np.empty((min(rows, m), 2))
             blocks(weights)
             if then is not None:
                 barrier.wait()

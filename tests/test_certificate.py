@@ -100,6 +100,13 @@ def test_check_optimality_primal_infeasibility():
         with pytest.raises(ValueError, match=rf"factor has shape {shape}, expected \(2, r\)"):
             check_optimality(K, H)
     H = np.sqrt(C) * np.array([[1.0], [-1.0]])
+    # a non-finite entry would pass the row-norm check (nan > tol is false)
+    # and stop the eigensolver; it is refused by row
+    for value in (np.nan, np.inf):
+        bad = H.copy()
+        bad[1, 0] = value
+        with pytest.raises(ValueError, match="factor row 1 has non-finite entries"):
+            check_optimality(K, bad)
     assert check_optimality(K, H.tolist()).objective == check_optimality(K, H).objective
 
 

@@ -133,26 +133,47 @@ def _mirrored_model(rng):
     return base, (np.sign(base.points[:, 0]) * radius)[:, None]
 
 
-def test_degeneracy_over_all_rows_matches_the_per_block_rule():
+def test_degeneracy_over_all_rows_matches_the_per_block_rule(monkeypatch):
     # every new point on the axis x = 0 of the mirrored set is an exact
     # symmetry midpoint; these sit in several row blocks, the shorter last
     # one included, among ordinary points and points far out, whose weights
-    # are tiny but whose Nystrom sums are not rounding noise
+    # are tiny but whose Nystrom sums are not rounding noise.  Only the row
+    # blocks that hold a candidate for the exact test are evaluated again
     rng = np.random.default_rng(6)
     base, Xi = _mirrored_model(rng)
     rows = kernels._block_rows(base.points.shape[0])
-    X = rng.uniform([-3.0, -3.0], [3.0, 3.0], (10 * rows + rows // 2, 2))
-    mid = np.r_[np.arange(5, 10 * rows, 2 * rows + 11), X.shape[0] - 3]
+    m = 10 * rows + rows // 2
+    ordinary = rng.uniform([-3.0, -3.0], [3.0, 3.0], (m, 2))
+    far = np.arange(7, m, rows // 2 + 1)
+    ordinary[far] = np.sign(ordinary[far]) * rng.uniform(5.0, 14.0, (far.size, 2))
+    X = ordinary.copy()
+    mid = np.r_[np.arange(5, 10 * rows, 2 * rows + 11), m - 3]
     X[mid, 0] = 0.0
-    far = np.arange(7, X.shape[0], rows // 2 + 1)
-    X[far] = np.sign(X[far]) * rng.uniform(5.0, 14.0, (far.size, 2))
+    axis = ordinary * [0.0, 1.0]
+    calls = []
+    run = kernels._map_blocks
+
+    def counted(X, *args, **kwargs):
+        calls.append(X.shape[0])
+        return run(X, *args, **kwargs)
+
+    blocks_with_mid = np.unique(mid // rows)
+    rechecked = int(sum(min(rows, m - b * rows) for b in blocks_with_mid))
+    for batch, evaluated in [(X, [m, rechecked]), (axis, [m, m]), (ordinary, [m])]:
+        coords, degenerate = _per_block_extension(base, Xi, batch)
+        calls.clear()
+        monkeypatch.setattr(kernels, "_map_blocks", counted)
+        ext = extend_points(base, Xi, batch)
+        monkeypatch.setattr(kernels, "_map_blocks", run)
+        assert calls == evaluated
+        assert np.array_equal(ext.degenerate, degenerate)
+        assert np.array_equal(ext.coords, coords)
+    assert ext.degenerate.sum() == 0
     ext = extend_points(base, Xi, X)
-    coords, degenerate = _per_block_extension(base, Xi, X)
-    assert np.array_equal(ext.degenerate, degenerate)
-    assert np.array_equal(ext.coords, coords)
     assert ext.degenerate[mid].all() and not ext.coords[mid].any()
     assert not ext.degenerate[far].any()
     assert ext.degenerate.sum() < mid.size + far.size
+    assert extend_points(base, Xi, axis).degenerate.all()
 
 
 def test_no_degeneracy_along_a_ray_out_of_the_data():
@@ -202,6 +223,12 @@ def test_extend_points_rejects_bad_rows(extend, two_point):
         for Xi in (emb.Xi[:1], emb.Xi[:, :0], emb.Xi[:, 0], emb.Xi[:, :, None]):
             shape = str(np.shape(Xi)).replace("(", r"\(").replace(")", r"\)")
             with pytest.raises(ValueError, match=rf"factor has shape {shape}, expected \(2, r\)"):
+                extend_points(dk, Xi, [[0.2]])
+        # a non-finite coordinate would make every Nystrom sum nan
+        for value in (np.nan, -np.inf):
+            Xi = emb.Xi.copy()
+            Xi[1, 0] = value
+            with pytest.raises(ValueError, match="factor row 1 has non-finite entries"):
                 extend_points(dk, Xi, [[0.2]])
     elif extend == "extension_row":
         plane = gaussian_gram(np.random.default_rng(0).standard_normal((20, 2)), 1.0)

@@ -31,7 +31,8 @@ def _random_base(seed, n=30, d=2, sigma=1.0):
 def _weights(X, points, sigma):
     """All Gaussian weights of ``X`` against ``points`` in one evaluator call."""
     out = np.empty((X.shape[0], points.shape[0]))
-    return kernels._gaussian_weights(X, np.ascontiguousarray(points.T), sigma, out, np.empty_like(out))
+    operands, left = kernels._right_operands(points), np.empty((X.shape[0], 2))
+    return kernels._gaussian_weights(X, operands, sigma, out, np.empty_like(out), left)
 
 
 def _reference_weights(X, points, sigma):
@@ -159,12 +160,55 @@ def test_blocked_builds_match_the_whole_matrix_forms(monkeypatch):
                 assert np.array_equal(kernels.diffusion_kernel(base).K, expected)
 
 
-@pytest.mark.parametrize("d, offset", [(1, 0.0), (2, 0.0), (10, 0.0), (2, 1e6), (10, 1e6)])
-def test_weights_match_the_reference_evaluator_bitwise(d, offset):
-    # 700 training points take several row blocks, the last one shorter
+def _evaluator_case(d, offset):
+    """Training points and new points (the training points first) for the
+    bitwise test of the evaluator: 700 random points shifted by ``offset``
+    and 260 more, or the special set that ``offset`` names."""
     rng = np.random.default_rng(d)
-    points = rng.standard_normal((700, d)) * 2.0 + offset
-    X = np.vstack([points, rng.standard_normal((260, d)) * 2.0 + offset])
+    if offset == "duplicates":
+        # repeated rows and coordinates of both signed zeros: many
+        # differences are exactly zero
+        points = rng.choice([-0.0, 0.0, 0.5, -1.25, 3.0], (700, d))
+        return points, np.vstack([points, points[::-3] * -1.0])
+    if offset == "extremes":
+        # coordinates near 1e150 beside subnormal ones, whose differences
+        # round or vanish; every squared distance stays finite
+        pool = np.array([1e150, -1e150, 1.5e150, 5e-324, -5e-324, 2.5e-310, 0.0, -0.0])
+        points = rng.choice(pool, (700, d)) * rng.choice([1.0, 1.0 + 2**-40], (700, d))
+        points[::4] = rng.standard_normal((175, d))
+        return points, np.vstack([points, rng.permutation(points)[:260]])
+    if offset == "one-point":
+        points = rng.standard_normal((1, d))
+        return points, np.vstack([points, rng.standard_normal((260, d))])
+    points = rng.standard_normal((700, d)) * 2.0
+    if offset == "one-row-block":
+        # the last row block holds one row
+        rows = kernels._block_rows(700)
+        return points, np.vstack([points, rng.standard_normal((rows - 700 % rows + 1, d))])
+    points += offset
+    return points, np.vstack([points, rng.standard_normal((260, d)) * 2.0 + offset])
+
+
+@pytest.mark.parametrize(
+    "d, offset",
+    [
+        (1, 0.0),
+        (2, 0.0),
+        (3, 0.0),
+        (10, 0.0),
+        (2, 1e6),
+        (10, 1e6),
+        (2, "duplicates"),
+        (3, "extremes"),
+        (2, "one-point"),
+        (2, "one-row-block"),
+    ],
+)
+def test_weights_match_the_reference_evaluator_bitwise(d, offset):
+    # the training points take several row blocks, the last one shorter,
+    # except for the one-point set, whose new points fit one block
+    points, X = _evaluator_case(d, offset)
+    n, m = points.shape[0], X.shape[0]
     expected = _reference_weights(X, points, 1.3)
     sizes = []
 
@@ -173,26 +217,29 @@ def test_weights_match_the_reference_evaluator_bitwise(d, offset):
         sizes.append(stop - start)
 
     kernels._map_blocks(X, points, 1.3, check)
-    sizes.sort()
-    assert sum(sizes) == X.shape[0]
-    assert len(sizes) > 2 and sizes[0] < sizes[-1] == kernels._block_rows(points.shape[0])
+    rows = kernels._block_rows(n)
+    assert sorted(sizes) == sorted(min(rows, m - start) for start in range(0, m, rows))
+    if n > 1:
+        assert len(sizes) > 2 and min(sizes) < max(sizes) == rows
+    if offset == "one-row-block":
+        assert min(sizes) == 1
     assert np.array_equal(_weights(X[:1], points, 1.3), expected[:1])
     assert np.array_equal(_weights(X, points, 1.3), expected)
     # k(x, x) == 1 and k(x, y) == k(y, x) bit for bit across the row blocks
-    gram = expected[:700]
-    assert np.array_equal(np.diag(gram), np.ones(700))
+    gram = expected[:n]
+    assert np.array_equal(np.diag(gram), np.ones(n))
     assert np.array_equal(gram, gram.T)
 
 
 def test_weights_allocate_no_block_sized_buffer():
     rng = np.random.default_rng(0)
     points = rng.standard_normal((2000, 2))
-    columns = np.ascontiguousarray(points.T)
+    operands = kernels._right_operands(points)
     X = points[:32].copy()
-    out, scratch = np.empty((32, 2000)), np.empty((32, 2000))
+    out, scratch, left = np.empty((32, 2000)), np.empty((32, 2000)), np.empty((32, 2))
     tracemalloc.start()
     try:
-        kernels._gaussian_weights(X, columns, 1.0, out, scratch)
+        kernels._gaussian_weights(X, operands, 1.0, out, scratch, left)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -224,9 +271,9 @@ def test_each_kernel_build_evaluates_every_weight_once(clusters, monkeypatch, tm
     counts = []
     evaluate = kernels._gaussian_weights
 
-    def spy(X, columns, sigma, out, scratch):
+    def spy(X, operands, sigma, out, scratch, left):
         counts.append(out.size)
-        return evaluate(X, columns, sigma, out, scratch)
+        return evaluate(X, operands, sigma, out, scratch, left)
 
     monkeypatch.setattr(kernels, "_gaussian_weights", spy)
     embed_points(clusters.points, 5.0)

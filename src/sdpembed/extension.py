@@ -129,23 +129,13 @@ def extend_points(kernel, Xi, X):
     The points are processed in row blocks of Gaussian weights ``kx`` (see
     ``kernels._map_blocks``).  Per block, one product ``kx @ [Xi / sqrt(d), 1]``
     gives both ``A = kx @ (Xi / sqrt(d))`` and the extended degrees ``dbar``,
-    written straight into its rows of the result; the rest runs once over
-    all rows, so the runner's threads hold the GIL for little more than
-    those products.  The Nystrom sums follow as
+    written straight into its rows of the result, and
+    ``kx @ (||Xi_i|| / sqrt(d_i))`` bounds ``||A||`` for the degeneracy
+    test; the rest runs once over all rows, so the runner's threads hold the
+    GIL for little more than those products.  The Nystrom sums follow as
     ``g = A / sqrt(dbar) - sqrt(dbar) center`` with
     ``center = (sqrt(d) @ Xi) / vol``; the kernel rows ``kvec`` of
     :func:`sdpembed.diagnostics.extension_row` are never formed.
-
-    The degeneracy test weighs ``||g||`` against the size of its terms,
-    ``(kx @ s) / sqrt(dbar) + sqrt(dbar) ||center||`` with
-    ``s_i = ||Xi_i|| / sqrt(d_i)``.  The weights are nonnegative and sum to
-    ``dbar``, so ``kx @ s <= max(s) dbar`` and the size is at most
-    ``sqrt(dbar) (max(s) + ||center||)``; a row whose ``||g||`` exceeds twice
-    the tolerance of that bound (the factor covers rounding) is not
-    degenerate.  Only the row blocks that hold a row at or under it have
-    their weights evaluated again, with the same start and stop and so the
-    same bits, and take the exact test, so the flags are those of computing
-    ``kx @ s`` for every block.
     """
     Xi = _checked_factor(Xi, kernel.points.shape[0])
     rank = Xi.shape[1]
@@ -156,9 +146,11 @@ def extend_points(kernel, Xi, X):
     X = _new_points(kernel, X)
     m = X.shape[0]
     prod = np.empty((m, rank + 1))
+    sizes = np.empty(m)
 
     def products(start, stop, kx, scratch):
         np.matmul(kx, weights, out=prod[start:stop])
+        sizes[start:stop] = kx @ row_sizes
 
     kernels._map_blocks(X, kernel.points, kernel.sigma, products)
     dbar = prod[:, rank]
@@ -166,24 +158,8 @@ def extend_points(kernel, Xi, X):
     root_dbar = np.sqrt(dbar)
     g = prod[:, :rank] / root_dbar[:, None] - np.outer(root_dbar, center)
     norm_g = np.sqrt(np.einsum("ij,ij->i", g, g))
-    center_size = np.linalg.norm(center)
-    bound = root_dbar * (row_sizes.max() + center_size)
-    degenerate = norm_g <= 2 * _DEGENERATE_RTOL * bound
-    if degenerate.any():
-        # the rows of the blocks holding candidates, in order: only the last
-        # block of X can be short, so the runner cuts them as it cut X
-        rows = kernels._block_rows(kernel.points.shape[0])
-        blocks = np.unique(np.flatnonzero(degenerate) // rows)
-        again = (blocks[:, None] * rows + np.arange(rows)).ravel()
-        again = again[again < m]
-        sizes = np.empty(again.size)
-
-        def size_sums(start, stop, kx, scratch):
-            sizes[start:stop] = kx @ row_sizes
-
-        kernels._map_blocks(X[again], kernel.points, kernel.sigma, size_sums)
-        size = sizes / root_dbar[again] + root_dbar[again] * center_size
-        degenerate[again] = norm_g[again] <= _DEGENERATE_RTOL * size
+    size = sizes / root_dbar + root_dbar * np.linalg.norm(center)
+    degenerate = norm_g <= _DEGENERATE_RTOL * size
     ok = ~degenerate
     coords = np.zeros((m, rank))
     coords[ok] = (np.sqrt(kappa[ok]) / norm_g[ok])[:, None] * g[ok]

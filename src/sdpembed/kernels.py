@@ -73,11 +73,11 @@ def _right_operands(points):
     return operands
 
 
-def _gaussian_weights(X, operands, sigma, out, scratch, left):
+def _gaussian_weights(X, operands, sigma, out, scratch):
     """Fill ``out`` (M, N) with ``exp(-||X_a - x_b||^2 / sigma^2)``, where the
     training points ``x_b`` come as the right operands of
     :func:`_right_operands`, and return it; ``scratch`` is a spare array shaped
-    like ``out`` and ``left`` a spare (M, 2) array.
+    like ``out``.
 
     Squared distances are summed from coordinate differences one dimension at
     a time, so they are exact functions of the differences: the kernel does
@@ -92,7 +92,7 @@ def _gaussian_weights(X, operands, sigma, out, scratch, left):
     summation order, fused multiply-adds or threads of the BLAS, and its
     square has those of ``(X_a - x_b)^2``.
     """
-    left[:, 1] = 1.0
+    left = np.ones((X.shape[0], 2))
     for j, right in enumerate(operands):
         diff = scratch if j else out
         np.negative(X[:, j], out=left[:, 0])
@@ -164,14 +164,10 @@ def _map_blocks(X, points, sigma, fn, target=None, then=None):
                 out = spare[scratch.size : 2 * scratch.size].reshape(scratch.shape)
             else:
                 out = target[start:stop]
-            weights = _gaussian_weights(
-                X[start:stop], operands, sigma, out, scratch, left[: stop - start]
-            )
-            fn(start, stop, weights, scratch)
+            fn(start, stop, _gaussian_weights(X[start:stop], operands, sigma, out, scratch), scratch)
 
         try:
             spare = np.empty((2 if target is None else 1) * min(rows, m) * n)
-            left = np.empty((min(rows, m), 2))
             blocks(weights)
             if then is not None:
                 barrier.wait()

@@ -31,8 +31,7 @@ def _random_base(seed, n=30, d=2, sigma=1.0):
 def _weights(X, points, sigma):
     """All Gaussian weights of ``X`` against ``points`` in one evaluator call."""
     out = np.empty((X.shape[0], points.shape[0]))
-    operands, left = kernels._right_operands(points), np.empty((X.shape[0], 2))
-    return kernels._gaussian_weights(X, operands, sigma, out, np.empty_like(out), left)
+    return kernels._gaussian_weights(X, kernels._right_operands(points), sigma, out, np.empty_like(out))
 
 
 def _reference_weights(X, points, sigma):
@@ -236,10 +235,10 @@ def test_weights_allocate_no_block_sized_buffer():
     points = rng.standard_normal((2000, 2))
     operands = kernels._right_operands(points)
     X = points[:32].copy()
-    out, scratch, left = np.empty((32, 2000)), np.empty((32, 2000)), np.empty((32, 2))
+    out, scratch = np.empty((32, 2000)), np.empty((32, 2000))
     tracemalloc.start()
     try:
-        kernels._gaussian_weights(X, operands, 1.0, out, scratch, left)
+        kernels._gaussian_weights(X, operands, 1.0, out, scratch)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -271,9 +270,9 @@ def test_each_kernel_build_evaluates_every_weight_once(clusters, monkeypatch, tm
     counts = []
     evaluate = kernels._gaussian_weights
 
-    def spy(X, operands, sigma, out, scratch, left):
+    def spy(X, operands, sigma, out, scratch):
         counts.append(out.size)
-        return evaluate(X, operands, sigma, out, scratch, left)
+        return evaluate(X, operands, sigma, out, scratch)
 
     monkeypatch.setattr(kernels, "_gaussian_weights", spy)
     embed_points(clusters.points, 5.0)

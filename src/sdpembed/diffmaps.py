@@ -27,7 +27,6 @@ class DiffusionBasis:
     psi: np.ndarray
     phi: np.ndarray
     phi0: np.ndarray
-    u: np.ndarray
 
 
 def _gram(kernel):
@@ -75,7 +74,6 @@ def spectral_basis(kernel):
         psi=u / root_phi0[:, None],
         phi=u * root_phi0[:, None],
         phi0=phi0,
-        u=u,
     )
 
 

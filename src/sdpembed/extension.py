@@ -148,7 +148,7 @@ def extend_points(kernel, Xi, X):
     prod = np.empty((m, rank + 1))
     sizes = np.empty(m)
 
-    def products(start, stop, kx, scratch):
+    def products(start, stop, kx):
         np.matmul(kx, weights, out=prod[start:stop])
         sizes[start:stop] = kx @ row_sizes
 

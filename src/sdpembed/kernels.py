@@ -17,15 +17,17 @@ without.  It never holds the N x N gram.  One evaluator,
 coordinate differences of a row block, one dimension at a time, are one
 matrix product ``[-X_j, 1] @ [1, x_j]`` with inner dimension 2, which is
 exact, since each entry is two exact products and one rounded addition.  One
-runner, ``_map_blocks``, hands its row blocks to the consumers: the
-degrees, ``K``, the extension to new points, the volume probes and the
+block runner, ``_each_block``, deals every row block in the package; its
+weight pass, ``_map_blocks``, hands row blocks of weights to the consumers:
+the degrees, ``K``, the extension to new points, the volume probes and the
 diffusion-maps gram.  ``K`` takes one weight pass (``build_kernel``): its
-rows of weights are written in place, the degrees are summed from them, and
-the rows are then normalized where they lie.  From 8 blocks on, the runner
-deals the blocks to up to one thread per CPU, each with its own scratch
-block; the results do not depend on the number of threads.  The degree of a
-new point is a row sum of the same weights; the module ``extension`` turns
-it into the new point's kernel row and diagonal value.
+rows of weights are written in place and the degrees are summed from them;
+a second pass of the same runner then normalizes the rows where they lie.
+From 8 blocks on, the runner deals the blocks to up to one thread per CPU,
+each with its own buffer; the results do not depend on the number of
+threads.  The degree of a new point is a row sum of the same weights; the
+module ``extension`` turns it into the new point's kernel row and diagonal
+value.
 """
 
 import os
@@ -111,72 +113,39 @@ def _cores():
         return os.cpu_count() or 1
 
 
-def _map_blocks(X, points, sigma, fn, target=None, then=None):
-    """Call ``fn(start, stop, weights, scratch)`` on every row block of the
-    Gaussian weights of ``X`` against the training points; ``scratch`` is a
-    spare array shaped like ``weights`` that ``fn`` may overwrite.
-
-    With ``target``, an (M, N) array, each row block is evaluated straight
-    into ``target[start:stop]``.  With ``then``, once ``fn`` has returned on
-    every block, ``then()`` is called once and returns ``g``, and each
-    thread calls ``g(start, stop, scratch)`` on its own blocks again, so
-    ``g`` may read what ``fn`` wrote for any block.
+def _each_block(m, rows, size, call):
+    """Call ``call(start, stop, spare)`` on every block ``start:stop`` of
+    ``rows`` rows out of ``m``; ``spare`` is a flat buffer of ``size`` floats
+    that belongs to the thread running the block.  Every row block in the
+    package is dealt here: the weight pass :func:`_map_blocks`, and the
+    second pass of :func:`build_kernel`, which normalizes ``K`` once its
+    weight pass has returned.
 
     The blocks are dealt round-robin to ``min(cores, blocks // 4)`` threads,
-    the calling one included, each with its own buffers; the evaluator's
-    right operands are built once per call and shared read-only.  numpy
-    releases the GIL in the evaluator's ufuncs and in BLAS.  Below 8 blocks
-    (the 2 blocks of ``K`` at N = 308) the calling thread runs them alone,
-    since a thread would cost more than it saves.  ``fn`` and ``g`` of
-    different blocks may run at once, so they write only rows
-    ``start:stop`` of shared arrays, and they call no public function of the
-    package, which a tracer may wrap with unsynchronized state.  The threads
-    are started per call and joined before the return, so none outlives a
-    call or meets a ``fork()``.  If blocks raise, the exception of the
-    lowest one is raised, and ``then`` is not called.
+    the calling one included, each with its own ``spare``; numpy releases the
+    GIL in its ufuncs and in BLAS.  Below 8 blocks (the 2 blocks of ``K`` at
+    N = 308) the calling thread runs them alone, since a thread would cost
+    more than it saves.  ``call`` of different blocks may run at once, so it
+    writes only rows ``start:stop`` of shared arrays, and it calls no public
+    function of the package, which a tracer may wrap with unsynchronized
+    state.  The threads are started per call and joined before the return,
+    so none outlives a call or meets a ``fork()``.  If blocks raise, the
+    exception of the lowest one is raised.
     """
-    operands = _right_operands(points)
-    n, m = points.shape[0], X.shape[0]
-    rows = _block_rows(n)
     starts = range(0, m, rows)
     workers = max(1, min(_cores(), len(starts) // 4))
-    failures, second = [], []
-
-    def between():
-        if not failures:
-            second.append(then())
-
-    barrier = threading.Barrier(workers, action=between)
+    failures = []
 
     def run(share):
-        def blocks(call):
-            for start in share:
-                stop = min(start + rows, m)
-                scratch = spare[: (stop - start) * n].reshape(stop - start, n)
-                try:
-                    call(start, stop, scratch)
-                except Exception as exc:
-                    failures.append((start, exc))
-                    return
-
-        def weights(start, stop, scratch):
-            if target is None:
-                out = spare[scratch.size : 2 * scratch.size].reshape(scratch.shape)
-            else:
-                out = target[start:stop]
-            fn(start, stop, _gaussian_weights(X[start:stop], operands, sigma, out, scratch), scratch)
-
+        # a thread whose buffer fails names its first block, so none of its
+        # blocks is left unwritten without an exception
+        start = share.start
         try:
-            spare = np.empty((2 if target is None else 1) * min(rows, m) * n)
-            blocks(weights)
-            if then is not None:
-                barrier.wait()
-                if second:
-                    blocks(second[0])
-        except BaseException:
-            # such as KeyboardInterrupt: no thread may wait for this one
-            barrier.abort()
-            raise
+            spare = np.empty(size)
+            for start in share:
+                call(start, min(start + rows, m), spare)
+        except Exception as exc:
+            failures.append((start, exc))
 
     threads = [threading.Thread(target=run, args=(starts[t::workers],)) for t in range(1, workers)]
     for thread in threads:
@@ -188,14 +157,42 @@ def _map_blocks(X, points, sigma, fn, target=None, then=None):
         raise min(failures, key=lambda failure: failure[0])[1]
 
 
-def _degrees(X, points, sigma):
-    """Row sums of the Gaussian weights of ``X`` against the training points."""
+def _map_blocks(X, points, sigma, fn, target=None):
+    """Call ``fn(start, stop, weights)`` on every row block of the Gaussian
+    weights of ``X`` against the training points: the weight pass of the
+    block runner :func:`_each_block`, whose rules ``fn`` keeps.  A build of
+    ``K`` normalizes in a second pass of that runner after this one.
+
+    With ``target``, an (M, N) array, each row block is evaluated straight
+    into ``target[start:stop]``; otherwise into the thread's own buffer.  The
+    evaluator's right operands are built once per call and shared read-only;
+    each thread's ``spare`` holds its evaluator scratch block and, without
+    ``target``, its weight block.
+    """
+    operands = _right_operands(points)
+    n, m = points.shape[0], X.shape[0]
+    rows = _block_rows(n)
+
+    def weights(start, stop, spare):
+        scratch = spare[: (stop - start) * n].reshape(stop - start, n)
+        if target is None:
+            out = spare[scratch.size : 2 * scratch.size].reshape(scratch.shape)
+        else:
+            out = target[start:stop]
+        fn(start, stop, _gaussian_weights(X[start:stop], operands, sigma, out, scratch))
+
+    _each_block(m, rows, (2 if target is None else 1) * min(rows, m) * n, weights)
+
+
+def _degrees(X, points, sigma, target=None):
+    """Row sums of the Gaussian weights of ``X`` against the training points;
+    with ``target``, an (M, N) array, the weights are left there."""
     degrees = np.empty(X.shape[0])
 
-    def row_sums(start, stop, weights, scratch):
+    def row_sums(start, stop, weights):
         degrees[start:stop] = weights.sum(axis=1)
 
-    _map_blocks(X, points, sigma, row_sums)
+    _map_blocks(X, points, sigma, row_sums, target=target)
     return degrees
 
 
@@ -268,31 +265,27 @@ def build_kernel(points, sigma):
     DiffusionKernel
         ``K(i, j) = k(x_i, x_j)/sqrt(d_i d_j) - sqrt(d_i d_j)/vol``, which
         annihilates ``sqrt(d)``, with the degrees and volume of
-        :func:`gaussian_gram`, bit for bit.  Full row blocks of weights go
-        into ``K``, their row sums are the degrees (the blocks and sums of
-        :func:`gaussian_gram`, so the same bits), and then the same threads
-        normalize the blocks in place.  ``K`` is symmetric bit for bit
-        without a mirror copy, since ``k(x_i, x_j) == k(x_j, x_i)`` and
-        multiplication commutes.
+        :func:`gaussian_gram`, bit for bit.  The weight pass puts full row
+        blocks of weights into ``K`` and sums the degrees from them
+        (``_degrees``, the function and blocks of :func:`gaussian_gram`, so
+        the same bits); once it has returned, a second pass of the same
+        block runner normalizes the blocks in place.  ``K`` is symmetric
+        bit for bit without a mirror copy, since ``k(x_i, x_j) ==
+        k(x_j, x_i)`` and multiplication commutes.
     """
     points = _checked_points(points, sigma)
     n = points.shape[0]
-    K, degrees = np.empty((n, n)), np.empty(n)
+    K = np.empty((n, n))
+    kernel = _kernel(points, sigma, _degrees(points, points, sigma, target=K), K)
+    root_d = np.sqrt(kernel.degrees)
 
-    def row_sums(start, stop, weights, scratch):
-        degrees[start:stop] = weights.sum(axis=1)
+    def normalize(start, stop, spare):
+        blk = K[start:stop]
+        outer = np.multiply.outer(root_d[start:stop], root_d, out=spare[: blk.size].reshape(blk.shape))
+        blk /= outer
+        outer /= kernel.volume
+        blk -= outer
 
-    def normalizer():
-        root_d, volume = np.sqrt(degrees), float(degrees.sum())
-
-        def normalize(start, stop, outer):
-            blk = K[start:stop]
-            np.multiply.outer(root_d[start:stop], root_d, out=outer)
-            blk /= outer
-            outer /= volume
-            blk -= outer
-
-        return normalize
-
-    _map_blocks(points, points, sigma, row_sums, target=K, then=normalizer)
-    return _kernel(points, sigma, degrees, K)
+    rows = _block_rows(n)
+    _each_block(n, rows, min(rows, n) * n, normalize)
+    return kernel

@@ -107,7 +107,7 @@ def _per_block_extension(base, Xi, X):
     coords = np.zeros((X.shape[0], rank))
     degenerate = np.zeros(X.shape[0], dtype=bool)
 
-    def extend(start, stop, kx, scratch):
+    def extend(start, stop, kx):
         prod = kx @ weights
         dbar = prod[:, rank]
         k = _extended_diagonal(base, dbar)

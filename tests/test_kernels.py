@@ -134,7 +134,8 @@ def test_blocked_builds_match_the_whole_matrix_forms(monkeypatch):
     # normalized in row blocks in one weight pass, are bitwise equal to the
     # whole-matrix forms: 1, 2, 3 and 8 row blocks (N = 1, 308, 425, 700),
     # on both sides of the 8-block threshold for threads, and 16 blocks
-    # (N = 1000), which 3 workers share
+    # (N = 1000), which 3 workers share; the weight pass and the
+    # normalization pass each start their threads
     for d in (1, 2, 10):
         rng = np.random.default_rng(d)
         sigma = 1.5 * np.sqrt(d)
@@ -152,7 +153,7 @@ def test_blocked_builds_match_the_whole_matrix_forms(monkeypatch):
                 for workers in (1, 2, 3):
                     started = _count_threads(monkeypatch, workers)
                     dk = kernels.build_kernel(points, sigma)
-                    assert len(started) == max(1, min(workers, blocks // 4)) - 1
+                    assert len(started) == 2 * (max(1, min(workers, blocks // 4)) - 1)
                     assert np.array_equal(dk.degrees, base.degrees)
                     assert dk.volume == base.volume
                     assert np.array_equal(dk.K, expected)
@@ -211,7 +212,7 @@ def test_weights_match_the_reference_evaluator_bitwise(d, offset):
     expected = _reference_weights(X, points, 1.3)
     sizes = []
 
-    def check(start, stop, weights, scratch):
+    def check(start, stop, weights):
         assert np.array_equal(weights, expected[start:stop])
         sizes.append(stop - start)
 
@@ -261,7 +262,7 @@ def _count_threads(monkeypatch, cores, delay=0.0):
             super().run()
 
     monkeypatch.setattr(kernels, "_cores", lambda: cores)
-    monkeypatch.setattr(kernels, "threading", SimpleNamespace(Thread=Thread, Barrier=threading.Barrier))
+    monkeypatch.setattr(kernels, "threading", SimpleNamespace(Thread=Thread))
     return started
 
 
@@ -306,8 +307,9 @@ def test_one_and_two_workers_give_the_same_bits(name, monkeypatch):
         base = gaussian_gram(points, sigma)
         ext = extend_points(base, Xi, X)
         K = build_kernel(base.points, base.sigma).K
-        # the degrees, the extension and K each start one thread with 2 workers
-        assert len(started) == 3 * (workers - 1)
+        # the degrees, the extension and both passes of K each start one
+        # thread with 2 workers
+        assert len(started) == 4 * (workers - 1)
         results[workers] = (base.degrees, base.volume, K, ext.coords, ext.kappa, ext.degenerate)
     for one, two in zip(results[1], results[2]):
         assert np.array_equal(one, two)
@@ -327,9 +329,9 @@ def test_more_workers_than_cores_with_fast_switching_give_the_same_bits(monkeypa
             base = gaussian_gram(points, sigma)
             ext = extend_points(base, Xi, X)
             K = build_kernel(base.points, base.sigma).K
-            # the 8 blocks of the degrees and of K take 2 threads each, the 33
-            # blocks of new points 6
-            assert len(started) == (0 if workers == 1 else 1 + 5 + 1)
+            # the 8 blocks of the degrees and of each pass of K take 2 threads
+            # each, the 33 blocks of new points 6
+            assert len(started) == (0 if workers == 1 else 1 + 5 + 2)
             assert not any(thread.is_alive() for thread in started)
             results[workers] = (base.degrees, K, ext.coords, ext.kappa, ext.degenerate)
     finally:
@@ -347,17 +349,44 @@ def test_failures_in_several_threads_name_the_lowest_row(workers, monkeypatch):
     points, sigma, X = _multi_block_set("d10")
     rows = kernels._block_rows(points.shape[0])
     X = X[: 12 * rows]
+    # the 1116 points of X as the training set of K: 20 blocks of 58 rows
+    k_rows = kernels._block_rows(X.shape[0])
+    evaluate, each_block = kernels._gaussian_weights, kernels._each_block
     # (a block of the second thread, a later one of the calling thread), then
     # (a block of the calling thread, a later one of the second thread)
     for low, high in [(workers + 1, 2 * workers), (workers, workers + 1)]:
         started = _count_threads(monkeypatch, workers, delay=0.2)
 
-        def fail(start, stop, weights, scratch):
+        def fail(start, stop, weights):
             if start // rows in (low, high):
                 raise ValueError(f"block {start // rows}")
 
         with pytest.raises(ValueError, match=f"^block {low}$"):
             kernels._map_blocks(X, points, sigma, fail)
+        assert len(started) == workers - 1
+        assert not any(thread.is_alive() for thread in started)
+
+        # the same blocks fail in the weight pass of a build of K, so its
+        # normalization pass never starts
+        started = _count_threads(monkeypatch, workers, delay=0.2)
+        passes = []
+
+        def fail_weights(block, operands, sigma, out, scratch):
+            for index in (low, high):
+                if np.array_equal(block[0], X[index * k_rows]):
+                    raise ValueError(f"block {index}")
+            return evaluate(block, operands, sigma, out, scratch)
+
+        def count(*args):
+            passes.append(args)
+            each_block(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "_gaussian_weights", fail_weights)
+            patch.setattr(kernels, "_each_block", count)
+            with pytest.raises(ValueError, match=f"^block {low}$"):
+                kernels.build_kernel(X, sigma)
+        assert len(passes) == 1
         assert len(started) == workers - 1
         assert not any(thread.is_alive() for thread in started)
     # points with no kernel weight in blocks of different threads: the
@@ -366,6 +395,25 @@ def test_failures_in_several_threads_name_the_lowest_row(workers, monkeypatch):
     far[[3 * rows + 5, 6 * rows + 7]] = 1e3
     with pytest.raises(ValueError, match=f"index {3 * rows + 5} has no kernel weight"):
         extend_points(gaussian_gram(points, sigma), np.ones((points.shape[0], 1)), far)
+
+
+def test_a_thread_without_its_buffer_raises(monkeypatch):
+    # the second thread cannot allocate its buffer: its blocks are never
+    # written, so the runner must raise rather than return
+    started = _count_threads(monkeypatch, 2)
+    main, empty = threading.main_thread(), np.empty
+
+    def spare(size):
+        if threading.current_thread() is not main:
+            raise MemoryError("no buffer")
+        return empty(size)
+
+    monkeypatch.setattr(kernels, "np", SimpleNamespace(empty=spare))
+    ran = []
+    with pytest.raises(MemoryError, match="no buffer"):
+        kernels._each_block(80, 10, 5, lambda start, stop, buffer: ran.append(start))
+    assert sorted(ran) == [0, 20, 40, 60]
+    assert len(started) == 1 and not started[0].is_alive()
 
 
 def test_kernel_of_the_paper_points_starts_no_thread(clusters, monkeypatch):

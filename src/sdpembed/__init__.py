@@ -29,11 +29,7 @@ from .dataio import (
 from .diffmaps import diffusion_map, spectral_basis
 from .embedding import factor_to_embedding
 from .extension import extend_points
-from .interval import (
-    build_interval_problem,
-    run_interval_experiment,
-    sign_solution,
-)
+from .interval import run_interval_experiment, sign_solution
 from .kernels import build_kernel, gaussian_gram
 from .pipeline import embed_points
 from .solver import SolverConfig, objective, solve
@@ -47,7 +43,6 @@ __all__ = [
     "EmbeddingSchemaError",
     "PrimalInfeasibilityError",
     "SolverConfig",
-    "build_interval_problem",
     "build_kernel",
     "check_optimality",
     "diffusion_map",

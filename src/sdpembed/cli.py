@@ -168,8 +168,8 @@ def cmd_compare(args):
 
 def cmd_toy(args):
     with _stage("toy experiment", ValueError, RuntimeError):
-        problem = interval.build_interval_problem(args.n, args.sigma)
-        report, result = interval.run_interval_experiment(problem, cfg=_solver_config(args))
+        cfg = _solver_config(args)
+        report, result = interval.run_interval_experiment(args.n, args.sigma, cfg=cfg)
     _write_json(_out_dir(args) / "toy_report.json", asdict(report))
     return _exit_code(result.certificate, result.kernel.K, result.factor, args.tol_conv)
 

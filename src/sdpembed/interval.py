@@ -2,10 +2,11 @@
 
 The continuous kernel on [-1, 1] uses integrals for the degree and total
 volume; on a uniform grid those integrals become plain sums over the grid
-points, which makes the construction identical to the general one applied to
-the grid.  Small bandwidths give a kernel with both signs and a rank-2
-continuous solution (one odd and one even coordinate); at sigma = 1 the
-solution collapses toward the rank-one matrix
+points, which is the general construction (``build_kernel``) applied to the
+grid, so the experiment is ``embed_points`` on the grid of
+:func:`dataio.gen_interval_grid`.  Small bandwidths give a kernel with both
+signs and a rank-2 continuous solution (one odd and one even coordinate); at
+sigma = 1 the solution collapses toward the rank-one matrix
 sign(x) sqrt(K(x,x)) sign(y) sqrt(K(y,y)).
 
 A caveat for odd grid sizes: the node x = 0 couples to the sign vector with
@@ -27,15 +28,6 @@ from . import dataio, kernels, pipeline
 
 
 @dataclass
-class IntervalProblem:
-    """Grid, bandwidth, and the centered kernel built from grid sums."""
-
-    grid: np.ndarray
-    sigma: float
-    K: np.ndarray
-
-
-@dataclass
 class IntervalExperimentReport:
     n: int
     sigma: float
@@ -47,63 +39,56 @@ class IntervalExperimentReport:
     parity_residuals: dict = field(default_factory=dict)
 
 
-def build_interval_problem(n, sigma):
-    """Discretize the interval kernel on ``n`` uniform grid points.
-
-    The grid is :func:`dataio.gen_interval_grid`; the kernel is an
-    independent construction (direct grid sums) of the same formula the
-    kernel module produces for it; the two agree to ~1e-12 and the
-    experiment cross-checks that.
-    """
-    kernels._check_sigma(sigma)
-    grid = dataio.gen_interval_grid(n).points[:, 0]
-    gram = np.exp(-((grid[:, None] - grid[None, :]) ** 2) / sigma**2)
-    degree = gram.sum(axis=1)
-    volume = degree.sum()
-    mixed = np.sqrt(np.outer(degree, degree))
-    K = gram / mixed - mixed / volume
-    K = np.triu(K) + np.triu(K, 1).T
-    return IntervalProblem(grid=grid, sigma=float(sigma), K=K)
-
-
-def sign_solution(problem):
-    """Rank-one candidate ``s(x) sqrt(K(x,x)) s(y) sqrt(K(y,y))`` with
-    s = sign(x) and s(0) = +1 (a grid node at zero needs a convention).
+def sign_solution(kernel):
+    """Factor ``v = s sqrt(diag K)``, of shape (N, 1), of the rank-one
+    candidate ``v v^T`` for the kernel of a grid, with s = sign(x) and
+    s(0) = +1 (a grid node at zero needs a convention).
 
     On odd grids, sigma = 1, this candidate is a critical point (its
     complementary slackness holds to rounding) that ``check_optimality``
     rejects: L has a negative eigenvalue (-8.1e-4 at n = 201), and the
     certified rank-2 optimum has a larger objective."""
-    s = np.sign(problem.grid)
-    s[s == 0] = 1.0
-    v = s * np.sqrt(np.diag(problem.K))
-    return np.outer(v, v)
+    s = np.where(kernel.points[:, 0] < 0, -1.0, 1.0)
+    return (s * np.sqrt(np.diag(kernel.K)))[:, None]
 
 
-def run_interval_experiment(problem, cfg=None):
-    """Solve, certify, and embed the discretized interval under the settings
-    ``cfg`` (``SolverConfig()`` if None).
+def _max_deviation(H_Xi, v):
+    """``max |H_i . H_j - v_i v_j|``, the entrywise deviation of
+    ``H_Xi H_Xi^T`` from ``v v^T``, taken one row block at a time."""
+    n = H_Xi.shape[0]
+    rows = kernels._block_rows(n)
+    worst = np.empty(n)
+
+    def deviation(start, stop, spare):
+        blk = spare[: (stop - start) * n].reshape(-1, n)
+        np.matmul(H_Xi[start:stop], H_Xi.T, out=blk)
+        blk -= v[start:stop] * v[:, 0]
+        worst[start:stop] = np.abs(blk, out=blk).max(axis=1)
+
+    kernels._each_block(n, rows, min(rows, n) * n, deviation)
+    return float(worst.max())
+
+
+def run_interval_experiment(n, sigma, cfg=None):
+    """Solve, certify, and embed the discretized interval on ``n`` grid
+    points at bandwidth ``sigma`` under the settings ``cfg``
+    (``SolverConfig()`` if None); sigma is checked before the grid is built.
 
     Returns the report and the ``pipeline.PipelineResult`` it is read from,
-    which holds the coordinates.  The report carries the effective rank,
-    certification status, the parity residuals of the leading coordinates
-    under grid reflection (the first coordinate is odd, the second even),
-    and, at sigma = 1, the maximal entrywise deviation of rho* from the
-    rank-one sign solution.  On odd grids that deviation is the sign
-    formula's own midpoint row, sqrt(K(0, 0) max_x K(x, x)), which the rank-2
-    optimum does not have.
+    which holds the kernel and the coordinates.  The report carries the
+    effective rank, certification status, the parity residuals of the
+    leading coordinates under grid reflection (the first coordinate is odd,
+    the second even), and, at sigma = 1, the maximal entrywise deviation of
+    rho* from the rank-one sign solution of the ``K`` that was solved.  On
+    odd grids that deviation is the sign formula's own midpoint row,
+    sqrt(K(0, 0) max_x K(x, x)), which the rank-2 optimum does not have.
     """
-    result = pipeline.embed_points(problem.grid[:, None], problem.sigma, cfg)
-    agreement = float(np.max(np.abs(result.kernel.K - problem.K)))
-    if agreement > 1e-12:
-        raise RuntimeError(
-            f"grid-sum kernel deviates from the general construction by {agreement:.3e}"
-        )
+    kernels._check_sigma(sigma)
+    result = pipeline.embed_points(dataio.gen_interval_grid(n).points, sigma, cfg)
     emb = result.embedding
-    rho = emb.H_Xi @ emb.H_Xi.T
     sign_residual = None
-    if problem.sigma == 1.0:
-        sign_residual = float(np.max(np.abs(rho - sign_solution(problem))))
+    if sigma == 1.0:
+        sign_residual = _max_deviation(emb.H_Xi, sign_solution(result.kernel))
     parity = {}
     if emb.rank >= 1:
         chi1 = emb.Xi[:, 0]
@@ -112,8 +97,8 @@ def run_interval_experiment(problem, cfg=None):
         chi2 = emb.Xi[:, 1]
         parity["chi2_even"] = float(np.max(np.abs(chi2 - chi2[::-1])))
     return IntervalExperimentReport(
-        n=problem.grid.shape[0],
-        sigma=problem.sigma,
+        n=emb.Xi.shape[0],
+        sigma=float(sigma),
         rank=emb.rank,
         certified=result.certificate.is_certified,
         converged=result.factor.converged,

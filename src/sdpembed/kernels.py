@@ -117,9 +117,9 @@ def _each_block(m, rows, size, call):
     """Call ``call(start, stop, spare)`` on every block ``start:stop`` of
     ``rows`` rows out of ``m``; ``spare`` is a flat buffer of ``size`` floats
     that belongs to the thread running the block.  Every row block in the
-    package is dealt here: the weight pass :func:`_map_blocks`, and the
-    second pass of :func:`build_kernel`, which normalizes ``K`` once its
-    weight pass has returned.
+    package is dealt here: the weight pass :func:`_map_blocks`, the second
+    pass of :func:`build_kernel`, which normalizes ``K`` once its weight pass
+    has returned, and the sign residual of the interval experiment.
 
     The blocks are dealt round-robin to ``min(cores, blocks // 4)`` threads,
     the calling one included, each with its own ``spare``; numpy releases the

@@ -1,9 +1,11 @@
 """Shared fixtures: closed-form two-point problem, cluster data, interval runs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from sdpembed import SolverConfig, build_interval_problem, embed_points
+from sdpembed import SolverConfig, embed_points
 from sdpembed import gen_three_clusters, run_interval_experiment
 
 # closed form for two points at distance 1 with sigma = 1: the centered
@@ -17,6 +19,15 @@ CLUSTER_SEED = 12345
 def tight_config(r0=10, seed=0):
     """Solver settings for certificate-grade accuracy."""
     return SolverConfig(r0=r0, max_iters=20000, tol_conv=1e-13, seed=seed)
+
+
+def traced_peak(fn, *args):
+    """Result of ``fn(*args)`` and the peak of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")
@@ -51,8 +62,7 @@ def interval_results():
     def run(n, sigma):
         key = (n, sigma)
         if key not in cache:
-            problem = build_interval_problem(n, sigma)
-            cache[key] = run_interval_experiment(problem, cfg=tight_config())
+            cache[key] = run_interval_experiment(n, sigma, cfg=tight_config())
         return cache[key]
 
     return run

@@ -19,7 +19,6 @@ import pytest
 
 from sdpembed import (
     SolverConfig,
-    build_interval_problem,
     check_optimality,
     diffusion_map,
     embed_points,
@@ -135,21 +134,19 @@ def test_criterion_3_interval_sign_solution_odd_grid():
     (tests/test_interval.py::test_sigma_one_even_grid_is_exact_sign_solution).
     """
     start = time.perf_counter()
-    problem = build_interval_problem(201, 1.0)
-    report, result = run_interval_experiment(problem, cfg=tight_config())
+    report, result = run_interval_experiment(201, 1.0, cfg=tight_config())
     elapsed = time.perf_counter() - start
 
-    K, x, mid = problem.K, problem.grid, 100
+    K, x, mid = result.kernel.K, result.kernel.points[:, 0], 100
     Xi = result.embedding.Xi
     chi1 = Xi[:, 0]
     chi2 = Xi[:, 1] if Xi.shape[1] > 1 else np.zeros_like(chi1)
     off = x != 0
-    sign_formula = check_optimality(
-        K, (np.where(x < 0, -1.0, 1.0) * np.sqrt(np.diag(K)))[:, None]
-    )
+    v = sign_solution(result.kernel)
+    sign_formula = check_optimality(K, v)
     midpoint_row = np.sqrt(K[mid, mid] * np.max(np.diag(K)))
     rho = result.embedding.H_Xi @ result.embedding.H_Xi.T
-    deviation = np.abs(rho - sign_solution(problem))
+    deviation = np.abs(rho - v @ v.T)
     off_midpoint = float(np.max(np.delete(np.delete(deviation, mid, 0), mid, 1)))
     checks = {
         "rank 2": report.rank == 2,
@@ -172,7 +169,7 @@ def test_criterion_3_interval_sign_solution_odd_grid():
         3, all(checks.values()),
         f"sigma=1 n=201: residual {report.sign_residual:.2e}, rank {report.rank}, "
         f"certified {report.certified} ({elapsed:.1f} s); the odd grid keeps a "
-        f"certified midpoint mode of size K(0,0) = {problem.K[100, 100]:.2e}; "
+        f"certified midpoint mode of size K(0,0) = {K[mid, mid]:.2e}; "
         f"the sign formula has least L eigenvalue "
         f"{sign_formula.least_eigenvalues[0]:.2e}, off-midpoint deviation "
         f"{off_midpoint:.2e}; see the docstring",
@@ -183,8 +180,7 @@ def test_criterion_3_interval_sign_solution_odd_grid():
 def test_criterion_4_interval_small_bandwidth():
     """Interval at sigma = 0.1: certified rank 2 with odd/even coordinates."""
     start = time.perf_counter()
-    problem = build_interval_problem(201, 0.1)
-    report, _ = run_interval_experiment(problem, cfg=tight_config())
+    report, _ = run_interval_experiment(201, 0.1, cfg=tight_config())
     elapsed = time.perf_counter() - start
     checks = {
         "rank 2": report.rank == 2,
@@ -372,8 +368,7 @@ def test_criterion_8_desk_scale_substitutes():
     ranks = {}
     for sigma in (0.1, 1.0):
         for n in (101, 201, 401):
-            problem = build_interval_problem(n, sigma)
-            ranks[(sigma, n)] = run_interval_experiment(problem, cfg=tight_config())[0].rank
+            ranks[(sigma, n)] = run_interval_experiment(n, sigma, cfg=tight_config())[0].rank
     stability_ok = all(
         len({ranks[(s, n)] for n in (101, 201, 401)}) == 1 for s in (0.1, 1.0)
     )

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -25,7 +23,7 @@ from sdpembed.certificate import (
 from sdpembed.diagnostics import certificate_matrix, nuclear_equivalence_check
 from sdpembed.solver import _unit_rows, init_factor
 
-from conftest import C, tight_config
+from conftest import C, tight_config, traced_peak
 
 
 def _two_point_kernel():
@@ -151,25 +149,16 @@ def test_duality_gap_bounds_the_objective_deficit(cluster_pipeline):
     assert optimum.duality_gap <= 1e-12 * optimum.objective
 
 
-def _traced_peak(fn, *args):
-    """Result of ``fn(*args)`` and the peak of the memory it allocated."""
-    tracemalloc.start()
-    try:
-        return fn(*args), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_solve_and_certificate_form_at_most_one_square_array():
     # N = 2408, above the dense cutoff: the kernel build holds K and no
     # gram, solve() needs no N x N array beyond K, and the Lanczos
     # certificate none at all (its basis of about 150 vectors is 0.06
     # K.nbytes here)
     points = gen_three_clusters(800, 8, 3).points
-    dk, build_peak = _traced_peak(lambda: build_kernel(points, 5.0))
+    dk, build_peak = traced_peak(lambda: build_kernel(points, 5.0))
     K = dk.K
-    state, solve_peak = _traced_peak(solve, K, SolverConfig())
-    report, certificate_peak = _traced_peak(check_optimality, K, state.H_Xi)
+    state, solve_peak = traced_peak(solve, K, SolverConfig())
+    report, certificate_peak = traced_peak(check_optimality, K, state.H_Xi)
     assert report.is_certified
     assert build_peak < 1.1 * K.nbytes
     assert solve_peak < 0.1 * K.nbytes

@@ -51,7 +51,6 @@ def test_public_names_are_pinned():
         "EmbeddingSchemaError",
         "PrimalInfeasibilityError",
         "SolverConfig",
-        "build_interval_problem",
         "build_kernel",
         "check_optimality",
         "diffusion_map",

@@ -5,9 +5,9 @@ import pytest
 
 from sdpembed import (
     SolverConfig,
-    build_interval_problem,
     build_kernel,
     check_optimality,
+    gen_interval_grid,
     objective,
     solve,
 )
@@ -325,7 +325,7 @@ def test_cluster_pipeline_stops_on_certificate_residual(cluster_pipeline):
 
 
 def test_odd_interval_stops_on_certificate_residual():
-    K = build_interval_problem(201, 1.0).K
+    K = build_kernel(gen_interval_grid(201).points, 1.0).K
     state = solve(K, tight_config())
     _assert_stopped_on_certificate_residual(K, state, _certified_residual(K, state))
     # far from the rounding floor the two formulas agree in relative terms

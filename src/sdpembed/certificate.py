@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import _one_blas_thread, _times
+
 # how many of the smallest eigenvalues of L the report exposes
 _N_LEAST = 6
 
@@ -116,7 +118,7 @@ def _lanczos_least(K, D, tol, steps):
     blocks, T = [], np.zeros((0, 0))
     while len(blocks) < min(steps, n // b - 1):
         blocks.append(Q)
-        W = Q * D - Q @ K  # rows of L Q^T, since K is symmetric
+        W = Q * D - _times(K, Q, left=True)  # rows of L Q^T, since K is symmetric
         A = W @ Q.T
         for _ in range(2):
             for V in blocks:
@@ -175,6 +177,7 @@ def _checked_factor(H, n):
     return H
 
 
+@_one_blas_thread()
 def check_optimality(K, H_Xi):
     """Decide global optimality of ``rho = H_Xi H_Xi^T`` for the (N, N)
     kernel ``K``; row i of the (N, r) factor ``H_Xi`` must have squared norm
@@ -203,7 +206,7 @@ def check_optimality(K, H_Xi):
             f"row {worst} has squared norm {row_sq[worst]:.6e}, "
             f"constraint requires {diag[worst]:.6e}"
         )
-    k_rho, slackness = _slackness(K @ H_Xi, H_Xi, diag)
+    k_rho, slackness = _slackness(_times(K, H_Xi), H_Xi, diag)
     D = k_rho / diag
     eigenvalues = _least_eigenpairs(K, D, scale)[0]
     certified = slackness <= _RTOL * scale and eigenvalues[0] >= -_RTOL * scale

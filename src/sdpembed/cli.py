@@ -223,6 +223,7 @@ def build_parser():
     return parser
 
 
+@kernels._one_blas_thread()
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _map_blocks
+from .kernels import _map_blocks, _one_blas_thread
 
 
 @dataclass
@@ -52,6 +52,7 @@ def fix_signs(vectors):
     return vectors
 
 
+@_one_blas_thread()
 def spectral_basis(kernel):
     """Eigendecompose the walk via its symmetric conjugate.
 

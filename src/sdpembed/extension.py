@@ -94,6 +94,7 @@ def _extended_diagonal(kernel, dbar):
     return np.maximum(kappa, 0.0, out=kappa)
 
 
+@kernels._one_blas_thread()
 def extend_points(kernel, Xi, X):
     """Embed M new points by the projected Nystrom formula.
 

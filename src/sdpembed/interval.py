@@ -69,6 +69,7 @@ def _max_deviation(H_Xi, v):
     return float(worst.max())
 
 
+@kernels._one_blas_thread()
 def run_interval_experiment(n, sigma, cfg=None):
     """Solve, certify, and embed the discretized interval on ``n`` grid
     points at bandwidth ``sigma`` under the settings ``cfg``

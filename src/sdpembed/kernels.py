@@ -17,21 +17,27 @@ without.  It never holds the N x N gram.  One evaluator,
 coordinate differences of a row block, one dimension at a time, are one
 matrix product ``[-X_j, 1] @ [1, x_j]`` with inner dimension 2, which is
 exact, since each entry is two exact products and one rounded addition.  One
-block runner, ``_each_block``, deals every row block in the package; its
+block runner, ``_each_block``, deals every block in the package; its
 weight pass, ``_map_blocks``, hands row blocks of weights to the consumers:
 the degrees, ``K``, the extension to new points, the volume probes and the
 diffusion-maps gram.  ``K`` takes one weight pass (``build_kernel``): its
 rows of weights are written in place and the degrees are summed from them;
 a second pass of the same runner then normalizes the rows where they lie.
-From 8 blocks on, the runner deals the blocks to up to one thread per CPU,
-each with its own buffer; the results do not depend on the number of
-threads.  The degree of a new point is a row sum of the same weights; the
+Every product with ``K``, in the solver and the certificate, is
+``_times``, dealt by the same runner.  From 8 blocks on, the runner deals
+the blocks to up to one thread per CPU, each with its own buffer; the
+results do not depend on the number of threads.  These are the package's
+only threads: its public functions hold numpy's OpenBLAS at one thread
+(``_one_blas_thread``).  The degree of a new point is a row sum of the same weights; the
 module ``extension`` turns it into the new point's kernel row and diagonal
 value.
 """
 
+import ctypes
+import functools
 import os
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +48,20 @@ import numpy as np
 # thread, which keeps them in cache and the working memory beside the N x N K
 # small
 _BLOCK_BYTES = 1 << 20
+
+# products with K are dealt in blocks of this many rows of K, or columns
+# for V @ K, bounds that depend on N alone, so the bits do too.  At N = 2000
+# on a 2-core x86-64 VM, with 2 runner threads of one BLAS thread each,
+# K @ H (N x 2) took 1.5-1.7 ms in row blocks of 125 or 250 against
+# 2.0-2.3 ms on 2 OpenBLAS threads, and the certificate took 47-59 ms with
+# column blocks of 250 against 53-88 ms with 125
+_PRODUCT_ROWS = 125
+_PRODUCT_COLUMNS = 250
+
+# the depth of nested holds of one BLAS thread, and the caller's thread
+# count the outermost one restores: process-wide, as that count is
+_hold_lock = threading.Lock()
+_hold = {"depth": 0, "threads": None}
 
 
 @dataclass
@@ -113,13 +133,66 @@ def _cores():
         return os.cpu_count() or 1
 
 
+@functools.cache
+def _openblas():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS,
+    found by symbol in the libraries numpy's core module loaded, or None on
+    any other BLAS build."""
+    try:
+        from numpy._core import _multiarray_umath
+
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold numpy's bundled OpenBLAS at one thread for the block, so that the
+    block runner is the package's only source of threads: products with
+    ``K`` then have bits fixed by their block bounds, whatever the BLAS
+    thread count or the number of CPUs, and no idle OpenBLAS worker spins
+    beside the runner's threads.  Re-entrant and thread-safe: the outermost
+    hold sets the count to 1 and its exit restores the caller's count, also
+    after an exception.  On any other BLAS build it does nothing.  Every
+    public function that reaches the runner or ``K`` runs under it, and so
+    does every command of the CLI, whose LAPACK calls between products
+    would otherwise wake the second OpenBLAS thread again."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    with _hold_lock:
+        if _hold["depth"] == 0:
+            _hold["threads"] = get()
+            set_(1)
+        _hold["depth"] += 1
+    try:
+        yield
+    finally:
+        with _hold_lock:
+            _hold["depth"] -= 1
+            if _hold["depth"] == 0:
+                set_(_hold["threads"])
+
+
 def _each_block(m, rows, size, call):
     """Call ``call(start, stop, spare)`` on every block ``start:stop`` of
     ``rows`` rows out of ``m``; ``spare`` is a flat buffer of ``size`` floats
-    that belongs to the thread running the block.  Every row block in the
+    that belongs to the thread running the block.  Every block in the
     package is dealt here: the weight pass :func:`_map_blocks`, the second
     pass of :func:`build_kernel`, which normalizes ``K`` once its weight pass
-    has returned, and the sign residual of the interval experiment.
+    has returned, every product with ``K`` (:func:`_times`, whose blocks may
+    be columns) and the sign residual of the interval experiment.  These are
+    the package's only threads: its public functions hold BLAS at one thread
+    (:func:`_one_blas_thread`), so each block's BLAS call runs on the thread
+    that deals it, and block bounds fixed by the sizes fix the bits.
 
     The blocks are dealt round-robin to ``min(cores, blocks // 4)`` threads,
     the calling one included, each with its own ``spare``; numpy releases the
@@ -155,6 +228,32 @@ def _each_block(m, rows, size, call):
         thread.join()
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
+
+
+def _times(K, V, left=False):
+    """``K @ V`` for an (N, p) ``V``, or with ``left`` ``V @ K`` for a (p, N)
+    ``V``: the one product with the (N, N) ``K``, dealt by the block runner
+    :func:`_each_block` in blocks of ``_PRODUCT_ROWS`` rows of ``K``, or with
+    ``left`` of ``_PRODUCT_COLUMNS`` columns, which Lanczos takes since they
+    ran faster than row blocks of ``K @ V.T``.  The bounds depend on N alone,
+    so under :func:`_one_blas_thread` the bits are the same for any number
+    of CPUs or BLAS threads.  Below the runner's 8 blocks (N <= 875, or
+    1750 in columns, as for the paper's 308 points) it is one BLAS call on
+    the calling thread, so no thread starts."""
+    n = K.shape[0]
+    block = _PRODUCT_COLUMNS if left else _PRODUCT_ROWS
+    if n <= 7 * block:
+        return V @ K if left else K @ V
+    out = np.empty(V.shape)
+
+    def product(start, stop, spare):
+        if left:
+            np.matmul(V, K[:, start:stop], out=out[:, start:stop])
+        else:
+            np.matmul(K[start:stop], V, out=out[start:stop])
+
+    _each_block(n, block, 0, product)
+    return out
 
 
 def _map_blocks(X, points, sigma, fn, target=None):
@@ -214,6 +313,7 @@ def _checked_points(points, sigma):
     return points
 
 
+@_one_blas_thread()
 def gaussian_gram(points, sigma):
     """Degrees and total volume of the Gaussian kernel of a point cloud.
 
@@ -249,6 +349,7 @@ def diffusion_kernel(kernel):
     return build_kernel(kernel.points, kernel.sigma)
 
 
+@_one_blas_thread()
 def build_kernel(points, sigma):
     """Centered kernel ``K`` of a point cloud, with its degrees and volume,
     from one pass over the Gaussian weights.

@@ -19,6 +19,7 @@ class PipelineResult:
     certificate: certificate.CertificateReport
 
 
+@kernels._one_blas_thread()
 def embed_points(points, sigma, config=None):
     """Run the full training pipeline on ``points`` under ``config`` (``SolverConfig()`` if None).
 

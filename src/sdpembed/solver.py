@@ -28,6 +28,7 @@ import numpy as np
 
 from .certificate import _RTOL, CertificateReport, _least_eigenpairs, _slackness, check_optimality
 from .embedding import _RANK_TOL, _check_rank_tol
+from .kernels import _one_blas_thread, _times
 
 # rows of norm below this are re-randomized; a power step that lowers E by
 # more than _MONOTONE_RTOL Tr(K)^2 (which bounds |E|) is an internal error
@@ -130,12 +131,13 @@ def init_factor(n_points, cfg, rng=None):
     return _unit_rows(rng.uniform(-1.0, 1.0, (n_points, cfg.r0)), rng)
 
 
+@_one_blas_thread()
 def objective(K, H_Xi):
     """``Tr(H_Xi^T K H_Xi)``, which is Tr(rho K) for rho = H_Xi H_Xi^T."""
     K = np.asarray(K, dtype=float)
     if H_Xi.shape[0] != K.shape[0]:
         raise ValueError(f"shape mismatch: K is {K.shape}, H_Xi is {H_Xi.shape}")
-    return float(np.einsum("ij,ij->", H_Xi, K @ H_Xi))
+    return float(np.einsum("ij,ij->", H_Xi, _times(K, H_Xi)))
 
 
 class _Point:
@@ -146,7 +148,7 @@ class _Point:
 
     def __init__(self, K, root, Y):
         self.Y, self.H, self.root = Y, root[:, None] * Y, root
-        self.KH = K @ self.H
+        self.KH = _times(K, self.H)
         self.k_rho, self.residual = _slackness(self.KH, self.H, root * root)
         self.energy = float(self.k_rho.sum())
 
@@ -174,7 +176,7 @@ def _tcg(K, root, x, radius):
     while products < Y.size:
         # proj(2 D delta - 2 J delta + mu delta): the projection also keeps
         # rounding in delta off the normal space, where D is large
-        hd = shifted * delta - 2.0 * scaled * (K @ (scaled * delta))
+        hd = shifted * delta - 2.0 * scaled * _times(K, scaled * delta)
         hd -= np.einsum("ij,ij->i", Y, hd)[:, None] * Y
         products += 1
         curv = np.vdot(delta, hd)
@@ -199,6 +201,7 @@ def _tcg(K, root, x, radius):
     return eta, decrease, products
 
 
+@_one_blas_thread()
 def solve(K, cfg, start=None):
     """Solve for the (N, N) p.s.d. kernel ``K``; returns a ``FactorState``.
 

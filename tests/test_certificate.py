@@ -11,7 +11,7 @@ from sdpembed import (
     solve,
 )
 
-from sdpembed import certificate
+from sdpembed import certificate, kernels
 from sdpembed.certificate import (
     _LANCZOS_BASIS,
     _LANCZOS_RTOL,
@@ -261,8 +261,11 @@ def test_lanczos_ritz_pairs_are_eigenpairs_on_the_2k_clusters(clusters_2k):
     steps = int(_LANCZOS_BASIS * K.shape[0]) // _N_LEAST
     residuals = []
     for H_Xi in (clusters_2k.factor.H_Xi, _random_feasible_factor(K)):
-        D = np.einsum("ij,ij->i", K @ H_Xi, H_Xi) / np.diag(K)
-        theta, V = _lanczos_least(K, D, tol, steps)
+        # the product and the BLAS thread count of check_optimality, so the
+        # same bits
+        with kernels._one_blas_thread():
+            D = np.einsum("ij,ij->i", kernels._times(K, H_Xi), H_Xi) / np.diag(K)
+            theta, V = _lanczos_least(K, D, tol, steps)
         assert V.shape == (K.shape[0], _N_LEAST)
         assert np.allclose(np.linalg.norm(V, axis=0), 1.0, atol=1e-12)
         residuals.append(_assert_ritz_contract(theta, V, K, D, tol))

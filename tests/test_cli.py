@@ -13,6 +13,7 @@ from sdpembed import (
     load_embedding,
     save_csv,
 )
+from sdpembed import kernels
 from sdpembed.cli import _load_model, main
 
 from conftest import C
@@ -190,6 +191,32 @@ def test_embed_byte_identical_artifacts(two_point_csv, tmp_path):
     assert main(args + ["--out", str(out_b)]) == 0
     for name in ("embedding.json", "certificate.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_embed_and_certify_write_the_same_bytes_at_one_and_two_blas_threads(tmp_path, capsys):
+    # N = 1508, where the products with K are dealt in blocks and Lanczos
+    # decides the certificate; the caller's OpenBLAS count is restored after
+    # every command, also after a failed stage
+    blas = kernels._openblas()
+    if blas is None:
+        pytest.skip("numpy does not bundle OpenBLAS here")
+    get, set_ = blas
+    save_csv(gen_three_clusters(500, 8, 3), tmp_path / "train.csv")
+    before = get()
+    try:
+        for threads in (1, 2):
+            set_(threads)
+            count, out = get(), tmp_path / str(threads)
+            assert main(["embed", str(tmp_path / "train.csv"), "--sigma", "5", "--out", str(out)]) == 0
+            assert main(["certify", str(out / "embedding.json"), "--out", str(out / "certify")]) == 0
+            assert get() == count
+            assert main(["certify", str(tmp_path / "missing.json"), "--out", str(out)]) == 1
+            assert "embedding loading" in capsys.readouterr().err
+            assert get() == count
+    finally:
+        set_(before)
+    for name in ("embedding.json", "certificate.json", "certify/certificate.json"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 def test_extend_training_points_roundtrip(cluster_csv, tmp_path):

@@ -9,6 +9,7 @@ import pytest
 
 from sdpembed import (
     build_kernel,
+    check_optimality,
     embed_points,
     extend_points,
     gaussian_gram,
@@ -417,10 +418,122 @@ def test_a_thread_without_its_buffer_raises(monkeypatch):
 
 
 def test_kernel_of_the_paper_points_starts_no_thread(clusters, monkeypatch):
-    # two row blocks at N = 308: threads would cost more than they save
+    # two row blocks at N = 308, and three for each product with K: threads
+    # would cost more than they save
     started = _count_threads(monkeypatch, 64)
     build_kernel(clusters.points, 1.0)
+    embed_points(clusters.points, 1.0)
     assert started == []
+
+
+def _blas_or_skip():
+    """The thread-count functions of numpy's bundled OpenBLAS."""
+    blas = kernels._openblas()
+    if blas is None:
+        pytest.skip("numpy does not bundle OpenBLAS here")
+    return blas
+
+
+def test_one_blas_thread_nests_and_restores_the_callers_count():
+    get, set_ = _blas_or_skip()
+    before = get()
+    try:
+        set_(2)
+        two = get()
+        with kernels._one_blas_thread():
+            assert get() == 1
+            with pytest.raises(ValueError, match="inner"):
+                with kernels._one_blas_thread():
+                    raise ValueError("inner")
+            # only the outermost exit restores
+            assert get() == 1
+        assert get() == two
+        with pytest.raises(ValueError, match="outer"):
+            with kernels._one_blas_thread():
+                raise ValueError("outer")
+        assert get() == two and kernels._hold["depth"] == 0
+    finally:
+        set_(before)
+
+
+def test_holds_from_threads_that_switch_every_microsecond(monkeypatch):
+    # eight threads enter and leave nested holds at once, each sleeping
+    # while it reads the caller's count and while it holds: a lost update
+    # of the depth would restore the count while another thread still holds
+    get, set_ = _blas_or_skip()
+    before, interval = get(), sys.getswitchinterval()
+    seen = []
+
+    def slow_get():
+        time.sleep(1e-4)
+        return get()
+
+    def enter_and_leave():
+        for _ in range(200):
+            with kernels._one_blas_thread():
+                with kernels._one_blas_thread():
+                    time.sleep(1e-4)
+                    seen.append(get())
+
+    monkeypatch.setattr(kernels, "_openblas", lambda: (slow_get, set_))
+
+    try:
+        set_(2)
+        two = get()
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=enter_and_leave) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == [1] * 1600
+        assert get() == two and kernels._hold["depth"] == 0
+    finally:
+        sys.setswitchinterval(interval)
+        set_(before)
+
+
+def test_products_with_K_give_the_same_bits_on_one_and_two_cores(monkeypatch):
+    rng = np.random.default_rng(4)
+    n = 2000
+    K = rng.standard_normal((n, n))
+    K += K.T
+    V, Q = rng.standard_normal((n, 6)), rng.standard_normal((6, n))
+    results = {}
+    with kernels._one_blas_thread():
+        for cores in (1, 2):
+            started = _count_threads(monkeypatch, cores)
+            results[cores] = (
+                kernels._times(K, V[:, :2]), kernels._times(K, V), kernels._times(K, Q, left=True)
+            )
+            # 16 row blocks and 8 column blocks: each product starts a thread
+            assert len(started) == 3 * (cores - 1)
+            assert not any(thread.is_alive() for thread in started)
+    for one, two in zip(results[1], results[2]):
+        assert np.array_equal(one, two)
+    for product, exact in zip(results[1], (K @ V[:, :2], K @ V, Q @ K)):
+        assert np.allclose(product, exact, rtol=0, atol=1e-11 * np.abs(exact).max())
+    # below 8 blocks, one call of the calling thread
+    small = K[:308, :308]
+    assert np.array_equal(kernels._times(small, V[:308]), small @ V[:308])
+
+
+def test_results_stay_correct_without_the_hold(clusters_2k, monkeypatch):
+    # a BLAS build that is not numpy's OpenBLAS: the hold does nothing, and
+    # the same optimum is still certified
+    K, H_Xi = clusters_2k.kernel.K, clusters_2k.factor.H_Xi
+    points = clusters_2k.kernel.points
+    held = check_optimality(K, H_Xi), embed_points(points, 5.0)
+    monkeypatch.setattr(kernels, "_openblas", lambda: None)
+    free = check_optimality(K, H_Xi), embed_points(points, 5.0)
+    assert free[0].is_certified and free[1].certificate.is_certified
+    scale = np.diag(K).max()
+    assert np.max(np.abs(free[0].least_eigenvalues - held[0].least_eigenvalues)) <= 1e-10 * scale
+    assert free[0].objective == pytest.approx(held[0].objective, rel=1e-12)
+    assert free[1].embedding.rank == held[1].embedding.rank == 2
+    assert free[1].factor.objective == pytest.approx(held[1].factor.objective, rel=1e-12)
+    assert np.array_equal(build_kernel(points, 1.0).K, K)
 
 
 def test_kernel_diagonal_formula():

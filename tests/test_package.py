@@ -15,12 +15,14 @@ PROBE = """
 import json, sys
 import sdpembed, sdpembed.cli
 loaded = "sdpembed.diagnostics" in sys.modules
+# nor does an import look up the BLAS library, whose thread count only a call holds
+blas = sdpembed.kernels._openblas.cache_info().misses
 unresolved = [name for name in sdpembed.__all__ if not hasattr(sdpembed, name)]
 import sdpembed.diagnostics
 shared = sorted(set(sdpembed.__all__) & set(sdpembed.diagnostics.__all__))
 missing = [n for n in sdpembed.diagnostics.__all__ if not hasattr(sdpembed.diagnostics, n)]
 print(json.dumps({"loaded": loaded, "unresolved": unresolved, "shared": shared,
-                  "missing": missing}))
+                  "missing": missing, "blas": blas}))
 """
 
 
@@ -39,6 +41,7 @@ def test_main_path_does_not_load_diagnostics():
         "unresolved": [],
         "shared": [],
         "missing": [],
+        "blas": 0,
     }
 
 

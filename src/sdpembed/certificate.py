@@ -14,12 +14,21 @@ Weak duality bounds the distance to the optimum: for every feasible rho',
 Tr(K rho') = Tr(K rho) - Tr(L rho') <= Tr(K rho) - lambda_min(L) Tr(K), so
 max(0, -lambda_min(L)) Tr(K) bounds Tr(K rho*) - Tr(K rho) from above.  It is
 reported as the duality gap, and it vanishes exactly when L >= 0.
+
+``check_optimality`` decides for a given ``K``.  ``certify_points``, the
+certificate of ``sdpembed certify``, needs no ``K`` where a low-rank factor
+of the Gaussian gram decides: from 1500 points on, L's least eigenvalues come
+from L~ = diag(D) - K~ with ||K - K~||_2 <= delta, and since lambda_min(L) >=
+lambda_min(L~) - delta, the eigenvalue test and the duality gap take that
+lower bound; the dense certificate decides wherever delta could change the
+verdict.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .kernels import _one_blas_thread, _times
 
 # how many of the smallest eigenvalues of L the report exposes
@@ -46,6 +55,15 @@ _LANCZOS_RTOL = 1e-10
 # large sigma, where L's spectrum clusters (96 at sigma = 50 and N = 1502)
 _LANCZOS_BASIS = 0.2
 
+# from _DENSE_BELOW points on, certify_points pivots its factor of the
+# Gaussian gram until the residual trace over min_i d_i, which bounds
+# ||K - K~||_2 up to rounding, is at most this much of max_i K_ii, 10x below
+# _LANCZOS_RTOL.  An absolute 1e-14 N on the trace left L~'s eigenvalues
+# 1.4e-10 max_i K_ii from L's on the clusters at N = 3998, sigma = 50, whose
+# max_i K_ii = 7e-6 comes from cancellation; this takes 78-82 pivots on the
+# ten 2k training sets at sigma = 5 and 23-34 at sigma = 20 and 50
+_FACTOR_RTOL = 1e-11
+
 
 class PrimalInfeasibilityError(ValueError):
     """The candidate factor does not satisfy the diagonal constraints."""
@@ -54,9 +72,12 @@ class PrimalInfeasibilityError(ValueError):
 @dataclass
 class CertificateReport:
     """Outcome of the optimality check; eigenvalues ascending.  The
-    tolerances ``tol_slack`` and ``tol_eig`` are relative to max_i K_ii;
-    ``duality_gap`` is the weak-duality bound max(0, -lambda_min(L)) Tr(K)
-    on Tr(K rho*) - ``objective``."""
+    tolerances ``tol_slack`` and ``tol_eig`` are relative to ``scale``,
+    max_i K_ii.  ``least_eigenvalues`` are those of an ``L~`` with
+    ||L - L~||_2 <= ``kernel_error_bound`` (0 where they are L's own), so
+    the eigenvalue test takes lambda_min(L~) minus that bound, and so does
+    ``duality_gap``, the weak-duality bound max(0, -lambda_min(L)) Tr(K) on
+    Tr(K rho*) - ``objective``."""
 
     slackness_residual: float
     least_eigenvalues: np.ndarray
@@ -67,6 +88,8 @@ class CertificateReport:
     tol_eig: float
     objective: float
     mean_value_slack: float
+    scale: float
+    kernel_error_bound: float
 
 
 def _slackness(KH, H_Xi, diag):
@@ -95,30 +118,32 @@ def _ritz_converged(theta, r, tol):
     return bool(np.all((r[:b] <= tol) | (r[:b] ** 2 <= tol * delta)))
 
 
-def _lanczos_least(K, D, tol, steps):
-    """The ``_N_LEAST`` least eigenpairs of ``L = diag(D) - K`` by block
+def _lanczos_least(times, D, tol, steps, vectors=True):
+    """The ``_N_LEAST`` least eigenpairs of ``L = diag(D) - K``, where
+    ``times(Q)`` gives ``Q @ K`` for a (``_N_LEAST``, N) ``Q``, by block
     Lanczos with full reorthogonalization: Ritz values ascending and unit
-    Ritz vectors as columns, or None if ``_ritz_converged`` does not place
-    every Ritz value within ``tol`` of an eigenvalue within ``steps`` steps
-    (or the basis fills R^N).  They are checked on every step up to the
+    Ritz vectors as columns (None unless ``vectors``), or None if
+    ``_ritz_converged`` does not place every Ritz value within ``tol`` of an
+    eigenvalue within ``steps`` steps (or the basis fills R^N).  They are checked on every step up to the
     16th, then on every (step // 8)-th, so the Rayleigh-Ritz eighs cost a
     few times the last.  A vector's residual ||L v - theta v|| is at most
     ``tol`` where its value crowds others, such as the zero of a certified
     L; an isolated value's may reach about sqrt(tol gap).
 
-    The block of ``_N_LEAST`` vectors (rows of ``Q``) reads K once per step
-    and resolves a least eigenvalue repeated up to ``_N_LEAST`` times, such
-    as the zero of a certified L, whose multiplicity is the rank.  A residual
+    The block of ``_N_LEAST`` vectors (rows of ``Q``) takes one product per
+    step and resolves a least eigenvalue repeated up to ``_N_LEAST`` times,
+    such as the zero of a certified L, whose multiplicity is the rank.  A residual
     direction below ``tol`` spans an invariant subspace (a breakdown): it is
     replaced by a random vector orthogonal to the basis, with zero coupling.
     """
-    n, b = K.shape[0], _N_LEAST
+    n, b = len(D), _N_LEAST
     rng = np.random.default_rng(0)
     Q = np.linalg.qr(rng.standard_normal((n, b)))[0].T
     blocks, T = [], np.zeros((0, 0))
     while len(blocks) < min(steps, n // b - 1):
         blocks.append(Q)
-        W = Q * D - _times(K, Q, left=True)  # rows of L Q^T, since K is symmetric
+        W = times(Q)
+        np.subtract(Q * D, W, out=W)  # rows of L Q^T, since K is symmetric
         A = W @ Q.T
         for _ in range(2):
             for V in blocks:
@@ -141,9 +166,18 @@ def _lanczos_least(K, D, tol, steps):
         if len(blocks) % max(1, len(blocks) // 8) == 0:
             theta, S = np.linalg.eigh(T)
             if _ritz_converged(theta, np.linalg.norm(B @ S[-b:, : 2 * b], axis=0), tol):
-                vectors = sum(V.T @ S[j * b : (j + 1) * b, :b] for j, V in enumerate(blocks))
-                return theta[:b], vectors
+                if not vectors:
+                    return theta[:b], None
+                ritz = np.zeros((n, b))
+                for j, V in enumerate(blocks):
+                    ritz += V.T @ S[j * b : (j + 1) * b, :b]
+                return theta[:b], ritz
     return None
+
+
+def _lanczos_steps(n):
+    """Lanczos steps of ``_N_LEAST`` vectors in a basis of ``_LANCZOS_BASIS n``."""
+    return int(_LANCZOS_BASIS * n) // _N_LEAST
 
 
 def _least_eigenpairs(K, D, scale, vectors=False):
@@ -152,8 +186,8 @@ def _least_eigenpairs(K, D, scale, vectors=False):
     ``_DENSE_BELOW`` points on, else (or when Lanczos gives up) by a dense
     solve, which returns the vectors only when asked for (else None)."""
     if K.shape[0] >= _DENSE_BELOW:
-        steps = int(_LANCZOS_BASIS * K.shape[0]) // _N_LEAST
-        pairs = _lanczos_least(K, D, _LANCZOS_RTOL * scale, steps)
+        tol, steps = _LANCZOS_RTOL * scale, _lanczos_steps(len(D))
+        pairs = _lanczos_least(lambda Q: Q @ K, D, tol, steps, vectors)
         if pairs is not None:
             return pairs
     L = np.negative(K)
@@ -190,13 +224,21 @@ def check_optimality(K, H_Xi):
     ``eigvalsh`` below N = 1500 and from block Lanczos on v -> D v - K v,
     which forms no N x N array, above (each to 1e-10 max_i K_ii by the
     Ritz error bound min(r, r^2 / gap); if Lanczos has not converged with
-    N / 5 basis vectors, the dense solve decides).  A factor of any other
-    shape than (N, r) with r >= 1, or with a non-finite entry, raises
-    ``ValueError``.
+    N / 5 basis vectors, the dense solve decides); ``kernel_error_bound``
+    is 0.  A factor of any other shape than (N, r) with r >= 1, or with a
+    non-finite entry, raises ``ValueError``.
     """
     K = np.asarray(K, dtype=float)
     H_Xi = _checked_factor(H_Xi, K.shape[0])
     diag = np.diag(K)
+    scale = _checked_feasible(H_Xi, diag)
+    k_rho, slackness = _slackness(_times(K, H_Xi), H_Xi, diag)
+    return _report(slackness, _least_eigenpairs(K, k_rho / diag, scale)[0], 0.0, k_rho, diag)
+
+
+def _checked_feasible(H_Xi, diag):
+    """``max_i K_ii``, after checking that row i of ``H_Xi`` has squared
+    norm ``K_ii`` to ``_RTOL`` of it (else ``PrimalInfeasibilityError``)."""
     scale = float(diag.max())
     row_sq = np.einsum("ij,ij->i", H_Xi, H_Xi)
     violation = np.abs(row_sq - diag)
@@ -206,18 +248,75 @@ def check_optimality(K, H_Xi):
             f"row {worst} has squared norm {row_sq[worst]:.6e}, "
             f"constraint requires {diag[worst]:.6e}"
         )
-    k_rho, slackness = _slackness(_times(K, H_Xi), H_Xi, diag)
+    return scale
+
+
+def _report(slackness, eigenvalues, bound, k_rho, diag):
+    """The report from the slackness residual, the least eigenvalues of an
+    ``L~`` within ``bound`` of L, ``(K rho)_ii`` and ``diag K``."""
+    scale = float(diag.max())
     D = k_rho / diag
-    eigenvalues = _least_eigenpairs(K, D, scale)[0]
-    certified = slackness <= _RTOL * scale and eigenvalues[0] >= -_RTOL * scale
+    least = float(eigenvalues[0]) - bound
     return CertificateReport(
         slackness_residual=slackness,
         least_eigenvalues=eigenvalues.copy(),
-        duality_gap=max(0.0, -float(eigenvalues[0])) * float(diag.sum()),
+        duality_gap=max(0.0, -least) * float(diag.sum()),
         D_diagonal=D,
-        is_certified=bool(certified),
+        is_certified=bool(slackness <= _RTOL * scale and least >= -_RTOL * scale),
         tol_slack=_RTOL,
         tol_eig=_RTOL,
         objective=float(k_rho.sum()),
         mean_value_slack=float(np.min(D - diag)),
+        scale=scale,
+        kernel_error_bound=bound,
     )
+
+
+@_one_blas_thread()
+def certify_points(points, sigma, H_Xi):
+    """:func:`check_optimality` of ``rho = H_Xi H_Xi^T`` for the centered
+    kernel of ``points`` at bandwidth ``sigma``, without ``K`` where a
+    low-rank factor of the Gaussian gram decides: the certificate of
+    ``sdpembed certify``.
+
+    Below ``_DENSE_BELOW`` points it builds ``K`` and calls
+    :func:`check_optimality`.  From there on it works from the degrees of
+    :func:`kernels.gaussian_gram`: ``diag K`` and ``K @ H_Xi`` (one more
+    weight pass) are those of ``K``, and so are the feasibility, ``D``, the
+    slackness and the objective.  The least eigenvalues are those of
+    ``L~ = diag(D) - K~`` by block Lanczos, where ``K~`` comes from a
+    pivoted Cholesky factor of the gram with ``||K - K~||_2 <= delta``
+    (:func:`kernels._low_rank`), and a product costs O(N r).  Since
+    ``lambda_min(L) >= lambda_min(L~) - delta``, the eigenvalue test and the
+    duality gap take ``lambda_min(L~) - delta``; the report gives ``delta``
+    as ``kernel_error_bound``.  The dense certificate decides instead when
+    the factor needs more than N / 20 pivots, when Lanczos gives up, or when
+    ``-tol_eig max_i K_ii`` lies within ``delta`` of ``lambda_min(L~)``,
+    where ``delta`` could change the verdict: so the factor never does.
+    Raises as :func:`check_optimality` does.
+    """
+    points = kernels._checked_points(points, sigma)
+    if len(points) >= _DENSE_BELOW:
+        report = _factored_certificate(kernels.gaussian_gram(points, sigma), H_Xi)
+        if report is not None:
+            return report
+    return check_optimality(kernels.build_kernel(points, sigma).K, H_Xi)
+
+
+def _factored_certificate(kernel, H_Xi):
+    """The report of :func:`certify_points` from ``K~``, or None where the
+    dense certificate must decide."""
+    n = len(kernel.degrees)
+    H_Xi = _checked_factor(H_Xi, n)
+    diag = kernels._diagonal(kernel)
+    scale = _checked_feasible(H_Xi, diag)
+    k_rho, slackness = _slackness(kernels._product(kernel, H_Xi), H_Xi, diag)
+    factored = kernels._low_rank(kernel, n // 20, _FACTOR_RTOL * scale)
+    if factored is None:
+        return None
+    A, c, delta = factored
+    tol, steps = _LANCZOS_RTOL * scale, _lanczos_steps(n)
+    pairs = _lanczos_least(lambda Q: ((Q @ A.T) * c) @ A, k_rho / diag, tol, steps, False)
+    if pairs is None or abs(pairs[0][0] + _RTOL * scale) <= delta:
+        return None
+    return _report(slackness, pairs[0], delta, k_rho, diag)

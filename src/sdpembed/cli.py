@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, diffmaps, interval, kernels, pipeline
-from .certificate import PrimalInfeasibilityError, check_optimality
+from .certificate import PrimalInfeasibilityError, certify_points
 from .dataio import CsvFormatError, EmbeddingSchemaError, _write_csv, _write_json
 from .extension import extend_points
 from .solver import SolverConfig
@@ -95,12 +95,12 @@ def _load_model(path):
     return ef.coordinates, points, float(sigma)
 
 
-def _exit_code(report, K, factor=None, tol=None):
+def _exit_code(report, factor=None, tol=None):
     """0 for a certified (and converged) run; otherwise 2, after one stderr
     line naming each failed test with its value and bound."""
     if report.is_certified and (factor is None or factor.converged):
         return 0
-    scale = float(K.diagonal().max())
+    scale = report.scale
     failed = []
     if factor is not None and not factor.converged:
         failed.append(
@@ -126,7 +126,7 @@ def _exit_code(report, K, factor=None, tol=None):
 
 def cmd_embed(args):
     _, result, _ = _train(args)
-    return _exit_code(result.certificate, result.kernel.K, result.factor, args.tol_conv)
+    return _exit_code(result.certificate, result.factor, args.tol_conv)
 
 
 def cmd_extend(args):
@@ -145,15 +145,15 @@ def cmd_extend(args):
 def cmd_certify(args):
     with _stage("embedding loading", EmbeddingSchemaError, OSError, ValueError):
         Xi, points, sigma = _load_model(args.embedding)
-        K = kernels.build_kernel(points, sigma).K
+        points = kernels._checked_points(points, sigma)
     out = _out_dir(args)
     try:
-        report = check_optimality(K, Xi)
+        report = certify_points(points, sigma, Xi)
     except PrimalInfeasibilityError as exc:
         print(f"sdpembed: primal feasibility violated: {exc}", file=sys.stderr)
         return 2
     _write_json(out / "certificate.json", asdict(report))
-    return _exit_code(report, K)
+    return _exit_code(report)
 
 
 def cmd_compare(args):
@@ -163,7 +163,7 @@ def cmd_compare(args):
         dm_coords = diffmaps.diffusion_map(basis, t=1.0, m=min(2, ds.n_points - 1))
     _write_csv(out / "dm_embedding.csv", [np.arange(ds.n_points), *dm_coords.T])
     _write_json(out / "dm_eigenvalues.json", {"eigenvalues": basis.eigenvalues[:6]})
-    return _exit_code(result.certificate, result.kernel.K, result.factor, args.tol_conv)
+    return _exit_code(result.certificate, result.factor, args.tol_conv)
 
 
 def cmd_toy(args):
@@ -171,7 +171,7 @@ def cmd_toy(args):
         cfg = _solver_config(args)
         report, result = interval.run_interval_experiment(args.n, args.sigma, cfg=cfg)
     _write_json(_out_dir(args) / "toy_report.json", asdict(report))
-    return _exit_code(result.certificate, result.kernel.K, result.factor, args.tol_conv)
+    return _exit_code(result.certificate, result.factor, args.tol_conv)
 
 
 def _add_solver_flags(p):

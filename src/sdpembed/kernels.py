@@ -19,18 +19,22 @@ matrix product ``[-X_j, 1] @ [1, x_j]`` with inner dimension 2, which is
 exact, since each entry is two exact products and one rounded addition.  One
 block runner, ``_each_block``, deals every block in the package; its
 weight pass, ``_map_blocks``, hands row blocks of weights to the consumers:
-the degrees, ``K``, the extension to new points, the volume probes and the
-diffusion-maps gram.  ``K`` takes one weight pass (``build_kernel``): its
-rows of weights are written in place and the degrees are summed from them;
-a second pass of the same runner then normalizes the rows where they lie.
-Every product with ``K``, in the solver and the certificate, is
-``_times``, dealt by the same runner.  From 8 blocks on, the runner deals
-the blocks to up to one thread per CPU, each with its own buffer; the
-results do not depend on the number of threads.  These are the package's
-only threads: its public functions hold numpy's OpenBLAS at one thread
-(``_one_blas_thread``).  The degree of a new point is a row sum of the same weights; the
-module ``extension`` turns it into the new point's kernel row and diagonal
-value.
+the degrees, ``K``, the extension to new points, the volume probes, the
+diffusion-maps gram and ``K @ V`` without ``K`` (``_product``).  ``K`` takes
+one weight pass (``build_kernel``): its rows of weights are written in
+place and the degrees are summed from them; a second pass of the same
+runner then normalizes the rows where they lie.  The products ``K @ V`` of
+the solver and the certificate are ``_times``, dealt by the same runner;
+the Lanczos step's ``Q @ K`` is one BLAS call.  Where ``K`` is never built,
+as in ``sdpembed certify`` from 1500 points on, ``_diagonal`` gives
+``diag K`` from the degrees and ``_low_rank`` a pivoted Cholesky factor of
+the gram, one row of weights per pivot, with a bound on its error in
+``K``.  From 8 blocks on, the runner deals the blocks to up to one thread
+per CPU, each with its own buffer; the results do not depend on the number
+of threads.  These are the package's only threads: its public functions
+hold numpy's OpenBLAS at one thread (``_one_blas_thread``).  The degree of
+a new point is a row sum of the same weights; the module ``extension``
+turns it into the new point's kernel row and diagonal value.
 """
 
 import ctypes
@@ -49,14 +53,12 @@ import numpy as np
 # small
 _BLOCK_BYTES = 1 << 20
 
-# products with K are dealt in blocks of this many rows of K, or columns
-# for V @ K, bounds that depend on N alone, so the bits do too.  At N = 2000
-# on a 2-core x86-64 VM, with 2 runner threads of one BLAS thread each,
-# K @ H (N x 2) took 1.5-1.7 ms in row blocks of 125 or 250 against
-# 2.0-2.3 ms on 2 OpenBLAS threads, and the certificate took 47-59 ms with
-# column blocks of 250 against 53-88 ms with 125
+# products K @ V are dealt in blocks of this many rows of K, a bound that
+# depends on N alone, so the bits do too.  At N = 2000 on a 2-core x86-64
+# VM, with 2 runner threads of one BLAS thread each, K @ H (N x 2) took
+# 1.5-1.7 ms in row blocks of 125 or 250 against 2.0-2.3 ms on 2 OpenBLAS
+# threads
 _PRODUCT_ROWS = 125
-_PRODUCT_COLUMNS = 250
 
 # the depth of nested holds of one BLAS thread, and the caller's thread
 # count the outermost one restores: process-wide, as that count is
@@ -188,9 +190,9 @@ def _each_block(m, rows, size, call):
     that belongs to the thread running the block.  Every block in the
     package is dealt here: the weight pass :func:`_map_blocks`, the second
     pass of :func:`build_kernel`, which normalizes ``K`` once its weight pass
-    has returned, every product with ``K`` (:func:`_times`, whose blocks may
-    be columns) and the sign residual of the interval experiment.  These are
-    the package's only threads: its public functions hold BLAS at one thread
+    has returned, the products ``K @ V`` (:func:`_times`) and the sign
+    residual of the interval experiment.  These are the package's only
+    threads: its public functions hold BLAS at one thread
     (:func:`_one_blas_thread`), so each block's BLAS call runs on the thread
     that deals it, and block bounds fixed by the sizes fix the bits.
 
@@ -230,29 +232,25 @@ def _each_block(m, rows, size, call):
         raise min(failures, key=lambda failure: failure[0])[1]
 
 
-def _times(K, V, left=False):
-    """``K @ V`` for an (N, p) ``V``, or with ``left`` ``V @ K`` for a (p, N)
-    ``V``: the one product with the (N, N) ``K``, dealt by the block runner
-    :func:`_each_block` in blocks of ``_PRODUCT_ROWS`` rows of ``K``, or with
-    ``left`` of ``_PRODUCT_COLUMNS`` columns, which Lanczos takes since they
-    ran faster than row blocks of ``K @ V.T``.  The bounds depend on N alone,
-    so under :func:`_one_blas_thread` the bits are the same for any number
-    of CPUs or BLAS threads.  Below the runner's 8 blocks (N <= 875, or
-    1750 in columns, as for the paper's 308 points) it is one BLAS call on
-    the calling thread, so no thread starts."""
+def _times(K, V):
+    """``K @ V`` for an (N, p) ``V``: the product with the (N, N) ``K`` of
+    the solver and the certificate's slackness, dealt by the block runner
+    :func:`_each_block` in blocks of ``_PRODUCT_ROWS`` rows of ``K``.  The
+    bounds depend on N alone, so under :func:`_one_blas_thread` the bits are
+    the same for any number of CPUs or BLAS threads.  Below the runner's 8
+    blocks (N <= 875, as for the paper's 308 points) it is one BLAS call on
+    the calling thread, so no thread starts.  (The Lanczos step's ``Q @ K``
+    is one BLAS call at any N: at N = 2000 it ran faster than in blocks of
+    rows or columns, with the same bits.)"""
     n = K.shape[0]
-    block = _PRODUCT_COLUMNS if left else _PRODUCT_ROWS
-    if n <= 7 * block:
-        return V @ K if left else K @ V
+    if n <= 7 * _PRODUCT_ROWS:
+        return K @ V
     out = np.empty(V.shape)
 
     def product(start, stop, spare):
-        if left:
-            np.matmul(V, K[:, start:stop], out=out[:, start:stop])
-        else:
-            np.matmul(K[start:stop], V, out=out[start:stop])
+        np.matmul(K[start:stop], V, out=out[start:stop])
 
-    _each_block(n, block, 0, product)
+    _each_block(n, _PRODUCT_ROWS, 0, product)
     return out
 
 
@@ -390,3 +388,90 @@ def build_kernel(points, sigma):
     rows = _block_rows(n)
     _each_block(n, rows, min(rows, n) * n, normalize)
     return kernel
+
+
+def _diagonal(kernel):
+    """``diag K`` from the degrees alone, with the bits of
+    ``np.diag(build_kernel(points, sigma).K)``: ``k(x, x) == 1`` exactly,
+    and the build divides it by ``sqrt(d_i) sqrt(d_i)`` and subtracts that
+    product over the volume, as here."""
+    root_d = np.sqrt(kernel.degrees)
+    outer = root_d * root_d
+    return 1.0 / outer - outer / kernel.volume
+
+
+def _product(kernel, V):
+    """``K @ V`` for an (N, p) ``V`` without ``K``, from one weight pass:
+    row i is ``(W (V / sqrt(d)))_i / sqrt(d_i) - sqrt(d_i) (sqrt(d) @ V) / vol``
+    for the Gaussian weights ``W``, the same sum as the rows of ``K`` give
+    in another order of rounding."""
+    root_d = np.sqrt(kernel.degrees)
+    scaled = V / root_d[:, None]
+    out = np.empty(V.shape)
+
+    def rows(start, stop, weights):
+        np.matmul(weights, scaled, out=out[start:stop])
+
+    _map_blocks(kernel.points, kernel.points, kernel.sigma, rows)
+    out /= root_d[:, None]
+    out -= np.outer(root_d, (root_d @ V) / kernel.volume)
+    return out
+
+
+def _low_rank(kernel, cap, tol):
+    """A factored ``K~ = A^T diag(c) A`` near ``K`` and a bound ``delta >=
+    ||K - K~||_2``, from a pivoted Cholesky factor ``W ~ G^T G`` of the
+    Gaussian gram ``W`` (Harbrecht, Peters & Schneider, Appl. Numer. Math.
+    62, 2012): ``A`` is ``G / sqrt(d)`` with the row ``sqrt(d)`` below it and
+    ``c`` is ones and ``-1/vol``, so a product with ``K~`` costs O(N r).
+    The pivots stop once the residual diagonal sums to at most ``tol``
+    min_i d_i, which holds the first term of ``delta`` to ``tol``; None if
+    ``cap`` pivots do not get there.
+
+    Each pivot is the point of largest residual diagonal ``e_i = W_ii -
+    ||g_i||^2``; its row of weights comes from :func:`_gaussian_weights`, the
+    evaluator of ``K``, so ``W`` is the gram ``K`` is built from.
+
+    The bound.  ``K - K~ = D^{-1/2} E D^{-1/2}`` with ``E = W - G^T G``.  In
+    exact arithmetic ``E`` is the Schur complement of ``W`` on the pivots,
+    p.s.d. like ``W``, so ``||E||_2 <= tr E = sum_i e_i`` and
+    ``||K - K~||_2 <= sum_i e_i / min_i d_i``.  In floating point the
+    computed ``G`` of r rows is the exact factor of ``W + dW`` with
+    ``|dW| <= gamma_{r+1} |G|^T |G|`` (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, ch. 10), so ``||dW||_2 <= gamma_{r+1}
+    ||G||_F^2``; the computed ``e_i``, running differences of r squares
+    from 1, are within ``gamma_r ||g_i||^2`` of the exact ones; and the Schur
+    complement of ``W + dW`` is p.s.d. to first order in ``dW``, since
+    complete pivoting keeps ``W_PP^{-1} W_P*`` small in practice (ibid.).  One ``gamma_{r+1} ||G||_F^2`` for each of the three gives
+
+        delta = (sum_i max(e_i, 0) + 3 gamma_{r+1} ||G||_F^2) / min_i d_i,
+
+    with ``gamma_m = m u / (1 - m u)`` and ``u`` the unit roundoff.  The
+    rounding of ``K`` itself and of the products, which the dense
+    certificate leaves to its tolerance too, is not counted.
+    """
+    points, n = kernel.points, kernel.points.shape[0]
+    operands = _right_operands(points)
+    G, scratch = np.empty((cap, n)), np.empty((1, n))
+    residual, min_d = np.ones(n), float(kernel.degrees.min())
+    for r in range(cap + 1):
+        trace = float(np.maximum(residual, 0.0).sum())
+        if trace <= tol * min_d:
+            break
+        if r == cap:
+            return None
+        p = int(np.argmax(residual))
+        row = _gaussian_weights(points[p : p + 1], operands, kernel.sigma, G[r : r + 1], scratch)[0]
+        row -= G[:r, p] @ G[:r]
+        row /= np.sqrt(residual[p])
+        residual -= row * row
+    u = float(np.finfo(float).eps) / 2
+    gamma = (r + 1) * u / (1 - (r + 1) * u)
+    delta = (trace + 3 * gamma * float(np.vdot(G[:r], G[:r]))) / min_d
+    root_d = np.sqrt(kernel.degrees)
+    A = np.empty((r + 1, n))
+    np.divide(G[:r], root_d, out=A[:r])
+    A[r] = root_d
+    c = np.ones(r + 1)
+    c[r] = -1.0 / kernel.volume
+    return A, c, delta

@@ -21,6 +21,7 @@ manifold), and E = Tr(rho K) = Tr(Y^T J Y) with J = R K R.
 All stop on the ``slackness_residual`` of ``check_optimality``.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -164,34 +165,40 @@ class _Point:
 
 def _tcg(K, root, x, radius):
     """Truncated CG (Steihaug-Toint) for the step at ``x`` within ``radius``: the
-    step, the shifted model's decrease (from the CG scalars) and the products."""
+    step, the shifted model's decrease (from the CG scalars) and the products.
+    The loop writes into buffers made once per call and keeps the CG scalars
+    as Python floats; each value has the bits of the plain expressions."""
     Y = x.Y
     scaled = np.repeat(root[:, None], Y.shape[1], axis=1)
+    twice = 2.0 * scaled
     shifted = np.repeat((2.0 * x.k_rho + x.grad_norm)[:, None], Y.shape[1], axis=1)
     r = x.grad.copy()
     delta, eta = -r, np.zeros_like(Y)
+    hd, term, rows = np.empty_like(Y), np.empty_like(Y), np.empty(Y.shape[0])
     r_r = d_pd = x.grad_norm**2
     e_pe = e_pd = decrease = 0.0
     products = 0
     while products < Y.size:
         # proj(2 D delta - 2 J delta + mu delta): the projection also keeps
         # rounding in delta off the normal space, where D is large
-        hd = shifted * delta - 2.0 * scaled * _times(K, scaled * delta)
-        hd -= np.einsum("ij,ij->i", Y, hd)[:, None] * Y
+        product = _times(K, np.multiply(scaled, delta, out=term))
+        np.subtract(np.multiply(shifted, delta, out=hd), np.multiply(twice, product, out=product), out=hd)
+        np.einsum("ij,ij->i", Y, hd, out=rows)
+        hd -= np.multiply(rows[:, None], Y, out=term)
         products += 1
-        curv = np.vdot(delta, hd)
-        alpha = r_r / curv if curv > 0 else np.inf
+        curv = float(np.vdot(delta, hd))
+        alpha = r_r / curv if curv > 0 else math.inf
         if curv <= 0 or e_pe + 2 * alpha * e_pd + alpha**2 * d_pd >= radius**2:
-            tau = (np.sqrt(e_pd**2 + d_pd * (radius**2 - e_pe)) - e_pd) / d_pd
-            eta += tau * delta
+            tau = (math.sqrt(e_pd**2 + d_pd * (radius**2 - e_pe)) - e_pd) / d_pd
+            eta += np.multiply(tau, delta, out=term)
             decrease += tau * r_r - 0.5 * tau**2 * curv
             break
-        eta += alpha * delta
+        eta += np.multiply(alpha, delta, out=term)
         decrease += 0.5 * alpha * r_r
         e_pe += 2 * alpha * e_pd + alpha**2 * d_pd
-        r += alpha * hd
-        r_r_next = np.vdot(r, r)
-        if np.sqrt(r_r_next) <= _TCG_KAPPA * x.grad_norm:
+        r += np.multiply(alpha, hd, out=term)
+        r_r_next = float(np.vdot(r, r))
+        if math.sqrt(r_r_next) <= _TCG_KAPPA * x.grad_norm:
             break
         beta, r_r = r_r_next / r_r, r_r_next
         delta *= beta

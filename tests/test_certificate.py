@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,14 @@ from sdpembed import (
 
 from sdpembed import certificate, kernels
 from sdpembed.certificate import (
+    _FACTOR_RTOL,
     _LANCZOS_BASIS,
     _LANCZOS_RTOL,
     _N_LEAST,
     _RTOL,
     _lanczos_least,
     _ritz_converged,
+    certify_points,
 )
 from sdpembed.diagnostics import certificate_matrix, nuclear_equivalence_check
 from sdpembed.solver import _unit_rows, init_factor
@@ -172,7 +176,7 @@ def _lanczos_against_dense(K, H_Xi):
     D = np.einsum("ij,ij->i", K @ H_Xi, H_Xi) / diag
     bound = _LANCZOS_RTOL * diag.max()
     dense = np.linalg.eigvalsh(np.diag(D) - K)[:6]
-    pairs = _lanczos_least(K, D, bound, 100)
+    pairs = _lanczos_least(lambda Q: Q @ K, D, bound, 100)
     return None if pairs is None else pairs[0], dense, bound
 
 
@@ -265,7 +269,7 @@ def test_lanczos_ritz_pairs_are_eigenpairs_on_the_2k_clusters(clusters_2k):
         # same bits
         with kernels._one_blas_thread():
             D = np.einsum("ij,ij->i", kernels._times(K, H_Xi), H_Xi) / np.diag(K)
-            theta, V = _lanczos_least(K, D, tol, steps)
+            theta, V = _lanczos_least(lambda Q: Q @ K, D, tol, steps)
         assert V.shape == (K.shape[0], _N_LEAST)
         assert np.allclose(np.linalg.norm(V, axis=0), 1.0, atol=1e-12)
         residuals.append(_assert_ritz_contract(theta, V, K, D, tol))
@@ -283,7 +287,7 @@ def test_lanczos_resolves_a_close_pair_among_the_least_eigenvalues():
     V = np.linalg.qr(rng.standard_normal((n, n)))[0]
     L = (V * lam) @ V.T
     K = np.eye(n) - (L + L.T) / 2
-    theta, vectors = _lanczos_least(K, np.ones(n), 1e-10, 100)
+    theta, vectors = _lanczos_least(lambda Q: Q @ K, np.ones(n), 1e-10, 100)
     assert np.max(np.abs(theta - lam[:_N_LEAST])) <= 1e-10
     _assert_ritz_contract(theta, vectors, K, np.ones(n), 1e-10)
 
@@ -315,7 +319,7 @@ def test_lanczos_breakdown_on_a_repeated_least_eigenvalue():
     U = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :3]
     L = np.eye(n) - U @ U.T
     K = np.eye(n) - (L + L.T) / 2
-    least, vectors = _lanczos_least(K, np.ones(n), 1e-10, 100)
+    least, vectors = _lanczos_least(lambda Q: Q @ K, np.ones(n), 1e-10, 100)
     assert np.max(np.abs(least - [0, 0, 0, 1, 1, 1])) <= 1e-10
     # the Ritz vectors of the zero eigenvalue span the null space of L
     assert np.max(np.abs(L @ vectors[:, :3])) <= 1e-10
@@ -381,3 +385,105 @@ def test_nuclear_equivalence_random_small_instance():
 def test_nuclear_equivalence_requires_contraction():
     with pytest.raises(ValueError, match="below 1"):
         nuclear_equivalence_check(np.eye(3), np.eye(3))
+
+
+@functools.cache
+def _stored_clusters(per_cluster, seed, sigma):
+    """The clusters' points and the coordinates ``sdpembed embed`` stores for
+    them under defaults."""
+    points = gen_three_clusters(per_cluster, 8, seed).points
+    return points, embed_points(points, sigma).embedding.Xi
+
+
+def _factor_error_norm(K, A, c):
+    """||K - A^T diag(c) A||_F, in row blocks; it bounds the 2-norm."""
+    total = 0.0
+    for start in range(0, K.shape[0], 500):
+        block = K[start : start + 500] - (A[:, start : start + 500].T * c) @ A
+        total += float(np.vdot(block, block))
+    return np.sqrt(total)
+
+
+@pytest.mark.parametrize(
+    "per_cluster, seed, sigma",
+    [(664, seed, 5.0) for seed in range(10)]
+    + [(664, 3, 20.0), (664, 3, 50.0), (1330, 3, 5.0), (1330, 3, 20.0), (1330, 3, 50.0)],
+)
+def test_factored_certificate_agrees_with_the_dense_one(per_cluster, seed, sigma, monkeypatch):
+    # the ten 2k training sets of the benchmark at sigma = 5, and the clusters
+    # of seed 3 at N = 2000 and 3998 across bandwidths
+    points, Xi = _stored_clusters(per_cluster, seed, sigma)
+    runs = []
+
+    def spy(*args):
+        runs.append(_lanczos_least(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(certificate, "_lanczos_least", spy)
+    report = certify_points(points, sigma, Xi)
+    monkeypatch.undo()
+    K = build_kernel(points, sigma).K
+    dense = check_optimality(K, Xi)
+    scale = np.diag(K).max()
+    assert report.scale == dense.scale == scale
+    assert report.is_certified and dense.is_certified
+    assert np.max(np.abs(report.least_eigenvalues - dense.least_eigenvalues)) <= 1e-10 * scale
+    if report.kernel_error_bound == 0.0:
+        # at N = 2000, sigma = 50 Lanczos gives up on L~ (and on L), and the
+        # dense certificate decides: the same report, bit for bit
+        assert (per_cluster, sigma) == (664, 50.0) and runs[0] is None
+        _assert_same_report(report, dense)
+        return
+    assert len(runs) == 1 and runs[0] is not None
+    assert report.objective == pytest.approx(dense.objective, rel=1e-14)
+    # K @ H_Xi from the weights cancels like K itself: 8e-11 max K_ii at
+    # N = 3998, sigma = 50, where max K_ii = 7e-6 is itself a difference
+    assert np.max(np.abs(report.D_diagonal - dense.D_diagonal)) <= 1e-9 * scale
+    with kernels._one_blas_thread():
+        A, c, delta = kernels._low_rank(
+            kernels.gaussian_gram(points, sigma), len(points) // 20, _FACTOR_RTOL * scale
+        )
+    assert delta == report.kernel_error_bound
+    # ||K - K~||_F >= ||K - K~||_2, so this is the stronger check
+    assert _factor_error_norm(K, A, c) <= delta
+
+
+def test_factored_certificate_hands_over_past_the_pivot_cap(monkeypatch):
+    # N = 1508, sigma = 5: the gram needs more than N / 20 = 75 pivots, so
+    # the dense certificate decides, and its report is the one returned
+    points, Xi = _stored_clusters(500, 3, 5.0)
+    factors = []
+
+    def spy(*args):
+        factors.append(low_rank(*args))
+        return factors[-1]
+
+    low_rank = kernels._low_rank
+    monkeypatch.setattr(kernels, "_low_rank", spy)
+    report = certify_points(points, 5.0, Xi)
+    assert factors == [None]
+    _assert_same_report(report, check_optimality(build_kernel(points, 5.0).K, Xi))
+
+
+def _assert_same_report(report, other):
+    for name, value in vars(report).items():
+        assert np.array_equal(value, getattr(other, name)), name
+
+
+def test_factored_certificate_hands_over_where_the_bound_could_decide(monkeypatch):
+    # a bound as wide as the least eigenvalue's distance to the tolerance
+    # could flip the verdict, so the dense certificate decides
+    points, Xi = _stored_clusters(664, 3, 5.0)
+    factored = certify_points(points, 5.0, Xi)
+    assert factored.kernel_error_bound > 0.0
+    margin = factored.least_eigenvalues[0] + _RTOL * factored.scale
+    low_rank = kernels._low_rank
+
+    def widened(*args):
+        A, c, delta = low_rank(*args)
+        return A, c, margin
+
+    monkeypatch.setattr(kernels, "_low_rank", widened)
+    report = certify_points(points, 5.0, Xi)
+    _assert_same_report(report, check_optimality(build_kernel(points, 5.0).K, Xi))
+    assert report.is_certified

@@ -300,6 +300,52 @@ def test_extend_allocates_no_square_array(tmp_path):
     assert peak < 0.5 * 1208 * 1208 * 8
 
 
+@pytest.fixture(scope="module")
+def model_2k(tmp_path_factory):
+    """The clusters at N = 2000 (seed 3) stored by ``sdpembed embed`` at
+    sigma = 5, where ``certify`` takes the factored certificate."""
+    out = tmp_path_factory.mktemp("model_2k")
+    save_csv(gen_three_clusters(664, 8, 3), out / "train.csv")
+    assert main(["embed", str(out / "train.csv"), "--sigma", "5", "--out", str(out)]) == 0
+    return out / "embedding.json"
+
+
+def test_certify_builds_no_square_array(model_2k, tmp_path, monkeypatch):
+    # the factor of the gram (80 rows of N), the Lanczos basis (16 blocks of
+    # 6 rows) and, in the weight passes, two runner threads' 1 MB blocks:
+    # about a tenth of the K that the dense certificate builds
+    monkeypatch.setattr(kernels, "_cores", lambda: 2)
+    tracemalloc.start()
+    try:
+        code = main(["certify", str(model_2k), "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    cert = _read_json(tmp_path / "certificate.json")
+    assert cert["is_certified"] and cert["kernel_error_bound"] > 0
+    assert peak < 0.12 * 2000 * 2000 * 8
+
+
+def test_certify_factored_names_the_failed_tests(model_2k, tmp_path, capsys):
+    # negating one point's coordinates keeps every row norm, so the model
+    # stays feasible, but it is no longer stationary
+    doc = _read_json(model_2k)
+    doc["coordinates"][0] = [-v for v in doc["coordinates"][0]]
+    perturbed = tmp_path / "perturbed.json"
+    perturbed.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["certify", str(perturbed), "--out", str(tmp_path)]) == 2
+    cert = _read_json(tmp_path / "certificate.json")
+    assert not cert["is_certified"] and cert["kernel_error_bound"] > 0
+    scale = cert["scale"]
+    assert capsys.readouterr().err == (
+        f"sdpembed: not certified: slackness residual {cert['slackness_residual']:.3e} > "
+        f"1e-08 * max K(i,i) = {1e-8 * scale:.3e}, least eigenvalue of L "
+        f"{cert['least_eigenvalues'][0]:.3e} < -1e-08 * max K(i,i) = {-1e-8 * scale:.3e}\n"
+    )
+
+
 def test_extend_point_without_kernel_weight(two_point_csv, tmp_path, capsys):
     out = tmp_path / "run"
     assert main(

@@ -499,20 +499,18 @@ def test_products_with_K_give_the_same_bits_on_one_and_two_cores(monkeypatch):
     n = 2000
     K = rng.standard_normal((n, n))
     K += K.T
-    V, Q = rng.standard_normal((n, 6)), rng.standard_normal((6, n))
+    V = rng.standard_normal((n, 6))
     results = {}
     with kernels._one_blas_thread():
         for cores in (1, 2):
             started = _count_threads(monkeypatch, cores)
-            results[cores] = (
-                kernels._times(K, V[:, :2]), kernels._times(K, V), kernels._times(K, Q, left=True)
-            )
-            # 16 row blocks and 8 column blocks: each product starts a thread
-            assert len(started) == 3 * (cores - 1)
+            results[cores] = (kernels._times(K, V[:, :2]), kernels._times(K, V))
+            # 16 row blocks: each product starts a thread
+            assert len(started) == 2 * (cores - 1)
             assert not any(thread.is_alive() for thread in started)
     for one, two in zip(results[1], results[2]):
         assert np.array_equal(one, two)
-    for product, exact in zip(results[1], (K @ V[:, :2], K @ V, Q @ K)):
+    for product, exact in zip(results[1], (K @ V[:, :2], K @ V)):
         assert np.allclose(product, exact, rtol=0, atol=1e-11 * np.abs(exact).max())
     # below 8 blocks, one call of the calling thread
     small = K[:308, :308]
@@ -542,6 +540,19 @@ def test_kernel_diagonal_formula():
     expected = 1.0 / base.degrees - base.degrees / base.volume
     assert np.allclose(np.diag(dk.K), expected, atol=1e-14)
     assert np.all(np.diag(dk.K) >= 0)
+
+
+@pytest.mark.parametrize("per_cluster, sigma", [(100, 1.0), (664, 5.0)])
+def test_diagonal_and_product_of_K_from_the_degrees(per_cluster, sigma):
+    # what the factored certificate reads of K without building it
+    points = gen_three_clusters(per_cluster, 8, 3).points
+    base, K = gaussian_gram(points, sigma), build_kernel(points, sigma).K
+    assert np.array_equal(kernels._diagonal(base), np.diag(K))
+    V = np.random.default_rng(0).standard_normal((len(points), 3))
+    exact = K @ V
+    with kernels._one_blas_thread():
+        product = kernels._product(base, V)
+    assert np.allclose(product, exact, rtol=0, atol=1e-13 * np.abs(exact).max())
 
 
 def test_extension_row_restricts_to_training_rows():

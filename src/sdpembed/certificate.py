@@ -15,13 +15,14 @@ Tr(K rho') = Tr(K rho) - Tr(L rho') <= Tr(K rho) - lambda_min(L) Tr(K), so
 max(0, -lambda_min(L)) Tr(K) bounds Tr(K rho*) - Tr(K rho) from above.  It is
 reported as the duality gap, and it vanishes exactly when L >= 0.
 
-``check_optimality`` decides for a given ``K``.  ``certify_points``, the
-certificate of ``sdpembed certify``, needs no ``K`` where a low-rank factor
-of the Gaussian gram decides: from 1500 points on, L's least eigenvalues come
-from L~ = diag(D) - K~ with ||K - K~||_2 <= delta, and since lambda_min(L) >=
-lambda_min(L~) - delta, the eigenvalue test and the duality gap take that
-lower bound; the dense certificate decides wherever delta could change the
-verdict.
+``check_optimality`` decides for a given ``K``: L's least eigenvalues come
+from a dense solve below 1500 points and from block Lanczos from there on.
+``certify_points``, the certificate of ``sdpembed certify``, needs no ``K``
+where a low-rank factor of the Gaussian gram decides: from 1500 points on,
+L's least eigenvalues come from L~ = diag(D) - K~ with ||K - K~||_2 <= delta,
+and since lambda_min(L) >= lambda_min(L~) - delta, the eigenvalue test and
+the duality gap take that lower bound; ``check_optimality`` decides wherever
+the factor needs too many pivots or delta could change the verdict.
 """
 
 from dataclasses import dataclass
@@ -38,22 +39,17 @@ _N_LEAST = 6
 # relative to max_i K_ii, the scale of the solver's stopping rule
 _RTOL = 1e-8
 
-# from this many points on, the least eigenpairs of L come from block Lanczos
-# (0.04-0.20 s against a dense 0.20-0.23 s on the clusters at N = 1502, sigma
-# 0.3 to 20, on 2 cores; at N = 806 and 1202 it falls back at sigma = 0.3),
-# below it from a dense solve
+# from this many points on, the least eigenpairs of L come from block Lanczos,
+# below it from a dense solve.  At one BLAS thread on the clusters at sigma
+# 0.3 to 20, Lanczos took 0.03-0.19 s against a dense 0.28-0.30 s at N = 1499
+# and 0.03-0.11 s against 0.15 s at N = 1199, but lost at N = 599; at sigma =
+# 50 it took 96-136 steps and lost at every N below 1500
 _DENSE_BELOW = 1500
 
 # Lanczos stops once each of the _N_LEAST least Ritz values is within this
 # much of max_i K_ii (100x below _RTOL) of an eigenvalue of L, by the bound
 # min(r, r^2 / gap) on its error (see _ritz_converged)
 _LANCZOS_RTOL = 1e-10
-
-# Lanczos gives up, and a dense solve decides, once its basis holds this
-# fraction of N vectors, where it has cost about as much.  The clusters need
-# 15-54 steps of 6 vectors for sigma <= 20 from N = 1502 to 3998, and more at
-# large sigma, where L's spectrum clusters (96 at sigma = 50 and N = 1502)
-_LANCZOS_BASIS = 0.2
 
 # from _DENSE_BELOW points on, certify_points pivots its factor of the
 # Gaussian gram until the residual trace over min_i d_i, which bounds
@@ -118,17 +114,17 @@ def _ritz_converged(theta, r, tol):
     return bool(np.all((r[:b] <= tol) | (r[:b] ** 2 <= tol * delta)))
 
 
-def _lanczos_least(times, D, tol, steps, vectors=True):
+def _lanczos_least(times, D, tol):
     """The ``_N_LEAST`` least eigenpairs of ``L = diag(D) - K``, where
     ``times(Q)`` gives ``Q @ K`` for a (``_N_LEAST``, N) ``Q``, by block
     Lanczos with full reorthogonalization: Ritz values ascending and unit
-    Ritz vectors as columns (None unless ``vectors``), or None if
-    ``_ritz_converged`` does not place every Ritz value within ``tol`` of an
-    eigenvalue within ``steps`` steps (or the basis fills R^N).  They are checked on every step up to the
-    16th, then on every (step // 8)-th, so the Rayleigh-Ritz eighs cost a
-    few times the last.  A vector's residual ||L v - theta v|| is at most
-    ``tol`` where its value crowds others, such as the zero of a certified
-    L; an isolated value's may reach about sqrt(tol gap).
+    Ritz vectors as columns, once ``_ritz_converged`` places every Ritz
+    value within ``tol`` of an eigenvalue, or None if the basis fills R^N
+    first.  They are checked on every step up to the 16th, then on every
+    (step // 8)-th, so the Rayleigh-Ritz eighs cost a few times the last.
+    A vector's residual ||L v - theta v|| is at most ``tol`` where its value
+    crowds others, such as the zero of a certified L; an isolated value's
+    may reach about sqrt(tol gap).
 
     The block of ``_N_LEAST`` vectors (rows of ``Q``) takes one product per
     step and resolves a least eigenvalue repeated up to ``_N_LEAST`` times,
@@ -140,7 +136,7 @@ def _lanczos_least(times, D, tol, steps, vectors=True):
     rng = np.random.default_rng(0)
     Q = np.linalg.qr(rng.standard_normal((n, b)))[0].T
     blocks, T = [], np.zeros((0, 0))
-    while len(blocks) < min(steps, n // b - 1):
+    while len(blocks) < n // b - 1:
         blocks.append(Q)
         W = times(Q)
         np.subtract(Q * D, W, out=W)  # rows of L Q^T, since K is symmetric
@@ -166,8 +162,6 @@ def _lanczos_least(times, D, tol, steps, vectors=True):
         if len(blocks) % max(1, len(blocks) // 8) == 0:
             theta, S = np.linalg.eigh(T)
             if _ritz_converged(theta, np.linalg.norm(B @ S[-b:, : 2 * b], axis=0), tol):
-                if not vectors:
-                    return theta[:b], None
                 ritz = np.zeros((n, b))
                 for j, V in enumerate(blocks):
                     ritz += V.T @ S[j * b : (j + 1) * b, :b]
@@ -175,19 +169,13 @@ def _lanczos_least(times, D, tol, steps, vectors=True):
     return None
 
 
-def _lanczos_steps(n):
-    """Lanczos steps of ``_N_LEAST`` vectors in a basis of ``_LANCZOS_BASIS n``."""
-    return int(_LANCZOS_BASIS * n) // _N_LEAST
-
-
 def _least_eigenpairs(K, D, scale, vectors=False):
     """The ``_N_LEAST`` least eigenvalues of ``L = diag(D) - K``, ascending,
     and their unit eigenvectors as columns: by block Lanczos from
-    ``_DENSE_BELOW`` points on, else (or when Lanczos gives up) by a dense
+    ``_DENSE_BELOW`` points on, else (or if its basis fills R^N) by a dense
     solve, which returns the vectors only when asked for (else None)."""
     if K.shape[0] >= _DENSE_BELOW:
-        tol, steps = _LANCZOS_RTOL * scale, _lanczos_steps(len(D))
-        pairs = _lanczos_least(lambda Q: Q @ K, D, tol, steps, vectors)
+        pairs = _lanczos_least(lambda Q: Q @ K, D, _LANCZOS_RTOL * scale)
         if pairs is not None:
             return pairs
     L = np.negative(K)
@@ -223,10 +211,9 @@ def check_optimality(K, H_Xi):
     not an exception.  The six least eigenvalues come from a dense
     ``eigvalsh`` below N = 1500 and from block Lanczos on v -> D v - K v,
     which forms no N x N array, above (each to 1e-10 max_i K_ii by the
-    Ritz error bound min(r, r^2 / gap); if Lanczos has not converged with
-    N / 5 basis vectors, the dense solve decides); ``kernel_error_bound``
-    is 0.  A factor of any other shape than (N, r) with r >= 1, or with a
-    non-finite entry, raises ``ValueError``.
+    Ritz error bound min(r, r^2 / gap)); ``kernel_error_bound`` is 0.  A
+    factor of any other shape than (N, r) with r >= 1, or with a non-finite
+    entry, raises ``ValueError``.
     """
     K = np.asarray(K, dtype=float)
     H_Xi = _checked_factor(H_Xi, K.shape[0])
@@ -289,10 +276,11 @@ def certify_points(points, sigma, H_Xi):
     (:func:`kernels._low_rank`), and a product costs O(N r).  Since
     ``lambda_min(L) >= lambda_min(L~) - delta``, the eigenvalue test and the
     duality gap take ``lambda_min(L~) - delta``; the report gives ``delta``
-    as ``kernel_error_bound``.  The dense certificate decides instead when
-    the factor needs more than N / 20 pivots, when Lanczos gives up, or when
+    as ``kernel_error_bound``.  :func:`check_optimality` of ``K`` decides
+    instead when the factor needs more than N / 20 pivots, when
     ``-tol_eig max_i K_ii`` lies within ``delta`` of ``lambda_min(L~)``,
-    where ``delta`` could change the verdict: so the factor never does.
+    where ``delta`` could change the verdict (so the factor never does), or
+    if the Lanczos basis fills R^N.
     Raises as :func:`check_optimality` does.
     """
     points = kernels._checked_points(points, sigma)
@@ -304,19 +292,18 @@ def certify_points(points, sigma, H_Xi):
 
 
 def _factored_certificate(kernel, H_Xi):
-    """The report of :func:`certify_points` from ``K~``, or None where the
-    dense certificate must decide."""
+    """The report of :func:`certify_points` from ``K~``, or None where
+    :func:`check_optimality` of ``K`` must decide."""
     n = len(kernel.degrees)
     H_Xi = _checked_factor(H_Xi, n)
     diag = kernels._diagonal(kernel)
     scale = _checked_feasible(H_Xi, diag)
-    k_rho, slackness = _slackness(kernels._product(kernel, H_Xi), H_Xi, diag)
     factored = kernels._low_rank(kernel, n // 20, _FACTOR_RTOL * scale)
     if factored is None:
         return None
     A, c, delta = factored
-    tol, steps = _LANCZOS_RTOL * scale, _lanczos_steps(n)
-    pairs = _lanczos_least(lambda Q: ((Q @ A.T) * c) @ A, k_rho / diag, tol, steps, False)
+    k_rho, slackness = _slackness(kernels._product(kernel, H_Xi), H_Xi, diag)
+    pairs = _lanczos_least(lambda Q: ((Q @ A.T) * c) @ A, k_rho / diag, _LANCZOS_RTOL * scale)
     if pairs is None or abs(pairs[0][0] + _RTOL * scale) <= delta:
         return None
     return _report(slackness, pairs[0], delta, k_rho, diag)

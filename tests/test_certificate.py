@@ -10,13 +10,13 @@ from sdpembed import (
     check_optimality,
     embed_points,
     gen_three_clusters,
+    run_interval_experiment,
     solve,
 )
 
 from sdpembed import certificate, kernels
 from sdpembed.certificate import (
     _FACTOR_RTOL,
-    _LANCZOS_BASIS,
     _LANCZOS_RTOL,
     _N_LEAST,
     _RTOL,
@@ -27,7 +27,7 @@ from sdpembed.certificate import (
 from sdpembed.diagnostics import certificate_matrix, nuclear_equivalence_check
 from sdpembed.solver import _unit_rows, init_factor
 
-from conftest import C, tight_config, traced_peak
+from conftest import CLUSTER_SEED, C, tight_config, traced_peak
 
 
 def _two_point_kernel():
@@ -176,7 +176,7 @@ def _lanczos_against_dense(K, H_Xi):
     D = np.einsum("ij,ij->i", K @ H_Xi, H_Xi) / diag
     bound = _LANCZOS_RTOL * diag.max()
     dense = np.linalg.eigvalsh(np.diag(D) - K)[:6]
-    pairs = _lanczos_least(lambda Q: Q @ K, D, bound, 100)
+    pairs = _lanczos_least(lambda Q: Q @ K, D, bound)
     return None if pairs is None else pairs[0], dense, bound
 
 
@@ -217,11 +217,8 @@ def test_lanczos_resolves_the_zero_of_a_certified_rank_two_optimum(cluster_pipel
     assert np.all(np.abs(lanczos[:2]) <= bound) and lanczos[2] > 1e-3
 
 
-def test_check_optimality_takes_lanczos_above_the_cutoff_and_falls_back(
-    cluster_pipeline, monkeypatch
-):
-    K, H_Xi = cluster_pipeline.kernel.K, cluster_pipeline.factor.H_Xi
-    dense = check_optimality(K, H_Xi)
+def _spy_on_lanczos(monkeypatch):
+    """The list that every later ``_lanczos_least`` result is appended to."""
     runs = []
 
     def spy(*args):
@@ -229,19 +226,34 @@ def test_check_optimality_takes_lanczos_above_the_cutoff_and_falls_back(
         return runs[-1]
 
     monkeypatch.setattr(certificate, "_lanczos_least", spy)
+    return runs
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.5, 0.3])
+def test_check_optimality_takes_lanczos_above_the_cutoff(sigma, monkeypatch):
+    # the certified optima of the paper's 308 points, with the cutoff below
+    # them: at sigma = 0.3 five of L's least eigenvalues lie within 1.3e-12
+    # max K_ii of zero
+    points, Xi = _stored_clusters(100, CLUSTER_SEED, sigma)
+    K = build_kernel(points, sigma).K
+    dense = check_optimality(K, Xi)
+    runs = _spy_on_lanczos(monkeypatch)
     monkeypatch.setattr(certificate, "_DENSE_BELOW", 300)
-    monkeypatch.setattr(certificate, "_LANCZOS_BASIS", 1.0)
-    lanczos = check_optimality(K, H_Xi)
-    assert runs[0] is not None and np.array_equal(lanczos.least_eigenvalues, runs[0][0])
-    assert lanczos.is_certified and dense.is_certified
+    lanczos = check_optimality(K, Xi)
+    assert len(runs) == 1 and runs[0] is not None
+    assert np.array_equal(lanczos.least_eigenvalues, runs[0][0])
     assert np.max(np.abs(lanczos.least_eigenvalues - dense.least_eigenvalues)) <= (
         _LANCZOS_RTOL * np.diag(K).max()
     )
-    # a Lanczos run that has not converged within its basis cap hands over
-    monkeypatch.setattr(certificate, "_LANCZOS_BASIS", 0.05)
-    fallback = check_optimality(K, H_Xi)
-    assert runs[1] is None
-    assert np.array_equal(fallback.least_eigenvalues, dense.least_eigenvalues)
+    assert lanczos.is_certified == dense.is_certified
+
+
+def test_interval_grid_of_1600_points_certifies_by_lanczos(monkeypatch):
+    # the n = 1600 grid at sigma = 1 that ``sdpembed toy 1600 --sigma 1`` runs
+    runs = _spy_on_lanczos(monkeypatch)
+    report, _ = run_interval_experiment(1600, 1.0)
+    assert report.certified
+    assert runs and all(run is not None for run in runs)
 
 
 def _assert_ritz_contract(theta, vectors, K, D, tol):
@@ -262,14 +274,13 @@ def test_lanczos_ritz_pairs_are_eigenpairs_on_the_2k_clusters(clusters_2k):
     # feasible factor (negative eigenvalues, as where the staircase climbs)
     K = clusters_2k.kernel.K
     tol = _LANCZOS_RTOL * np.diag(K).max()
-    steps = int(_LANCZOS_BASIS * K.shape[0]) // _N_LEAST
     residuals = []
     for H_Xi in (clusters_2k.factor.H_Xi, _random_feasible_factor(K)):
         # the product and the BLAS thread count of check_optimality, so the
         # same bits
         with kernels._one_blas_thread():
             D = np.einsum("ij,ij->i", kernels._times(K, H_Xi), H_Xi) / np.diag(K)
-            theta, V = _lanczos_least(lambda Q: Q @ K, D, tol, steps)
+            theta, V = _lanczos_least(lambda Q: Q @ K, D, tol)
         assert V.shape == (K.shape[0], _N_LEAST)
         assert np.allclose(np.linalg.norm(V, axis=0), 1.0, atol=1e-12)
         residuals.append(_assert_ritz_contract(theta, V, K, D, tol))
@@ -287,7 +298,7 @@ def test_lanczos_resolves_a_close_pair_among_the_least_eigenvalues():
     V = np.linalg.qr(rng.standard_normal((n, n)))[0]
     L = (V * lam) @ V.T
     K = np.eye(n) - (L + L.T) / 2
-    theta, vectors = _lanczos_least(lambda Q: Q @ K, np.ones(n), 1e-10, 100)
+    theta, vectors = _lanczos_least(lambda Q: Q @ K, np.ones(n), 1e-10)
     assert np.max(np.abs(theta - lam[:_N_LEAST])) <= 1e-10
     _assert_ritz_contract(theta, vectors, K, np.ones(n), 1e-10)
 
@@ -319,7 +330,7 @@ def test_lanczos_breakdown_on_a_repeated_least_eigenvalue():
     U = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :3]
     L = np.eye(n) - U @ U.T
     K = np.eye(n) - (L + L.T) / 2
-    least, vectors = _lanczos_least(lambda Q: Q @ K, np.ones(n), 1e-10, 100)
+    least, vectors = _lanczos_least(lambda Q: Q @ K, np.ones(n), 1e-10)
     assert np.max(np.abs(least - [0, 0, 0, 1, 1, 1])) <= 1e-10
     # the Ritz vectors of the zero eigenvalue span the null space of L
     assert np.max(np.abs(L @ vectors[:, :3])) <= 1e-10
@@ -413,28 +424,27 @@ def test_factored_certificate_agrees_with_the_dense_one(per_cluster, seed, sigma
     # the ten 2k training sets of the benchmark at sigma = 5, and the clusters
     # of seed 3 at N = 2000 and 3998 across bandwidths
     points, Xi = _stored_clusters(per_cluster, seed, sigma)
-    runs = []
+    runs, builds = _spy_on_lanczos(monkeypatch), []
 
-    def spy(*args):
-        runs.append(_lanczos_least(*args))
-        return runs[-1]
+    def counted_build(*args):
+        builds.append(args)
+        return build_kernel(*args)
 
-    monkeypatch.setattr(certificate, "_lanczos_least", spy)
+    monkeypatch.setattr(kernels, "build_kernel", counted_build)
     report = certify_points(points, sigma, Xi)
     monkeypatch.undo()
+    # the factor decides, with no K
+    assert not builds and len(runs) == 1 and runs[0] is not None
+    assert report.kernel_error_bound > 0.0
     K = build_kernel(points, sigma).K
     dense = check_optimality(K, Xi)
     scale = np.diag(K).max()
     assert report.scale == dense.scale == scale
-    assert report.is_certified and dense.is_certified
-    assert np.max(np.abs(report.least_eigenvalues - dense.least_eigenvalues)) <= 1e-10 * scale
-    if report.kernel_error_bound == 0.0:
-        # at N = 2000, sigma = 50 Lanczos gives up on L~ (and on L), and the
-        # dense certificate decides: the same report, bit for bit
-        assert (per_cluster, sigma) == (664, 50.0) and runs[0] is None
-        _assert_same_report(report, dense)
-        return
-    assert len(runs) == 1 and runs[0] is not None
+    exact = np.linalg.eigvalsh(np.diag(dense.D_diagonal) - K)[:_N_LEAST]
+    assert report.is_certified and dense.is_certified and exact[0] >= -_RTOL * scale
+    assert np.max(np.abs(report.least_eigenvalues - exact)) <= (
+        1e-10 * scale + report.kernel_error_bound
+    )
     assert report.objective == pytest.approx(dense.objective, rel=1e-14)
     # K @ H_Xi from the weights cancels like K itself: 8e-11 max K_ii at
     # N = 3998, sigma = 50, where max K_ii = 7e-6 is itself a difference
@@ -450,7 +460,7 @@ def test_factored_certificate_agrees_with_the_dense_one(per_cluster, seed, sigma
 
 def test_factored_certificate_hands_over_past_the_pivot_cap(monkeypatch):
     # N = 1508, sigma = 5: the gram needs more than N / 20 = 75 pivots, so
-    # the dense certificate decides, and its report is the one returned
+    # the certificate of K decides, and its report is the one returned
     points, Xi = _stored_clusters(500, 3, 5.0)
     factors = []
 
@@ -472,7 +482,7 @@ def _assert_same_report(report, other):
 
 def test_factored_certificate_hands_over_where_the_bound_could_decide(monkeypatch):
     # a bound as wide as the least eigenvalue's distance to the tolerance
-    # could flip the verdict, so the dense certificate decides
+    # could flip the verdict, so the certificate of K decides
     points, Xi = _stored_clusters(664, 3, 5.0)
     factored = certify_points(points, 5.0, Xi)
     assert factored.kernel_error_bound > 0.0

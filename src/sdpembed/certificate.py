@@ -51,6 +51,13 @@ _DENSE_BELOW = 1500
 # min(r, r^2 / gap) on its error (see _ritz_converged)
 _LANCZOS_RTOL = 1e-10
 
+# the Lanczos basis is stacked in arrays of this many blocks of _N_LEAST
+# vectors, one more array whenever the last is full: a new block is
+# orthogonalized against each array with two products per pass.  The ten 2k
+# training sets at sigma = 5 take 13-18 steps, so one or two arrays; an array
+# sized for the largest basis, (N / 6 - 1) blocks, would be as large as K
+_LANCZOS_CHUNK = 16
+
 # from _DENSE_BELOW points on, certify_points pivots its factor of the
 # Gaussian gram until the residual trace over min_i d_i, which bounds
 # ||K - K~||_2 up to rounding, is at most this much of max_i K_ii, 10x below
@@ -128,44 +135,60 @@ def _lanczos_least(times, D, tol):
 
     The block of ``_N_LEAST`` vectors (rows of ``Q``) takes one product per
     step and resolves a least eigenvalue repeated up to ``_N_LEAST`` times,
-    such as the zero of a certified L, whose multiplicity is the rank.  A residual
-    direction below ``tol`` spans an invariant subspace (a breakdown): it is
+    such as the zero of a certified L, whose multiplicity is the rank.  The
+    basis is stacked in arrays of ``_LANCZOS_CHUNK`` blocks, and each new
+    block is orthogonalized against it by two passes of block Gram-Schmidt,
+    two products per array and pass; the tridiagonal T is written in place.
+    The next block comes from a thin QR of the residual block, ``W^T = Q_W
+    R``, and an SVD of the small ``R``.  A residual direction whose singular
+    value is below ``tol`` spans an invariant subspace (a breakdown): it is
     replaced by a random vector orthogonal to the basis, with zero coupling.
     """
     n, b = len(D), _N_LEAST
+    steps, rows = n // b - 1, _LANCZOS_CHUNK * b
     rng = np.random.default_rng(0)
     Q = np.linalg.qr(rng.standard_normal((n, b)))[0].T
-    blocks, T = [], np.zeros((0, 0))
-    while len(blocks) < n // b - 1:
-        blocks.append(Q)
+    chunks, T = [], np.zeros((0, 0))
+
+    def orthogonalize(W, basis):
+        for _ in range(2):
+            for V in basis:
+                W -= (W @ V.T) @ V
+
+    for k in range(1, steps + 1):
+        j = (k - 1) * b
+        at = j % rows
+        if at == 0:
+            chunks.append(np.empty((min(rows, steps * b - j), n)))
+            grown = np.zeros((j + len(chunks[-1]),) * 2)
+            grown[:j, :j] = T
+            T = grown
+        chunks[-1][at : at + b] = Q
+        basis = [*chunks[:-1], chunks[-1][: at + b]]
+        Q = basis[-1][at:]
         W = times(Q)
         np.subtract(Q * D, W, out=W)  # rows of L Q^T, since K is symmetric
         A = W @ Q.T
-        for _ in range(2):
-            for V in blocks:
-                W -= (W @ V.T) @ V
-        T = np.pad(T, (0, b))
-        T[-b:, -b:] = (A + A.T) / 2
-        if len(blocks) > 1:
-            T[-b:, -2 * b : -b] = B
-            T[-2 * b : -b, -b:] = B.T
-        Y, s, Q = np.linalg.svd(W, full_matrices=False)
-        B = s[:, None] * Y.T  # W = B^T Q
+        orthogonalize(W, basis)
+        T[j : j + b, j : j + b] = (A + A.T) / 2
+        if k > 1:
+            T[j : j + b, j - b : j] = B
+            T[j - b : j, j : j + b] = B.T
+        Q_W, R = np.linalg.qr(W.T)
+        U, s, Vt = np.linalg.svd(R)
+        Q = U.T @ Q_W.T
+        B = s[:, None] * Vt  # W = B^T Q
         dead = s <= tol
         if dead.any():
             B[dead] = 0.0
             fresh = rng.standard_normal((dead.sum(), n))
-            for _ in range(2):
-                for V in [*blocks, Q[~dead]]:
-                    fresh -= (fresh @ V.T) @ V
+            orthogonalize(fresh, [*basis, Q[~dead]])
             Q[dead] = np.linalg.qr(fresh.T)[0].T
-        if len(blocks) % max(1, len(blocks) // 8) == 0:
-            theta, S = np.linalg.eigh(T)
-            if _ritz_converged(theta, np.linalg.norm(B @ S[-b:, : 2 * b], axis=0), tol):
-                ritz = np.zeros((n, b))
-                for j, V in enumerate(blocks):
-                    ritz += V.T @ S[j * b : (j + 1) * b, :b]
-                return theta[:b], ritz
+        if k % max(1, k // 8) == 0:
+            theta, S = np.linalg.eigh(T[: j + b, : j + b])
+            if _ritz_converged(theta, np.linalg.norm(B @ S[j:, : 2 * b], axis=0), tol):
+                vectors = (V.T @ S[i * rows : i * rows + len(V), :b] for i, V in enumerate(basis))
+                return theta[:b], sum(vectors)
     return None
 
 
@@ -267,10 +290,11 @@ def certify_points(points, sigma, H_Xi):
     ``sdpembed certify``.
 
     Below ``_DENSE_BELOW`` points it builds ``K`` and calls
-    :func:`check_optimality`.  From there on it works from the degrees of
-    :func:`kernels.gaussian_gram`: ``diag K`` and ``K @ H_Xi`` (one more
-    weight pass) are those of ``K``, and so are the feasibility, ``D``, the
-    slackness and the objective.  The least eigenvalues are those of
+    :func:`check_optimality`.  From there on one weight pass
+    (:func:`kernels._degrees_and_product`) gives the degrees of
+    :func:`kernels.gaussian_gram`, bit for bit, and ``K @ H_Xi``; with
+    ``diag K`` from the degrees, the feasibility, ``D``, the slackness and
+    the objective are those of ``K``.  The least eigenvalues are those of
     ``L~ = diag(D) - K~`` by block Lanczos, where ``K~`` comes from a
     pivoted Cholesky factor of the gram with ``||K - K~||_2 <= delta``
     (:func:`kernels._low_rank`), and a product costs O(N r).  Since
@@ -285,24 +309,25 @@ def certify_points(points, sigma, H_Xi):
     """
     points = kernels._checked_points(points, sigma)
     if len(points) >= _DENSE_BELOW:
-        report = _factored_certificate(kernels.gaussian_gram(points, sigma), H_Xi)
+        report = _factored_certificate(points, sigma, H_Xi)
         if report is not None:
             return report
     return check_optimality(kernels.build_kernel(points, sigma).K, H_Xi)
 
 
-def _factored_certificate(kernel, H_Xi):
+def _factored_certificate(points, sigma, H_Xi):
     """The report of :func:`certify_points` from ``K~``, or None where
     :func:`check_optimality` of ``K`` must decide."""
-    n = len(kernel.degrees)
-    H_Xi = _checked_factor(H_Xi, n)
+    H_Xi = _checked_factor(H_Xi, len(points))
+    degrees, KH = kernels._degrees_and_product(points, sigma, H_Xi)
+    kernel = kernels._kernel(points, sigma, degrees)
     diag = kernels._diagonal(kernel)
     scale = _checked_feasible(H_Xi, diag)
-    factored = kernels._low_rank(kernel, n // 20, _FACTOR_RTOL * scale)
+    factored = kernels._low_rank(kernel, len(points) // 20, _FACTOR_RTOL * scale)
     if factored is None:
         return None
     A, c, delta = factored
-    k_rho, slackness = _slackness(kernels._product(kernel, H_Xi), H_Xi, diag)
+    k_rho, slackness = _slackness(KH, H_Xi, diag)
     pairs = _lanczos_least(lambda Q: ((Q @ A.T) * c) @ A, k_rho / diag, _LANCZOS_RTOL * scale)
     if pairs is None or abs(pairs[0][0] + _RTOL * scale) <= delta:
         return None

@@ -19,22 +19,23 @@ matrix product ``[-X_j, 1] @ [1, x_j]`` with inner dimension 2, which is
 exact, since each entry is two exact products and one rounded addition.  One
 block runner, ``_each_block``, deals every block in the package; its
 weight pass, ``_map_blocks``, hands row blocks of weights to the consumers:
-the degrees, ``K``, the extension to new points, the volume probes, the
-diffusion-maps gram and ``K @ V`` without ``K`` (``_product``).  ``K`` takes
-one weight pass (``build_kernel``): its rows of weights are written in
-place and the degrees are summed from them; a second pass of the same
-runner then normalizes the rows where they lie.  The products ``K @ V`` of
-the solver and the certificate are ``_times``, dealt by the same runner;
-the Lanczos step's ``Q @ K`` is one BLAS call.  Where ``K`` is never built,
-as in ``sdpembed certify`` from 1500 points on, ``_diagonal`` gives
-``diag K`` from the degrees and ``_low_rank`` a pivoted Cholesky factor of
-the gram, one row of weights per pivot, with a bound on its error in
-``K``.  From 8 blocks on, the runner deals the blocks to up to one thread
-per CPU, each with its own buffer; the results do not depend on the number
-of threads.  These are the package's only threads: its public functions
-hold numpy's OpenBLAS at one thread (``_one_blas_thread``).  The degree of
-a new point is a row sum of the same weights; the module ``extension``
-turns it into the new point's kernel row and diagonal value.
+the degrees, ``K``, the extension to new points, the volume probes and the
+diffusion-maps gram.  ``K`` takes one weight pass (``build_kernel``): its
+rows of weights are written in place and the degrees are summed from them;
+a second pass of the same runner then normalizes the rows where they lie.
+The products ``K @ V`` of the solver and the certificate are ``_times``,
+dealt by the same runner; the Lanczos step's ``Q @ K`` is one BLAS call.
+Where ``K`` is never built, as in ``sdpembed certify`` from 1500 points on,
+one weight pass (``_degrees_and_product``) gives the degrees and ``K @ V``
+together, ``_diagonal`` gives ``diag K`` from the degrees and ``_low_rank``
+a pivoted Cholesky factor of the gram, one row of weights per pivot, with a
+bound on its error in ``K``.  From 8 blocks on, the runner deals the blocks
+to up to one thread per CPU, each with its own buffer; the results do not
+depend on the number of threads.  These are the package's only threads:
+its public functions hold numpy's OpenBLAS at one thread
+(``_one_blas_thread``).  The degree of a new point is a row sum of the same
+weights; the module ``extension`` turns it into the new point's kernel row
+and diagonal value.
 """
 
 import ctypes
@@ -59,6 +60,12 @@ _BLOCK_BYTES = 1 << 20
 # 1.5-1.7 ms in row blocks of 125 or 250 against 2.0-2.3 ms on 2 OpenBLAS
 # threads
 _PRODUCT_ROWS = 125
+
+# the one weight pass of the factored certificate (_degrees_and_product) sums
+# K @ V in at most this many groups of consecutive row blocks, a count that
+# depends on N alone, so the bits do too; the runner deals 16 groups to up to
+# 4 threads, and their sums take 16 (N, p) arrays
+_PRODUCT_GROUPS = 16
 
 # the depth of nested holds of one BLAS thread, and the caller's thread
 # count the outermost one restores: process-wide, as that count is
@@ -190,11 +197,12 @@ def _each_block(m, rows, size, call):
     that belongs to the thread running the block.  Every block in the
     package is dealt here: the weight pass :func:`_map_blocks`, the second
     pass of :func:`build_kernel`, which normalizes ``K`` once its weight pass
-    has returned, the products ``K @ V`` (:func:`_times`) and the sign
-    residual of the interval experiment.  These are the package's only
-    threads: its public functions hold BLAS at one thread
-    (:func:`_one_blas_thread`), so each block's BLAS call runs on the thread
-    that deals it, and block bounds fixed by the sizes fix the bits.
+    has returned, the products ``K @ V`` (:func:`_times`), the groups of
+    row blocks of :func:`_degrees_and_product` and the sign residual of the
+    interval experiment.  These are the package's only threads: its public
+    functions hold BLAS at one thread (:func:`_one_blas_thread`), so each
+    block's BLAS call runs on the thread that deals it, and block bounds
+    fixed by the sizes fix the bits.
 
     The blocks are dealt round-robin to ``min(cores, blocks // 4)`` threads,
     the calling one included, each with its own ``spare``; numpy releases the
@@ -271,14 +279,23 @@ def _map_blocks(X, points, sigma, fn, target=None):
     rows = _block_rows(n)
 
     def weights(start, stop, spare):
-        scratch = spare[: (stop - start) * n].reshape(stop - start, n)
-        if target is None:
-            out = spare[scratch.size : 2 * scratch.size].reshape(scratch.shape)
-        else:
-            out = target[start:stop]
-        fn(start, stop, _gaussian_weights(X[start:stop], operands, sigma, out, scratch))
+        fn(start, stop, _weight_block(X, operands, sigma, start, stop, spare, target))
 
     _each_block(m, rows, (2 if target is None else 1) * min(rows, m) * n, weights)
+
+
+def _weight_block(X, operands, sigma, start, stop, spare, target=None):
+    """The Gaussian weights of rows ``start:stop`` of ``X`` against the
+    training points of ``operands``, evaluated into ``target[start:stop]``
+    or, without ``target``, into ``spare`` after the evaluator's scratch
+    block, which comes first in ``spare``."""
+    n = operands.shape[2]
+    scratch = spare[: (stop - start) * n].reshape(stop - start, n)
+    if target is None:
+        out = spare[scratch.size : 2 * scratch.size].reshape(scratch.shape)
+    else:
+        out = target[start:stop]
+    return _gaussian_weights(X[start:stop], operands, sigma, out, scratch)
 
 
 def _degrees(X, points, sigma, target=None):
@@ -400,22 +417,42 @@ def _diagonal(kernel):
     return 1.0 / outer - outer / kernel.volume
 
 
-def _product(kernel, V):
-    """``K @ V`` for an (N, p) ``V`` without ``K``, from one weight pass:
-    row i is ``(W (V / sqrt(d)))_i / sqrt(d_i) - sqrt(d_i) (sqrt(d) @ V) / vol``
-    for the Gaussian weights ``W``, the same sum as the rows of ``K`` give
-    in another order of rounding."""
-    root_d = np.sqrt(kernel.degrees)
-    scaled = V / root_d[:, None]
-    out = np.empty(V.shape)
+def _degrees_and_product(points, sigma, V):
+    """The degrees of :func:`gaussian_gram`, bit for bit, and ``K @ V`` for
+    an (N, p) ``V`` without ``K``, from one weight pass over the Gaussian
+    weights ``W``: row i of ``K @ V`` is ``(W (V / sqrt(d)))_i / sqrt(d_i) -
+    sqrt(d_i) (sqrt(d) @ V) / vol``.
 
-    def rows(start, stop, weights):
-        np.matmul(weights, scaled, out=out[start:stop])
+    Each row block I of weights, the blocks of :func:`gaussian_gram`, first
+    gives its degrees ``d_I`` from its full rows, then adds ``W_{I.}^T (V_I /
+    sqrt(d_I))`` to the (N, p) sum of its group, since ``W`` is symmetric bit
+    for bit.  A group is a run of consecutive row blocks, at most
+    ``_PRODUCT_GROUPS`` of them by N alone; the runner :func:`_each_block`
+    deals the groups and their sums are added in group order, so the bits do
+    not depend on the number of threads or CPUs.
+    """
+    n, p = V.shape
+    operands = _right_operands(points)
+    rows = _block_rows(n)
+    blocks = -(-n // rows)
+    per_group = rows * -(-blocks // _PRODUCT_GROUPS)
+    degrees = np.empty(n)
+    sums = np.zeros((-(-n // per_group), n, p))
 
-    _map_blocks(kernel.points, kernel.points, kernel.sigma, rows)
+    def group(start, stop, spare):
+        total = sums[start // per_group]
+        for first in range(start, stop, rows):
+            last = min(first + rows, stop)
+            weights = _weight_block(points, operands, sigma, first, last, spare)
+            degrees[first:last] = weights.sum(axis=1)
+            total += weights.T @ (V[first:last] / np.sqrt(degrees[first:last])[:, None])
+
+    _each_block(n, per_group, 2 * min(rows, n) * n, group)
+    root_d = np.sqrt(degrees)
+    out = sums.sum(axis=0)  # over the groups in order, whatever dealt them
     out /= root_d[:, None]
-    out -= np.outer(root_d, (root_d @ V) / kernel.volume)
-    return out
+    out -= np.outer(root_d, (root_d @ V) / degrees.sum())
+    return degrees, out
 
 
 def _low_rank(kernel, cap, tol):

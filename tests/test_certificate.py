@@ -229,6 +229,39 @@ def _spy_on_lanczos(monkeypatch):
     return runs
 
 
+def _count_lanczos_steps(monkeypatch):
+    """The list that the number of steps, products with ``K`` or ``K~``, of
+    every later ``_lanczos_least`` run is appended to."""
+    steps = []
+
+    def spy(times, D, tol):
+        def counted(Q):
+            steps[-1] += 1
+            return times(Q)
+
+        steps.append(0)
+        return _lanczos_least(counted, D, tol)
+
+    monkeypatch.setattr(certificate, "_lanczos_least", spy)
+    return steps
+
+
+@pytest.mark.parametrize(
+    "per_cluster, sigma, factored, dense", [(664, 5.0, 16, 16), (498, 50.0, None, 96)]
+)
+def test_lanczos_steps_are_pinned(per_cluster, sigma, factored, dense, monkeypatch):
+    # the seed-3 clusters at N = 2000 and 1502: a change to the Lanczos step
+    # that moves where _ritz_converged holds changes the certificate's bits
+    points, Xi = _stored_clusters(per_cluster, 3, sigma)
+    steps = _count_lanczos_steps(monkeypatch)
+    if factored is not None:
+        assert certify_points(points, sigma, Xi).kernel_error_bound > 0.0
+        assert steps == [factored]
+        steps.clear()
+    assert check_optimality(build_kernel(points, sigma).K, Xi).is_certified
+    assert steps == [dense]
+
+
 @pytest.mark.parametrize("sigma", [1.0, 0.5, 0.3])
 def test_check_optimality_takes_lanczos_above_the_cutoff(sigma, monkeypatch):
     # the certified optima of the paper's 308 points, with the cutoff below

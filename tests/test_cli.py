@@ -13,7 +13,8 @@ from sdpembed import (
     load_embedding,
     save_csv,
 )
-from sdpembed import kernels
+from sdpembed import PrimalInfeasibilityError, kernels
+from sdpembed.certificate import certify_points
 from sdpembed.cli import _load_model, main
 
 from conftest import C
@@ -327,6 +328,21 @@ def test_certify_builds_no_square_array(model_2k, tmp_path, monkeypatch):
     assert peak < 0.12 * 2000 * 2000 * 8
 
 
+def test_certify_factored_evaluates_each_weight_once(model_2k, tmp_path, monkeypatch):
+    # one weight pass gives the degrees and K @ H_Xi; the factor adds one row
+    # of weights per pivot, at most N / 20 of them
+    counts = []
+    evaluate = kernels._gaussian_weights
+
+    def spy(X, operands, sigma, out, scratch):
+        counts.append(out.size)
+        return evaluate(X, operands, sigma, out, scratch)
+
+    monkeypatch.setattr(kernels, "_gaussian_weights", spy)
+    assert main(["certify", str(model_2k), "--out", str(tmp_path)]) == 0
+    assert 2000**2 < sum(counts) <= 2000**2 + 100 * 2000
+
+
 def test_certify_factored_names_the_failed_tests(model_2k, tmp_path, capsys):
     # negating one point's coordinates keeps every row norm, so the model
     # stays feasible, but it is no longer stationary
@@ -344,6 +360,24 @@ def test_certify_factored_names_the_failed_tests(model_2k, tmp_path, capsys):
         f"1e-08 * max K(i,i) = {1e-8 * scale:.3e}, least eigenvalue of L "
         f"{cert['least_eigenvalues'][0]:.3e} < -1e-08 * max K(i,i) = {-1e-8 * scale:.3e}\n"
     )
+
+
+def test_certify_factored_refuses_an_infeasible_model(model_2k, tmp_path, capsys, monkeypatch):
+    # a scaled coordinate row misses its diagonal constraint: the factored
+    # certificate names it after its one weight pass, without building K
+    doc = _read_json(model_2k)
+    doc["coordinates"][7] = [2.0 * v for v in doc["coordinates"][7]]
+    corrupted = tmp_path / "corrupted.json"
+    corrupted.write_text(json.dumps(doc))
+    Xi, points, sigma = _load_model(corrupted)
+    monkeypatch.setattr(kernels, "build_kernel", lambda *args: pytest.fail("K was built"))
+    with pytest.raises(PrimalInfeasibilityError, match=r"^row 7 has squared norm"):
+        certify_points(points, sigma, Xi)
+    capsys.readouterr()
+    assert main(["certify", str(corrupted), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sdpembed: primal feasibility violated: row 7 ") and err.count("\n") == 1
+    assert not (tmp_path / "out" / "certificate.json").exists()
 
 
 def test_extend_point_without_kernel_weight(two_point_csv, tmp_path, capsys):

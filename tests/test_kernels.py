@@ -330,11 +330,13 @@ def test_more_workers_than_cores_with_fast_switching_give_the_same_bits(monkeypa
             base = gaussian_gram(points, sigma)
             ext = extend_points(base, Xi, X)
             K = build_kernel(base.points, base.sigma).K
-            # the 8 blocks of the degrees and of each pass of K take 2 threads
-            # each, the 33 blocks of new points 6
-            assert len(started) == (0 if workers == 1 else 1 + 5 + 2)
+            with kernels._one_blas_thread():
+                product = kernels._degrees_and_product(points, sigma, Xi)
+            # the 8 blocks of the degrees, of each pass of K and of the
+            # product take 2 threads each, the 33 blocks of new points 6
+            assert len(started) == (0 if workers == 1 else 1 + 5 + 2 + 1)
             assert not any(thread.is_alive() for thread in started)
-            results[workers] = (base.degrees, K, ext.coords, ext.kappa, ext.degenerate)
+            results[workers] = (base.degrees, K, ext.coords, ext.kappa, ext.degenerate, *product)
     finally:
         sys.setswitchinterval(interval)
     for one, many in zip(results[1], results[6]):
@@ -543,15 +545,24 @@ def test_kernel_diagonal_formula():
 
 
 @pytest.mark.parametrize("per_cluster, sigma", [(100, 1.0), (664, 5.0)])
-def test_diagonal_and_product_of_K_from_the_degrees(per_cluster, sigma):
-    # what the factored certificate reads of K without building it
+def test_diagonal_and_product_of_K_from_the_degrees(per_cluster, sigma, monkeypatch):
+    # what the factored certificate reads of K without building it: the
+    # degrees and K @ V from one weight pass, whose row blocks sum into 16
+    # groups at N = 2000, dealt to up to 4 threads
     points = gen_three_clusters(per_cluster, 8, 3).points
     base, K = gaussian_gram(points, sigma), build_kernel(points, sigma).K
     assert np.array_equal(kernels._diagonal(base), np.diag(K))
     V = np.random.default_rng(0).standard_normal((len(points), 3))
     exact = K @ V
+    results = []
     with kernels._one_blas_thread():
-        product = kernels._product(base, V)
+        for cores in (1, 2, 4):
+            monkeypatch.setattr(kernels, "_cores", lambda: cores)
+            results.append(kernels._degrees_and_product(points, sigma, V))
+    degrees, product = results[0]
+    for other in results[1:]:
+        assert np.array_equal(other[0], degrees) and np.array_equal(other[1], product)
+    assert np.array_equal(degrees, base.degrees)
     assert np.allclose(product, exact, rtol=0, atol=1e-13 * np.abs(exact).max())
 
 

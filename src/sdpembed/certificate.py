@@ -261,18 +261,33 @@ def _checked_feasible(H_Xi, diag):
     return scale
 
 
+def _least_bound(eigenvalues, bound):
+    """lambda_min(L~) - ``bound`` <= lambda_min(L), the value of the eigenvalue test."""
+    return float(eigenvalues[0]) - bound
+
+
+def _slackness_holds(residual, scale):
+    """The verdict's slackness test; ``scale`` is max_i K_ii."""
+    return residual <= _RTOL * scale
+
+
+def _eigenvalue_holds(least, scale):
+    """The verdict's eigenvalue test, on a lower bound on lambda_min(L)."""
+    return least >= -_RTOL * scale
+
+
 def _report(slackness, eigenvalues, bound, k_rho, diag):
     """The report from the slackness residual, the least eigenvalues of an
     ``L~`` within ``bound`` of L, ``(K rho)_ii`` and ``diag K``."""
     scale = float(diag.max())
     D = k_rho / diag
-    least = float(eigenvalues[0]) - bound
+    least = _least_bound(eigenvalues, bound)
     return CertificateReport(
         slackness_residual=slackness,
         least_eigenvalues=eigenvalues.copy(),
         duality_gap=max(0.0, -least) * float(diag.sum()),
         D_diagonal=D,
-        is_certified=bool(slackness <= _RTOL * scale and least >= -_RTOL * scale),
+        is_certified=bool(_slackness_holds(slackness, scale) and _eigenvalue_holds(least, scale)),
         tol_slack=_RTOL,
         tol_eig=_RTOL,
         objective=float(k_rho.sum()),
@@ -300,35 +315,25 @@ def certify_points(points, sigma, H_Xi):
     (:func:`kernels._low_rank`), and a product costs O(N r).  Since
     ``lambda_min(L) >= lambda_min(L~) - delta``, the eigenvalue test and the
     duality gap take ``lambda_min(L~) - delta``; the report gives ``delta``
-    as ``kernel_error_bound``.  :func:`check_optimality` of ``K`` decides
-    instead when the factor needs more than N / 20 pivots, when
-    ``-tol_eig max_i K_ii`` lies within ``delta`` of ``lambda_min(L~)``,
-    where ``delta`` could change the verdict (so the factor never does), or
-    if the Lanczos basis fills R^N.
+    as ``kernel_error_bound``.  The factored route hands over to
+    :func:`check_optimality` of ``K`` when the factor needs more than N / 20
+    pivots, when ``-tol_eig max_i K_ii`` lies within ``delta`` of
+    ``lambda_min(L~)``, where ``delta`` could change the verdict (so the
+    factor never does), or if the Lanczos basis fills R^N.
     Raises as :func:`check_optimality` does.
     """
     points = kernels._checked_points(points, sigma)
     if len(points) >= _DENSE_BELOW:
-        report = _factored_certificate(points, sigma, H_Xi)
-        if report is not None:
-            return report
+        H_Xi = _checked_factor(H_Xi, len(points))
+        degrees, KH = kernels._degrees_and_product(points, sigma, H_Xi)
+        kernel = kernels._kernel(points, sigma, degrees)
+        diag = kernels._diagonal(kernel)
+        scale = _checked_feasible(H_Xi, diag)
+        factored = kernels._low_rank(kernel, len(points) // 20, _FACTOR_RTOL * scale)
+        if factored is not None:
+            A, c, delta = factored
+            k_rho, slackness = _slackness(KH, H_Xi, diag)
+            pairs = _lanczos_least(lambda Q: ((Q @ A.T) * c) @ A, k_rho / diag, _LANCZOS_RTOL * scale)
+            if pairs is not None and not abs(pairs[0][0] + _RTOL * scale) <= delta:
+                return _report(slackness, pairs[0], delta, k_rho, diag)
     return check_optimality(kernels.build_kernel(points, sigma).K, H_Xi)
-
-
-def _factored_certificate(points, sigma, H_Xi):
-    """The report of :func:`certify_points` from ``K~``, or None where
-    :func:`check_optimality` of ``K`` must decide."""
-    H_Xi = _checked_factor(H_Xi, len(points))
-    degrees, KH = kernels._degrees_and_product(points, sigma, H_Xi)
-    kernel = kernels._kernel(points, sigma, degrees)
-    diag = kernels._diagonal(kernel)
-    scale = _checked_feasible(H_Xi, diag)
-    factored = kernels._low_rank(kernel, len(points) // 20, _FACTOR_RTOL * scale)
-    if factored is None:
-        return None
-    A, c, delta = factored
-    k_rho, slackness = _slackness(KH, H_Xi, diag)
-    pairs = _lanczos_least(lambda Q: ((Q @ A.T) * c) @ A, k_rho / diag, _LANCZOS_RTOL * scale)
-    if pairs is None or abs(pairs[0][0] + _RTOL * scale) <= delta:
-        return None
-    return _report(slackness, pairs[0], delta, k_rho, diag)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataio, diffmaps, interval, kernels, pipeline
+from . import certificate, dataio, diffmaps, interval, kernels, pipeline
 from .certificate import PrimalInfeasibilityError, certify_points
 from .dataio import CsvFormatError, EmbeddingSchemaError, _write_csv, _write_json
 from .extension import extend_points
@@ -108,14 +108,15 @@ def _exit_code(report, factor=None, tol=None):
             f"{factor.slackness_residual:.3e} > {tol:g} * max K(i,i) = {tol * scale:.3e}"
         )
     tests = []
-    if not report.slackness_residual <= report.tol_slack * scale:
+    if not certificate._slackness_holds(report.slackness_residual, scale):
         tests.append(
             f"slackness residual {report.slackness_residual:.3e} > "
             f"{report.tol_slack:g} * max K(i,i) = {report.tol_slack * scale:.3e}"
         )
-    if not report.least_eigenvalues[0] >= -report.tol_eig * scale:
+    least = certificate._least_bound(report.least_eigenvalues, report.kernel_error_bound)
+    if not certificate._eigenvalue_holds(least, scale):
         tests.append(
-            f"least eigenvalue of L {report.least_eigenvalues[0]:.3e} < "
+            f"least eigenvalue of L {least:.3e} < "
             f"-{report.tol_eig:g} * max K(i,i) = {-report.tol_eig * scale:.3e}"
         )
     if tests:

@@ -139,14 +139,6 @@ def _load_csv_rows(path, fh):
         rows = rows[1:]
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
-    # numpy parses a string exactly as float() does; the cell-by-cell pass
-    # below only runs to name the offending cell
-    try:
-        points = np.array([row for _, row in rows], dtype=float)
-    except ValueError:
-        points = None
-    if points is not None and np.isfinite(points).all():
-        return Dataset(points=points)
     arity = len(rows[0][1])
     points = []
     for line, row in rows:

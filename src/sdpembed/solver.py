@@ -18,7 +18,7 @@ manifold), and E = Tr(rho K) = Tr(Y^T J Y) with J = R K R.
    (The levels of the bandwidth path above its sigma stop at the stationary
    point, with neither certificate nor staircase.)
 
-All stop on the ``slackness_residual`` of ``check_optimality``.
+All stop on the ``slackness_residual`` of ``check_optimality``, bit for bit.
 """
 
 import math
@@ -27,7 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .certificate import _RTOL, CertificateReport, _least_eigenpairs, _slackness, check_optimality
+from .certificate import (CertificateReport, _eigenvalue_holds, _least_eigenpairs, _slackness,
+                          check_optimality)
 from .embedding import _RANK_TOL, _check_rank_tol
 from .kernels import _one_blas_thread, _times
 
@@ -134,23 +135,23 @@ def init_factor(n_points, cfg, rng=None):
 
 @_one_blas_thread()
 def objective(K, H_Xi):
-    """``Tr(H_Xi^T K H_Xi)``, which is Tr(rho K) for rho = H_Xi H_Xi^T."""
+    """Tr(rho K) for rho = H_Xi H_Xi^T, summed over (K rho)_ii as the solver does."""
     K = np.asarray(K, dtype=float)
     if H_Xi.shape[0] != K.shape[0]:
         raise ValueError(f"shape mismatch: K is {K.shape}, H_Xi is {H_Xi.shape}")
-    return float(np.einsum("ij,ij->", H_Xi, _times(K, H_Xi)))
+    return float(np.einsum("ij,ij->i", _times(K, H_Xi), H_Xi).sum())
 
 
 class _Point:
-    """Y with H_Xi, K H_Xi, (K rho)_ii, E, the residual and the gradient of
-    -E, whose terms cancel near the optimum: the normal part of their
-    rounding error is projected out.  The gradient is formed when first
-    read, which the power steps never do."""
+    """Y with H_Xi, K H_Xi, and from ``diag K`` the (K rho)_ii, E and residual
+    of ``check_optimality``'s report, bit for bit; the gradient of -E, formed
+    when first read (the power steps never do), has terms that cancel near
+    the optimum, so the normal part of their rounding error is projected out."""
 
-    def __init__(self, K, root, Y):
+    def __init__(self, K, diag, root, Y):
         self.Y, self.H, self.root = Y, root[:, None] * Y, root
         self.KH = _times(K, self.H)
-        self.k_rho, self.residual = _slackness(self.KH, self.H, root * root)
+        self.k_rho, self.residual = _slackness(self.KH, self.H, diag)
         self.energy = float(self.k_rho.sum())
 
     @cached_property
@@ -251,7 +252,7 @@ def _solve(K, cfg, start, budget, probe=False, certify=True):
     if not np.all(np.isfinite(start)):
         raise ValueError("start must be finite")
     threshold = cfg.tol_conv * scale
-    x = _Point(K, root, _unit_rows(start, rng))
+    x = _Point(K, diag, root, _unit_rows(start, rng))
     steps, products, history = 0, 1, [x.residual]
     while x.residual > threshold and steps < budget:
         if steps >= _WINDOW:
@@ -261,7 +262,7 @@ def _solve(K, cfg, start, budget, probe=False, certify=True):
                     stalled = FactorState(x.H, x.energy, steps, False, x.residual, products, None)
                     return stalled, True
                 break
-        y = _Point(K, root, _unit_rows(x.KH, rng))
+        y = _Point(K, diag, root, _unit_rows(x.KH, rng))
         if y.energy < x.energy - _MONOTONE_RTOL * diag.sum() ** 2:
             raise RuntimeError(f"objective decreased from {x.energy!r} to {y.energy!r}; "
                                "the kernel is not p.s.d.")
@@ -274,21 +275,21 @@ def _solve(K, cfg, start, budget, probe=False, certify=True):
             if not certify:
                 break
             report = check_optimality(K, x.H)
-            if report.least_eigenvalues[0] >= -_RTOL * scale or x.Y.shape[1] >= cfg.r0:
+            if _eigenvalue_holds(report.least_eigenvalues[0], scale) or x.Y.shape[1] >= cfg.r0:
                 break
             # a column along the least eigenvector v of L, with a step from
             # max_i |v_i| / sqrt(K_ii) = 1 halved until E rises
             u = _least_eigenpairs(K, report.D_diagonal, scale, vectors=True)[1][:, 0] / root
             step = 1.0 / np.max(np.abs(u))
             for _ in range(60):
-                y = _Point(K, root, _unit_rows(np.column_stack([x.Y, step * u]), rng))
+                y = _Point(K, diag, root, _unit_rows(np.column_stack([x.Y, step * u]), rng))
                 products, step = products + 1, step / 2
                 if y.energy > x.energy:
                     break
             x, radius, report = y, radius_max / 8, None
             continue
         eta, decrease, spent = _tcg(K, root, x, radius)
-        y = _Point(K, root, _unit_rows(x.Y + eta, None))
+        y = _Point(K, diag, root, _unit_rows(x.Y + eta, None))
         products, steps = products + spent + 1, steps + 1
         slack = _RATIO_SLACK * np.finfo(float).eps * abs(x.energy)
         ratio = (y.energy - x.energy + slack) / max(decrease + slack, np.finfo(float).tiny)

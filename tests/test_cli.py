@@ -354,11 +354,12 @@ def test_certify_factored_names_the_failed_tests(model_2k, tmp_path, capsys):
     assert main(["certify", str(perturbed), "--out", str(tmp_path)]) == 2
     cert = _read_json(tmp_path / "certificate.json")
     assert not cert["is_certified"] and cert["kernel_error_bound"] > 0
-    scale = cert["scale"]
+    # the eigenvalue test takes lambda_min(L~) - delta, and the line names it
+    scale, least = cert["scale"], cert["least_eigenvalues"][0] - cert["kernel_error_bound"]
     assert capsys.readouterr().err == (
         f"sdpembed: not certified: slackness residual {cert['slackness_residual']:.3e} > "
         f"1e-08 * max K(i,i) = {1e-8 * scale:.3e}, least eigenvalue of L "
-        f"{cert['least_eigenvalues'][0]:.3e} < -1e-08 * max K(i,i) = {-1e-8 * scale:.3e}\n"
+        f"{least:.3e} < -1e-08 * max K(i,i) = {-1e-8 * scale:.3e}\n"
     )
 
 

@@ -11,6 +11,7 @@ from sdpembed import (
     embed_points,
     gen_three_clusters,
     kernels,
+    objective,
     solve,
     solver,
 )
@@ -58,6 +59,11 @@ def _assert_converged_and_certified(result):
     assert result.certificate is result.factor.certificate
     fresh = check_optimality(result.kernel.K, result.factor.H_Xi)
     assert np.array_equal(fresh.least_eigenvalues, result.certificate.least_eigenvalues)
+    # the solver stops on the residual the report gives, and the objective
+    # has the same bits however it is computed
+    assert result.factor.slackness_residual == result.certificate.slackness_residual
+    energy = objective(result.kernel.K, result.factor.H_Xi)
+    assert energy == result.factor.objective == result.certificate.objective
 
 
 def _assert_matches_a_cold_solve(result):
@@ -165,6 +171,13 @@ def test_far_outlier_certifies():
     # weights to the cloud all underflow
     cloud = np.random.default_rng(0).standard_normal((50, 2))
     result = embed_points(np.vstack([cloud, [[1e6, 1e6]]]), 1.0)
+    _assert_converged_and_certified(result)
+
+
+def test_2k_clusters_at_sigma_5_certify_on_the_reported_residual():
+    # the power steps converge on their own, and the Lanczos certificate
+    # decides
+    result = embed_points(gen_three_clusters(664, 8, 3).points, 5.0)
     _assert_converged_and_certified(result)
 
 

@@ -31,7 +31,8 @@ from .certificate import _checked_factor
 # (kx @ (||Xi_i|| / sqrt(d_i))) / sqrt(dbar) + sqrt(dbar) ||center||, counts
 # as degenerate: below it g is rounding noise.  Both terms scale like
 # sqrt(dbar), as g does, so the test holds far from the data too, where the
-# weights are tiny
+# weights are tiny.  The first term's sum over kx is the last column of
+# extend_points' one weight product
 _DEGENERATE_RTOL = 1e-12
 
 # tiny negative extended-diagonal values are rounding noise; anything below
@@ -128,33 +129,31 @@ def extend_points(kernel, Xi, X):
         rounding, which is an internal error.
 
     The points are processed in row blocks of Gaussian weights ``kx`` (see
-    ``kernels._map_blocks``).  Per block, one product ``kx @ [Xi / sqrt(d), 1]``
-    gives both ``A = kx @ (Xi / sqrt(d))`` and the extended degrees ``dbar``,
-    written straight into its rows of the result, and
-    ``kx @ (||Xi_i|| / sqrt(d_i))`` bounds ``||A||`` for the degeneracy
-    test; the rest runs once over all rows, so the runner's threads hold the
-    GIL for little more than those products.  The Nystrom sums follow as
-    ``g = A / sqrt(dbar) - sqrt(dbar) center`` with
+    ``kernels._map_blocks``).  Per block, one product
+    ``kx @ [Xi / sqrt(d), 1, ||Xi_i|| / sqrt(d_i)]``, written straight into
+    its rows of the result, gives ``A = kx @ (Xi / sqrt(d))``, the extended
+    degrees ``dbar`` and the bound ``kx @ (||Xi_i|| / sqrt(d_i)) >= ||A||``
+    of the degeneracy test; the rest runs once over all rows, so the runner's
+    threads hold the GIL for little more than that product.  The Nystrom
+    sums follow as ``g = A / sqrt(dbar) - sqrt(dbar) center`` with
     ``center = (sqrt(d) @ Xi) / vol``; the kernel rows ``kvec`` of
     :func:`sdpembed.diagnostics.extension_row` are never formed.
     """
     Xi = _checked_factor(Xi, kernel.points.shape[0])
     rank = Xi.shape[1]
     root_d = np.sqrt(kernel.degrees)
-    weights = np.hstack([Xi / root_d[:, None], np.ones((Xi.shape[0], 1))])
+    # the middle column sqrt(d_i) / sqrt(d_i) is exactly 1
+    weights = np.column_stack([Xi, root_d, np.linalg.norm(Xi, axis=1)]) / root_d[:, None]
     center = (root_d @ Xi) / kernel.volume
-    row_sizes = np.linalg.norm(Xi, axis=1) / root_d
     X = _new_points(kernel, X)
     m = X.shape[0]
-    prod = np.empty((m, rank + 1))
-    sizes = np.empty(m)
+    prod = np.empty((m, rank + 2))
 
-    def products(start, stop, kx):
+    def product(start, stop, kx):
         np.matmul(kx, weights, out=prod[start:stop])
-        sizes[start:stop] = kx @ row_sizes
 
-    kernels._map_blocks(X, kernel.points, kernel.sigma, products)
-    dbar = prod[:, rank]
+    kernels._map_blocks(X, kernel.points, kernel.sigma, product)
+    dbar, sizes = prod[:, rank], prod[:, rank + 1]
     kappa = _extended_diagonal(kernel, dbar)
     root_dbar = np.sqrt(dbar)
     g = prod[:, :rank] / root_dbar[:, None] - np.outer(root_dbar, center)

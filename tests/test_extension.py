@@ -7,9 +7,11 @@ from sdpembed import (
     SolverConfig,
     build_kernel,
     check_optimality,
+    embed_points,
     extend_points,
     factor_to_embedding,
     gaussian_gram,
+    gen_swiss_roll,
 )
 from sdpembed import kernels
 from sdpembed.solver import init_factor
@@ -53,9 +55,19 @@ def test_symmetry_midpoint_is_degenerate(two_point):
     assert np.array_equal(p.coords[0], np.zeros(1))
 
 
-def test_extend_points_matches_per_row_reference(cluster_pipeline):
+@pytest.fixture(scope="module")
+def swiss_roll_pipeline():
+    """A certified model of width 3: the swiss roll of 400 points (seed 0) at
+    sigma = 3, solved under defaults."""
+    return embed_points(gen_swiss_roll(400, 0).points, 3.0)
+
+
+@pytest.mark.parametrize("model, rank", [("cluster_pipeline", 2), ("swiss_roll_pipeline", 3)])
+def test_extend_points_matches_per_row_reference(model, rank, request):
     # three full row blocks and a partial one, with copies of training points
-    dk, emb = cluster_pipeline.kernel, cluster_pipeline.embedding
+    result = request.getfixturevalue(model)
+    dk, emb = result.kernel, result.embedding
+    assert emb.rank == rank and result.certificate.is_certified
     pts = dk.points
     rows = kernels._block_rows(pts.shape[0])
     m = 3 * rows + rows // 2

@@ -19,10 +19,13 @@ reported as the duality gap, and it vanishes exactly when L >= 0.
 from a dense solve below 1500 points and from block Lanczos from there on.
 ``certify_points``, the certificate of ``sdpembed certify``, needs no ``K``
 where a low-rank factor of the Gaussian gram decides: from 1500 points on,
-L's least eigenvalues come from L~ = diag(D) - K~ with ||K - K~||_2 <= delta,
-and since lambda_min(L) >= lambda_min(L~) - delta, the eigenvalue test and
-the duality gap take that lower bound; ``check_optimality`` decides wherever
-the factor needs too many pivots or delta could change the verdict.
+it tests L~ = diag(D) - K~ with ||K - K~||_2 <= delta, and since
+lambda_min(L) >= lambda_min(L~) - delta, the eigenvalue test and the duality
+gap take that lower bound.  K~ = A^T J A has rank r + 1, so the number of
+L~'s eigenvalues below a shift is the inertia of one (r+1) x (r+1) matrix
+(``_count_below``); block Lanczos on L~ runs only where that count does not
+prove the eigenvalue test, and ``check_optimality`` decides wherever the
+factor needs too many pivots or delta could change the verdict.
 """
 
 from dataclasses import dataclass
@@ -80,7 +83,12 @@ class CertificateReport:
     ||L - L~||_2 <= ``kernel_error_bound`` (0 where they are L's own), so
     the eigenvalue test takes lambda_min(L~) minus that bound, and so does
     ``duality_gap``, the weak-duality bound max(0, -lambda_min(L)) Tr(K) on
-    Tr(K rho*) - ``objective``."""
+    Tr(K rho*) - ``objective``.  Where they are L's own they are its six
+    least; where the bound is positive (the factored report of
+    :func:`certify_points`) they are those at or below ``tol_eig * scale``,
+    at most six and at least one, since Tr(L rho) = 0 puts lambda_min(L~)
+    at or below the bound: on a certified model their number is the
+    dimension of L's null space."""
 
     slackness_residual: float
     least_eigenvalues: np.ndarray
@@ -209,6 +217,81 @@ def _least_eigenpairs(K, D, scale, vectors=False):
     return w[:_N_LEAST], V[:, :_N_LEAST]
 
 
+def _at_or_below(values, limit):
+    """The ascending ``values`` at or below ``limit``: at most ``_N_LEAST``
+    of them, and at least the first."""
+    return values[: max(1, min(_N_LEAST, int(np.count_nonzero(values <= limit))))]
+
+
+def _count_below(A, D, t):
+    """The number of eigenvalues below ``t`` of ``L~ = diag(D) - A^T J A``,
+    ``J = diag(1, ..., 1, -1)``, from the inertia of the (r+1) x (r+1)
+    matrix ``S = J - A E^{-1} A^T`` with ``E = diag(D - t)``; with it the
+    eigenvalues ``mu`` of S ascending, their unit vectors as columns, ``A
+    E^{-1}`` and a bound on the rounding error of each ``mu``.  No ``D_i``
+    may equal ``t``.
+
+    ``L~ - t I`` and ``J`` are the Schur complements of ``E`` and of ``J`` in
+    the bordered matrix [[E, A^T], [A, J]], and ``S`` and ``E`` those of the
+    other blocks, so Haynsworth's inertia additivity (Linear Algebra Appl.
+    1, 1968) gives ``1 + #{lambda(L~) < t} = #{D_i < t} + #{mu < 0}``.
+
+    The bound, a priori in the manner of Rump (BIT 46, 2006).  Entry (i, j)
+    of the computed ``A E^{-1} A^T`` is a sum of N terms of three roundings
+    each, so its error is at most ``gamma_{N+3} sum_k |A_ik A_jk| / |E_k|``
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 3),
+    and the 2-norm of that nonnegative matrix is at most its trace; adding
+    ``J`` rounds once more.  The eigensolver's eigenvalues are those of a
+    matrix within ``p(k) u ||S||_2`` of the computed ``S`` (LAPACK Users'
+    Guide, 3rd ed., sec. 4.7), with ``p(k)`` taken as the order k = r + 1.
+    By Weyl, each computed ``mu`` is within
+
+        gamma_{N+4} (1 + sum_k ||A_{:k}||^2 / |E_k|) + gamma_k ||S||_F
+
+    of the exact eigenvalue of the exact ``S``.
+    """
+    k, n = A.shape
+    e = D - t
+    B = A / e
+    S = -(B @ A.T)
+    S[np.diag_indices(k)] += np.r_[np.ones(k - 1), -1.0]
+    mu, U = np.linalg.eigh(S)
+    col_sq = np.einsum("ij,ij->j", A, A)
+    bound = kernels._gamma(n + 4) * (1.0 + float(col_sq @ (1.0 / np.abs(e))))
+    bound += kernels._gamma(k) * float(np.linalg.norm(S))
+    count = int(np.count_nonzero(e < 0)) + int(np.count_nonzero(mu < 0)) - 1
+    return count, mu, U, B, bound
+
+
+def _counted_least(A, D, delta, scale):
+    """The eigenvalues of ``L~ = diag(D) - A^T J A`` at or below ``tol_eig
+    scale`` (:func:`_at_or_below`) where one count proves that none lies
+    below ``t = delta - tol_eig scale``, so that ``lambda_min(L) >= -tol_eig
+    scale``; else None.
+
+    The count is taken at ``t`` only where every ``D_i`` lies above it.
+    Then ``S <= J`` has ``mu_1 <= -1``, so the count is 0 exactly where
+    ``mu_2 > 0``, and it decides only where ``mu_2`` clears the rounding
+    bound of :func:`_count_below`.  An eigenvalue ``lambda`` of ``L~`` above
+    ``t`` is where an eigenvalue of ``S`` crosses zero, with slope ``-||E^{-1}
+    A^T u||^2`` at ``t`` (the secular equation; Golub, SIAM Review 15,
+    1973), so one Newton step gives ``lambda ~ t + mu / ||E^{-1} A^T u||^2
+    >= t`` from each ``mu > 0``.  It is taken from those ``mu`` that could
+    reach zero by ``tol_eig scale`` at the first-order rate ``||A
+    E^{-1}||_F^2``, and always from ``mu_2``.
+    """
+    t = delta - _RTOL * scale
+    if D.min() <= t:
+        return None
+    count, mu, U, B, bound = _count_below(A, D, t)
+    if count != 0 or mu[1] <= bound:
+        return None
+    near = (mu > 0) & (mu <= (_RTOL * scale - t) * float(np.vdot(B, B)))
+    near[1] = True
+    V = B.T @ U[:, near]
+    return _at_or_below(np.sort(t + mu[near] / np.einsum("ij,ij->j", V, V)), _RTOL * scale)
+
+
 def _checked_factor(H, n):
     """The factor or coordinates ``H`` as a float array, after checking that
     its shape is (n, r) with r >= 1 and its entries are finite (else
@@ -309,17 +392,19 @@ def certify_points(points, sigma, H_Xi):
     (:func:`kernels._degrees_and_product`) gives the degrees of
     :func:`kernels.gaussian_gram`, bit for bit, and ``K @ H_Xi``; with
     ``diag K`` from the degrees, the feasibility, ``D``, the slackness and
-    the objective are those of ``K``.  The least eigenvalues are those of
-    ``L~ = diag(D) - K~`` by block Lanczos, where ``K~`` comes from a
-    pivoted Cholesky factor of the gram with ``||K - K~||_2 <= delta``
-    (:func:`kernels._low_rank`), and a product costs O(N r).  Since
-    ``lambda_min(L) >= lambda_min(L~) - delta``, the eigenvalue test and the
-    duality gap take ``lambda_min(L~) - delta``; the report gives ``delta``
-    as ``kernel_error_bound``.  The factored route hands over to
-    :func:`check_optimality` of ``K`` when the factor needs more than N / 20
-    pivots, when ``-tol_eig max_i K_ii`` lies within ``delta`` of
-    ``lambda_min(L~)``, where ``delta`` could change the verdict (so the
-    factor never does), or if the Lanczos basis fills R^N.
+    the objective are those of ``K``.  The eigenvalue test runs on ``L~ =
+    diag(D) - A^T J A`` from a pivoted Cholesky factor of the gram with
+    ``||K - K~||_2 <= delta`` (:func:`kernels._low_rank`), and since
+    ``lambda_min(L) >= lambda_min(L~) - delta``, it and the duality gap take
+    ``lambda_min(L~) - delta``; the report gives ``delta`` as
+    ``kernel_error_bound``.  Its eigenvalues of ``L~`` come from one
+    inertia count and Newton steps (:func:`_counted_least`) where the count
+    proves the test, else from block Lanczos on ``L~`` at O(N r) a product.
+    The factored route hands over to :func:`check_optimality` of ``K`` when
+    the factor needs more than N / 20 pivots, when Lanczos places ``-tol_eig
+    max_i K_ii`` within ``delta`` of ``lambda_min(L~)``, where ``delta``
+    could change the verdict (so the factor never does), or if the Lanczos
+    basis fills R^N.
     Raises as :func:`check_optimality` does.
     """
     points = kernels._checked_points(points, sigma)
@@ -331,9 +416,15 @@ def certify_points(points, sigma, H_Xi):
         scale = _checked_feasible(H_Xi, diag)
         factored = kernels._low_rank(kernel, len(points) // 20, _FACTOR_RTOL * scale)
         if factored is not None:
-            A, c, delta = factored
+            A, delta = factored
             k_rho, slackness = _slackness(KH, H_Xi, diag)
-            pairs = _lanczos_least(lambda Q: ((Q @ A.T) * c) @ A, k_rho / diag, _LANCZOS_RTOL * scale)
-            if pairs is not None and not abs(pairs[0][0] + _RTOL * scale) <= delta:
-                return _report(slackness, pairs[0], delta, k_rho, diag)
+            D = k_rho / diag
+            least = _counted_least(A, D, delta, scale)
+            if least is None:
+                J = np.r_[np.ones(len(A) - 1), -1.0]
+                pairs = _lanczos_least(lambda Q: ((Q @ A.T) * J) @ A, D, _LANCZOS_RTOL * scale)
+                if pairs is not None and not abs(pairs[0][0] + _RTOL * scale) <= delta:
+                    least = _at_or_below(pairs[0], _RTOL * scale)
+            if least is not None:
+                return _report(slackness, least, delta, k_rho, diag)
     return check_optimality(kernels.build_kernel(points, sigma).K, H_Xi)

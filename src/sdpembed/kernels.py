@@ -455,12 +455,21 @@ def _degrees_and_product(points, sigma, V):
     return degrees, out
 
 
+def _gamma(m):
+    """Higham's ``gamma_m = m u / (1 - m u)``, ``u`` the unit roundoff: the
+    relative error bound of m roundings."""
+    u = float(np.finfo(float).eps) / 2
+    return m * u / (1 - m * u)
+
+
 def _low_rank(kernel, cap, tol):
-    """A factored ``K~ = A^T diag(c) A`` near ``K`` and a bound ``delta >=
+    """A factored ``K~ = A^T J A`` near ``K`` and a bound ``delta >=
     ||K - K~||_2``, from a pivoted Cholesky factor ``W ~ G^T G`` of the
     Gaussian gram ``W`` (Harbrecht, Peters & Schneider, Appl. Numer. Math.
-    62, 2012): ``A`` is ``G / sqrt(d)`` with the row ``sqrt(d)`` below it and
-    ``c`` is ones and ``-1/vol``, so a product with ``K~`` costs O(N r).
+    62, 2012): ``A`` is ``G / sqrt(d)`` with the row ``sqrt(d / vol)`` below
+    it and ``J = diag(1, ..., 1, -1)``, so a product with ``K~`` costs O(N r)
+    and ``J``, its own inverse, is the corner block of the inertia count of
+    :func:`sdpembed.certificate._count_below`.
     The pivots stop once the residual diagonal sums to at most ``tol``
     min_i d_i, which holds the first term of ``delta`` to ``tol``; None if
     ``cap`` pivots do not get there.
@@ -483,9 +492,9 @@ def _low_rank(kernel, cap, tol):
 
         delta = (sum_i max(e_i, 0) + 3 gamma_{r+1} ||G||_F^2) / min_i d_i,
 
-    with ``gamma_m = m u / (1 - m u)`` and ``u`` the unit roundoff.  The
-    rounding of ``K`` itself and of the products, which the dense
-    certificate leaves to its tolerance too, is not counted.
+    with ``gamma_m`` of :func:`_gamma`.  The rounding of ``K`` itself and of
+    the products, which the dense certificate leaves to its tolerance too,
+    is not counted.
     """
     points, n = kernel.points, kernel.points.shape[0]
     operands = _right_operands(points)
@@ -502,13 +511,9 @@ def _low_rank(kernel, cap, tol):
         row -= G[:r, p] @ G[:r]
         row /= np.sqrt(residual[p])
         residual -= row * row
-    u = float(np.finfo(float).eps) / 2
-    gamma = (r + 1) * u / (1 - (r + 1) * u)
-    delta = (trace + 3 * gamma * float(np.vdot(G[:r], G[:r]))) / min_d
+    delta = (trace + 3 * _gamma(r + 1) * float(np.vdot(G[:r], G[:r]))) / min_d
     root_d = np.sqrt(kernel.degrees)
     A = np.empty((r + 1, n))
     np.divide(G[:r], root_d, out=A[:r])
-    A[r] = root_d
-    c = np.ones(r + 1)
-    c[r] = -1.0 / kernel.volume
-    return A, c, delta
+    np.divide(root_d, np.sqrt(kernel.volume), out=A[r])
+    return A, delta

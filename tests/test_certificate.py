@@ -20,6 +20,7 @@ from sdpembed.certificate import (
     _LANCZOS_RTOL,
     _N_LEAST,
     _RTOL,
+    _count_below,
     _lanczos_least,
     _ritz_converged,
     certify_points,
@@ -246,20 +247,38 @@ def _count_lanczos_steps(monkeypatch):
     return steps
 
 
-@pytest.mark.parametrize(
-    "per_cluster, sigma, factored, dense", [(664, 5.0, 16, 16), (498, 50.0, None, 96)]
-)
-def test_lanczos_steps_are_pinned(per_cluster, sigma, factored, dense, monkeypatch):
+@pytest.mark.parametrize("per_cluster, sigma, dense", [(664, 5.0, 16), (498, 50.0, 96)])
+def test_lanczos_steps_are_pinned(per_cluster, sigma, dense, monkeypatch):
     # the seed-3 clusters at N = 2000 and 1502: a change to the Lanczos step
     # that moves where _ritz_converged holds changes the certificate's bits
     points, Xi = _stored_clusters(per_cluster, 3, sigma)
     steps = _count_lanczos_steps(monkeypatch)
-    if factored is not None:
-        assert certify_points(points, sigma, Xi).kernel_error_bound > 0.0
-        assert steps == [factored]
-        steps.clear()
     assert check_optimality(build_kernel(points, sigma).K, Xi).is_certified
     assert steps == [dense]
+
+
+def _count_evaluations(monkeypatch):
+    """The list that the shift of every later ``_count_below`` call, one
+    evaluation of S, is appended to."""
+    shifts = []
+
+    def spy(A, D, t):
+        shifts.append(t)
+        return _count_below(A, D, t)
+
+    monkeypatch.setattr(certificate, "_count_below", spy)
+    return shifts
+
+
+def test_factored_certificate_counts_once_and_takes_no_lanczos_step(monkeypatch):
+    # the seed-3 clusters at N = 2000, sigma = 5: one S at -tol_eig scale +
+    # delta decides, so block Lanczos takes no step
+    points, Xi = _stored_clusters(664, 3, 5.0)
+    steps, shifts = _count_lanczos_steps(monkeypatch), _count_evaluations(monkeypatch)
+    report = certify_points(points, 5.0, Xi)
+    assert report.is_certified and report.kernel_error_bound > 0.0
+    assert steps == []
+    assert shifts == [report.kernel_error_bound - _RTOL * report.scale]
 
 
 @pytest.mark.parametrize("sigma", [1.0, 0.5, 0.3])
@@ -439,13 +458,27 @@ def _stored_clusters(per_cluster, seed, sigma):
     return points, embed_points(points, sigma).embedding.Xi
 
 
-def _factor_error_norm(K, A, c):
-    """||K - A^T diag(c) A||_F, in row blocks; it bounds the 2-norm."""
+def _low_rank_kernel(A, start=0, stop=None):
+    """Rows ``start:stop`` of ``K~ = A^T J A``, from a factor of
+    ``kernels._low_rank``."""
+    return (A[:, start:stop].T * np.r_[np.ones(len(A) - 1), -1.0]) @ A
+
+
+def _factor_error_norm(K, A):
+    """||K - A^T J A||_F, in row blocks; it bounds the 2-norm."""
     total = 0.0
     for start in range(0, K.shape[0], 500):
-        block = K[start : start + 500] - (A[:, start : start + 500].T * c) @ A
+        block = K[start : start + 500] - _low_rank_kernel(A, start, start + 500)
         total += float(np.vdot(block, block))
     return np.sqrt(total)
+
+
+def _stored_factor(points, sigma):
+    """``A`` and ``delta`` of the factor that ``certify_points`` takes."""
+    with kernels._one_blas_thread():
+        gram = kernels.gaussian_gram(points, sigma)
+        scale = kernels._diagonal(gram).max()
+        return kernels._low_rank(gram, len(points) // 20, _FACTOR_RTOL * scale)
 
 
 @pytest.mark.parametrize(
@@ -466,8 +499,10 @@ def test_factored_certificate_agrees_with_the_dense_one(per_cluster, seed, sigma
     monkeypatch.setattr(kernels, "build_kernel", counted_build)
     report = certify_points(points, sigma, Xi)
     monkeypatch.undo()
-    # the factor decides, with no K
-    assert not builds and len(runs) == 1 and runs[0] is not None
+    # the factor decides, with no K; at sigma = 5 the count alone
+    assert not builds and len(runs) <= 1 and all(run is not None for run in runs)
+    if sigma == 5.0:
+        assert runs == []
     assert report.kernel_error_bound > 0.0
     K = build_kernel(points, sigma).K
     dense = check_optimality(K, Xi)
@@ -475,20 +510,20 @@ def test_factored_certificate_agrees_with_the_dense_one(per_cluster, seed, sigma
     assert report.scale == dense.scale == scale
     exact = np.linalg.eigvalsh(np.diag(dense.D_diagonal) - K)[:_N_LEAST]
     assert report.is_certified and dense.is_certified and exact[0] >= -_RTOL * scale
-    assert np.max(np.abs(report.least_eigenvalues - exact)) <= (
-        1e-10 * scale + report.kernel_error_bound
-    )
+    # the reported prefix: L's eigenvalues at or below tol_eig scale, here
+    # its null space of dimension 2 = rank
+    least = report.least_eigenvalues
+    assert len(least) == np.count_nonzero(exact <= _RTOL * scale) == 2
+    assert np.all(np.diff(least) >= 0)
+    assert np.max(np.abs(least - exact[: len(least)])) <= 1e-10 * scale + report.kernel_error_bound
     assert report.objective == pytest.approx(dense.objective, rel=1e-14)
     # K @ H_Xi from the weights cancels like K itself: 8e-11 max K_ii at
     # N = 3998, sigma = 50, where max K_ii = 7e-6 is itself a difference
     assert np.max(np.abs(report.D_diagonal - dense.D_diagonal)) <= 1e-9 * scale
-    with kernels._one_blas_thread():
-        A, c, delta = kernels._low_rank(
-            kernels.gaussian_gram(points, sigma), len(points) // 20, _FACTOR_RTOL * scale
-        )
+    A, delta = _stored_factor(points, sigma)
     assert delta == report.kernel_error_bound
     # ||K - K~||_F >= ||K - K~||_2, so this is the stronger check
-    assert _factor_error_norm(K, A, c) <= delta
+    assert _factor_error_norm(K, A) <= delta
 
 
 def test_factored_certificate_hands_over_past_the_pivot_cap(monkeypatch):
@@ -514,19 +549,42 @@ def _assert_same_report(report, other):
 
 
 def test_factored_certificate_hands_over_where_the_bound_could_decide(monkeypatch):
-    # a bound as wide as the least eigenvalue's distance to the tolerance
-    # could flip the verdict, so the certificate of K decides
+    # a bound twice as wide as the least eigenvalue's distance to the
+    # tolerance could flip the verdict: the count at -tol_eig scale + delta
+    # no longer certifies, Lanczos finds lambda_min(L~) within delta of the
+    # tolerance, and the certificate of K decides
     points, Xi = _stored_clusters(664, 3, 5.0)
     factored = certify_points(points, 5.0, Xi)
     assert factored.kernel_error_bound > 0.0
-    margin = factored.least_eigenvalues[0] + _RTOL * factored.scale
+    margin = 2 * (factored.least_eigenvalues[0] + _RTOL * factored.scale)
     low_rank = kernels._low_rank
 
     def widened(*args):
-        A, c, delta = low_rank(*args)
-        return A, c, margin
+        return low_rank(*args)[0], margin
 
     monkeypatch.setattr(kernels, "_low_rank", widened)
     report = certify_points(points, 5.0, Xi)
     _assert_same_report(report, check_optimality(build_kernel(points, 5.0).K, Xi))
     assert report.is_certified
+
+
+@pytest.mark.parametrize("sigma, negated", [(5.0, False), (20.0, False), (5.0, True)])
+def test_inertia_count_matches_a_dense_count(sigma, negated):
+    # the seed-3 clusters at N = 2000 and their factor; the negated model
+    # flips the sign of row 0 of Xi, which leaves D_0 negative
+    points, Xi = _stored_clusters(664, 3, sigma)
+    if negated:
+        Xi = Xi.copy()
+        Xi[0] = -Xi[0]
+    A, delta = _stored_factor(points, sigma)
+    K = build_kernel(points, sigma).K
+    D = np.einsum("ij,ij->i", K @ Xi, Xi) / np.diag(K)
+    scale = np.diag(K).max()
+    dense = np.linalg.eigvalsh(np.diag(D) - _low_rank_kernel(A))
+    low = np.sort(D)[:2]
+    shifts = [delta - _RTOL * scale, -1e-10 * scale, 1e-6 * scale, scale, low.mean()]
+    if negated:
+        assert D[0] < 0.0 and low[0] == D[0]
+        shifts.append(D[0] - scale)
+    for t in shifts:
+        assert _count_below(A, D, t)[0] == np.count_nonzero(dense < t), t / scale

@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,9 +316,10 @@ def model_2k(tmp_path_factory):
 
 
 def test_certify_builds_no_square_array(model_2k, tmp_path, monkeypatch):
-    # the factor of the gram (80 rows of N), the Lanczos basis (16 blocks of
-    # 6 rows) and, in the weight passes, two runner threads' 1 MB blocks:
-    # about a tenth of the K that the dense certificate builds
+    # the pivoted Cholesky factor of the gram, its room for N / 20 = 100
+    # rows of N beside the 80 rows of A it returns, sets the peak: 0.100 of
+    # the K that the dense certificate builds (the weight pass, with two
+    # runner threads' 1 MB blocks, 0.085; the inertia count 0.09)
     monkeypatch.setattr(kernels, "_cores", lambda: 2)
     tracemalloc.start()
     try:
@@ -325,7 +330,29 @@ def test_certify_builds_no_square_array(model_2k, tmp_path, monkeypatch):
     assert code == 0
     cert = _read_json(tmp_path / "certificate.json")
     assert cert["is_certified"] and cert["kernel_error_bound"] > 0
-    assert peak < 0.12 * 2000 * 2000 * 8
+    assert peak < 0.11 * 2000 * 2000 * 8
+
+
+def test_extend_and_certify_leave_numpy_random_unloaded(model_2k, tmp_path):
+    # numpy loads numpy.random on first use, at 5.7 MB of RSS: a fresh
+    # process that extends and certifies the 2k model draws no random number
+    save_csv(gen_three_clusters(100, 8, 4), tmp_path / "new.csv")
+    model, new, out = str(model_2k), str(tmp_path / "new.csv"), str(tmp_path)
+    script = (
+        "import sys\n"
+        "from sdpembed.cli import main\n"
+        f"assert main(['extend', {model!r}, {new!r}, '--out', {out!r}]) == 0\n"
+        f"assert main(['certify', {model!r}, '--out', {out!r}]) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "False\n"
 
 
 def test_certify_factored_evaluates_each_weight_once(model_2k, tmp_path, monkeypatch):

@@ -188,6 +188,34 @@ def test_no_degeneracy_along_a_ray_out_of_the_data():
         extend_points(base, Xi, [[30.0, 0.5]])
 
 
+def test_degeneracy_size_matches_the_extension_row_terms_near_the_threshold():
+    # a training set symmetric under x -> -x with odd coordinates of width
+    # 2, so the Nystrom sum g of a new point eps * v vanishes with eps.  Over
+    # 40 eps per decade, ||g|| / size crosses 1e-12 densely, and each flag
+    # must follow the size that extension_row's terms give: the sum of
+    # ||(k(xbar, x_i) / sqrt(dbar d_i)) Xi_i|| and ||sqrt(dbar) center||.
+    # A size 1e3 times too small, or the L1 norm of the rows in place of
+    # their length, moves the threshold past some of these points
+    rng = np.random.default_rng(7)
+    half = rng.uniform(-3.0, 3.0, (400, 2))
+    base = gaussian_gram(np.vstack([half, -half]), 1.0)
+    radius = np.sqrt(1.0 / base.degrees - base.degrees / base.volume)
+    Xi = radius[:, None] * base.points / np.linalg.norm(base.points, axis=1)[:, None]
+    X = np.geomspace(1e-15, 1e-9, 241)[:, None] * [0.6, 0.8]
+    ext = extend_points(base, Xi, X)
+    ratio = np.empty(len(X))
+    for i, x in enumerate(X):
+        row = extension_row(base, x)
+        mixed = np.sqrt(row.dbar * base.degrees)
+        size = (row.kvec + mixed / base.volume) @ np.linalg.norm(Xi, axis=1)
+        size += np.linalg.norm(mixed @ Xi) / base.volume
+        ratio[i] = np.linalg.norm(Xi.T @ row.kvec) / size
+    clear = np.abs(np.log(ratio / 1e-12)) > 0.01
+    assert np.array_equal(ext.degenerate[clear], ratio[clear] <= 1e-12)
+    assert np.count_nonzero((ratio > 1e-14) & (ratio < 0.99e-12)) >= 40
+    assert np.count_nonzero((ratio > 1.01e-12) & (ratio < 1.2e-12)) >= 2
+
+
 @pytest.mark.parametrize("extend", ["extend_points", "extension_row", "check_volume_inequalities"])
 def test_extend_points_rejects_bad_rows(extend, two_point):
     # one set of new-point rules: extend_points names the first bad row of a
